@@ -40,7 +40,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E534747u;
 /// NvmlDevice, overlap/copy-busy fields in IterationRecord + ScalerDecision.
 /// v3: controller-telemetry counters (scaler_decisions, division_moves) in
 /// the service journal's OutcomeRecord.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// v4: copy sampler dropped from NvmlDevice, copy-busy/overlap fields
+/// dropped from ScalerDecision.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) of `size` bytes.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);

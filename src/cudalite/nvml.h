@@ -26,15 +26,6 @@ struct UtilizationRates {
   unsigned memory{0};  // memory part: "actual bandwidth / rated peak bandwidth"
 };
 
-/// DMA copy-engine activity as integer percentages of the sampling window:
-/// `busy` = a transfer was in flight, `overlap` = it ran concurrently with a
-/// kernel (overlap <= busy).  The asynchronous-stack signal the WMA tier can
-/// fold into its memory-domain view (see WmaParams::observe_copy_engine).
-struct CopyEngineRates {
-  unsigned busy{0};
-  unsigned overlap{0};
-};
-
 /// Result status of one monitoring query (the NVML return-code equivalent).
 enum class NvmlStatus { kSuccess, kDriverError };
 
@@ -57,7 +48,6 @@ class NvmlDevice {
   explicit NvmlDevice(sim::Platform& platform, std::size_t device = 0)
       : platform_(&platform), device_(device),
         sampler_(platform.gpu(device), platform.queue()),
-        copy_sampler_(platform.copy_engine(device), platform.queue()),
         last_query_(platform.queue().now()) {}
 
   /// Utilization averaged since the previous call, as integer percent
@@ -110,15 +100,6 @@ class NvmlDevice {
     return UtilizationSample{utilization_rates(), window, NvmlStatus::kSuccess};
   }
 
-  /// Copy-engine busy/overlap fractions averaged since the previous call,
-  /// as integer percent.  A separate sampling window from the utilization
-  /// queries; always succeeds (the DMA counters live host-side, so the
-  /// fault channels of the utilization poll do not apply).
-  CopyEngineRates copy_engine_rates() {
-    const sim::CopyEngineUtilization u = copy_sampler_.sample();
-    return CopyEngineRates{to_percent(u.busy), to_percent(u.overlap)};
-  }
-
   /// Current clock of a domain in MHz.
   [[nodiscard]] Megahertz clock(ClockDomain domain) const {
     return domain == ClockDomain::kCore ? platform_->gpu(device_).core_frequency()
@@ -132,14 +113,12 @@ class NvmlDevice {
   /// windowed averages the saved one would have.
   void save(common::SnapshotWriter& w) const {
     sampler_.save(w);
-    copy_sampler_.save(w);
     w.f64(last_query_.get());
     w.u64(last_rates_.gpu);
     w.u64(last_rates_.memory);
   }
   void load(common::SnapshotReader& r) {
     sampler_.load(r);
-    copy_sampler_.load(r);
     last_query_ = Seconds{r.f64()};
     last_rates_.gpu = static_cast<unsigned>(r.u64());
     last_rates_.memory = static_cast<unsigned>(r.u64());
@@ -156,7 +135,6 @@ class NvmlDevice {
   sim::Platform* platform_;
   std::size_t device_{0};
   sim::GpuUtilSampler sampler_;
-  sim::CopyEngineSampler copy_sampler_;
   Seconds last_query_{0.0};
   UtilizationRates last_rates_{};
 };

@@ -24,8 +24,8 @@ struct CellState {
   workloads::WorkloadPtr workload;
   RunOptions options;
   std::unique_ptr<ExperimentEngine> engine;
-  /// This cell is the row's verify donor: it runs real kernels and its
-  /// verification outcome is memoized for the model-only cells.
+  /// This cell runs real kernels.  In a memoizing (kBatch) row it is the
+  /// verify donor whose outcome the model-only cells copy.
   bool full_compute{false};
 };
 
@@ -56,8 +56,10 @@ GG_HOT_BATCH void step_lockstep(CellState* const* live, std::size_t n) {
 }  // namespace
 
 BatchCampaignEngine::BatchCampaignEngine(const CampaignPlan& plan,
-                                         const RunOptions& options, std::size_t jobs)
-    : plan_(&plan), options_(&options), jobs_(jobs), done_(plan.total(), 0) {}
+                                         const RunOptions& options, std::size_t jobs,
+                                         CampaignEngine engine)
+    : plan_(&plan), options_(&options), jobs_(jobs), engine_(engine),
+      done_(plan.total(), 0) {}
 
 void BatchCampaignEngine::skip_completed(std::vector<char> done) {
   if (done.size() != plan_->total()) {
@@ -75,15 +77,20 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
   if (total == 0) return;
 
   const std::size_t stride = plan_->replicate_stride == 0 ? 1 : plan_->replicate_stride;
-  // Verification strategy for the row's model-only cells (scalar-path
-  // semantics reproduced exactly):
-  //   * base model_only: scalar reports verified=false / skipped=true for
-  //     every cell — the raw model-only result already says that; no patch.
-  //   * verify off: scalar reports verified=true / skipped=true; patch that.
+  // kScalar rows are one cell wide and memoize nothing: each cell runs in
+  // its own compute mode and verifies itself.
+  const bool memoize = engine_ == CampaignEngine::kBatch;
+  const std::size_t row_width = memoize ? policy_count : 1;
+  // Verification strategy for a memoizing row's model-only cells (what a
+  // self-verifying cell would report, reproduced exactly):
+  //   * base model_only: a self-verifying cell reports verified=false /
+  //     skipped=true — the raw model-only result already says that; no patch.
+  //   * verify off: a self-verifying cell reports verified=true /
+  //     skipped=true; patch that.
   //   * verify on: one full-compute donor per row; patch its
   //     (verified, verify_skipped) pair — truncated runs (max_iterations)
   //     flow through the donor as verified=true / skipped=true, exactly as
-  //     scalar cells would report themselves.
+  //     self-verifying cells would report themselves.
   const bool base_model_only = options_->model_only;
   const bool need_verify = options_->verify && !base_model_only;
   // Warm-up prefix forking engages per replicate group when the group's
@@ -92,14 +99,14 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
   // group and are simulated once.  save_prefix rejects trace recorders, so
   // traced runs fall back to cold starts.
   const std::size_t warmup = options_->faults_active_from;
-  const bool forking = stride > 1 && warmup > 0 && options_->faults.any_faults() &&
-                       !options_->record_trace;
+  const bool forking = memoize && stride > 1 && warmup > 0 &&
+                       options_->faults.any_faults() && !options_->record_trace;
 
   stats_ = Stats{};
   std::mutex stats_mutex;
 
   common::JobPool pool(jobs_);
-  pool.run_batches(total, policy_count, [&](std::size_t first, std::size_t last) {
+  pool.run_batches(total, row_width, [&](std::size_t first, std::size_t last) {
     const std::size_t w = first / policy_count;
     Stats row;
 
@@ -117,8 +124,12 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
         s->options.faults.seed = campaign_cell_seed(s->options.faults.seed, i);
       }
       if (hooks.customize) hooks.customize(i, s->options);
-      s->full_compute = need_verify && states.empty();
-      s->options.model_only = !s->full_compute;
+      if (memoize) {
+        s->full_compute = need_verify && states.empty();
+        s->options.model_only = !s->full_compute;
+      } else {
+        s->full_compute = !base_model_only;
+      }
       s->workload = workloads::make_workload(plan_->workloads[w]);
       s->engine = std::make_unique<ExperimentEngine>(
           *s->workload, plan_->policies[s->index % policy_count], s->options);
@@ -182,7 +193,7 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
         ++row.full_runs;
       } else {
         ++row.model_runs;
-        if (!base_model_only) {
+        if (memoize && !base_model_only) {
           result.verified = need_verify ? memo_verified : true;
           result.verify_skipped = need_verify ? memo_skipped : true;
         }

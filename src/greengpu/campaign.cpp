@@ -1,13 +1,11 @@
 #include "src/greengpu/campaign.h"
 
-#include <mutex>
 #include <stdexcept>
 
 #include "src/common/csv.h"
-#include "src/common/job_pool.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
-#include "src/greengpu/batch_engine.h"
+#include "src/greengpu/recovery.h"
 #include "src/sim/soa.h"
 #include "src/workloads/registry.h"
 
@@ -35,14 +33,6 @@ bool CampaignResult::all_verified() const {
     if (!c.result.verified) return false;
   }
   return true;
-}
-
-std::string_view to_string(CampaignEngine engine) {
-  switch (engine) {
-    case CampaignEngine::kScalar: return "scalar";
-    case CampaignEngine::kBatch: return "batch";
-  }
-  return "unknown";
 }
 
 std::optional<CampaignEngine> campaign_engine_from_string(std::string_view name) {
@@ -120,55 +110,7 @@ void finalize_campaign_savings(CampaignResult& result) {
 }
 
 CampaignResult run_campaign(const CampaignConfig& config, const CampaignProgress& progress) {
-  const CampaignPlan plan = plan_campaign(config);
-  CampaignResult out;
-  out.workloads = plan.workloads;
-  const std::vector<Policy>& policies = plan.policies;
-  for (const auto& p : policies) out.policy_names.push_back(p.name);
-
-  const std::size_t policy_count = policies.size();
-  const std::size_t total = out.workloads.size() * policy_count;
-  out.cells.resize(total);
-
-  // Every cell is an independent simulation on a fresh Platform, so the
-  // matrix fans out across the pool.  Results land in index-determined
-  // slots and savings are computed in a deterministic post-pass, so the
-  // report is byte-identical for any `jobs` value — and for either engine
-  // (the batch engine reproduces the scalar reports bit-for-bit).
-  std::mutex progress_mutex;
-  std::size_t completed = 0;
-  if (config.engine == CampaignEngine::kBatch) {
-    BatchCampaignEngine engine(plan, config.options, config.jobs);
-    BatchCampaignEngine::Hooks hooks;
-    if (progress) {
-      hooks.on_done = [&](std::size_t i, const ExperimentResult&) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        ++completed;
-        progress(out.workloads[i / policy_count], policies[i % policy_count].name,
-                 completed, total);
-      };
-    }
-    engine.run(out.cells, hooks);
-  } else {
-    common::JobPool pool(config.jobs);
-    pool.run(total, [&](std::size_t i) {
-      const std::size_t w = i / policy_count;
-      const std::size_t p = i % policy_count;
-      RunOptions options = config.options;
-      if (options.faults.any_faults()) {
-        options.faults.seed = campaign_cell_seed(options.faults.seed, i);
-      }
-      out.cells[i].result = run_experiment(out.workloads[w], policies[p], options);
-      if (progress) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        ++completed;
-        progress(out.workloads[w], policies[p].name, completed, total);
-      }
-    });
-  }
-
-  finalize_campaign_savings(out);
-  return out;
+  return run_campaign_checkpointed(config, CheckpointOptions{}, progress);
 }
 
 void write_campaign_csv(std::ostream& os, const CampaignResult& result) {

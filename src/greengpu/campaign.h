@@ -27,12 +27,14 @@ namespace gg::greengpu {
   return options;
 }
 
-/// Which execution engine steps the campaign's cells.  Both engines produce
-/// byte-identical reports for the same config (the identity matrix in
-/// tests/greengpu/batch_engine_test.cpp and the bench's identical_reports
+/// How BatchCampaignEngine groups the campaign's cells.  Both engines
+/// produce byte-identical reports for the same config (the identity matrix in
+/// tests/greengpu/batch_engine_test.cpp, the checked-in goldens of
+/// tests/greengpu/campaign_golden_test.cpp and the bench's identical_reports
 /// invariants gate this); only wall-clock differs.
 enum class CampaignEngine {
-  /// One full run_experiment() per cell — the historical path.
+  /// One-cell rows: every cell runs with the compute mode and verification
+  /// run_experiment() would give it — the full-compute reference.
   kScalar,
   /// BatchCampaignEngine: cells advance in lockstep per workload row, real
   /// verification is memoized once per workload (the other cells run
@@ -41,7 +43,6 @@ enum class CampaignEngine {
   kBatch,
 };
 
-[[nodiscard]] std::string_view to_string(CampaignEngine engine);
 /// Parse "scalar" / "batch"; nullopt on anything else (the CLI turns that
 /// into its one-line unknown-value rejection, exit 2).
 [[nodiscard]] std::optional<CampaignEngine> campaign_engine_from_string(
@@ -104,9 +105,9 @@ struct CampaignResult {
 using CampaignProgress =
     std::function<void(const std::string&, const std::string&, std::size_t, std::size_t)>;
 
-/// The resolved (workload x policy) matrix a config expands to.  Shared by
-/// run_campaign and the checkpointed runner (recovery.h) so both agree on
-/// cell indexing — flat index i = workload * policies.size() + policy.
+/// The resolved (workload x policy) matrix a config expands to — flat cell
+/// index i = workload * policies.size() + policy, the index the engine, the
+/// checkpoint journal and the reports all share.
 struct CampaignPlan {
   std::vector<std::string> workloads;
   std::vector<Policy> policies;
@@ -124,6 +125,8 @@ struct CampaignPlan {
 /// resumed and uninterrupted campaigns report byte-identical savings.
 void finalize_campaign_savings(CampaignResult& result);
 
+/// Run every cell of the config's plan.  Exactly run_campaign_checkpointed
+/// (recovery.h) with checkpointing disabled.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
                                           const CampaignProgress& progress = {});
 

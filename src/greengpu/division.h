@@ -46,11 +46,6 @@ struct IterationFeedback {
   /// set by a hardened runner — the un-hardened baseline happily learns
   /// from the noise.
   bool degraded{false};
-  /// DMA copy-engine activity of the iteration (busy time and the part
-  /// overlapped with kernels).  Informational: the paper's step heuristic
-  /// ignores both, but a transfer-aware divider can consult them.
-  Seconds copy_busy_time{0.0};
-  Seconds overlap_time{0.0};
 };
 
 /// Division-algorithm interface.  The paper's tier 1 is `DivisionController`;

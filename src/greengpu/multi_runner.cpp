@@ -1,6 +1,5 @@
 #include "src/greengpu/multi_runner.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/cudalite/api.h"
@@ -146,20 +145,7 @@ MultiExperimentResult run_multi_experiment(workloads::Workload& workload,
     if (injector != nullptr) {
       const auto& events = injector->events();
       rec.fault_events = events.size() - ev0;
-      rec.degraded = throttled_at_start;
-      for (std::size_t i = ev0; i < events.size(); ++i) {
-        switch (events[i].outcome) {
-          case sim::FaultOutcome::kRerouted:
-          case sim::FaultOutcome::kForcedCompletion:
-          case sim::FaultOutcome::kRetriesExhausted:
-          case sim::FaultOutcome::kWatchdogTrip:
-          case sim::FaultOutcome::kThrottleStart:
-            rec.degraded = true;
-            break;
-          default:
-            break;
-        }
-      }
+      rec.degraded = throttled_at_start || fault_events_degrade(events, ev0);
       if (rec.degraded) ++result.degraded_iterations;
     }
 
@@ -193,21 +179,8 @@ MultiExperimentResult run_multi_experiment(workloads::Workload& workload,
   for (auto& s : scalers) s->detach();
   if (governor) governor->detach();
   if (injector != nullptr) {
-    const auto& events = injector->events();
-    result.fault_event_count = events.size();
-    switch (options.record.mode) {
-      case RecordMode::kFull:
-        result.fault_events = events;
-        break;
-      case RecordMode::kRing: {
-        const std::size_t keep = std::min(events.size(), options.record.ring_capacity);
-        result.fault_events.assign(events.end() - static_cast<std::ptrdiff_t>(keep),
-                                   events.end());
-        break;
-      }
-      case RecordMode::kCounters:
-        break;
-    }
+    result.fault_event_count = injector->events().size();
+    result.fault_events = retained_fault_events(injector->events(), options.record);
   }
   result.verified = options.verify ? workload.verify() : true;
   return result;

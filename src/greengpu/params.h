@@ -45,13 +45,6 @@ struct WmaParams {
   /// bit-identical decision streams (asserted by the equivalence suite);
   /// the flag exists for that suite and for benchmarking the speedup.
   bool reference_impl{false};
-  /// Fold the DMA copy-engine busy fraction into the memory-domain view:
-  /// the effective memory utilization becomes max(mem_util, copy_busy).
-  /// Keeps the scaler from down-clocking the memory domain while an
-  /// asynchronous pipeline is saturating the bus (transfers ride the
-  /// memory clock even when the measured bandwidth share of kernels is
-  /// low).  Off by default so existing decision streams are bit-identical.
-  bool observe_copy_engine{false};
   /// Immediate re-tries of a rejected/clamped clock write per step.
   int actuation_retries{2};
   /// Base delay of the asynchronous retry after immediate retries failed

@@ -2,9 +2,9 @@
 
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <utility>
 
-#include "src/common/job_pool.h"
 #include "src/common/killpoint.h"
 #include "src/common/snapshot.h"
 #include "src/greengpu/batch_engine.h"
@@ -162,8 +162,6 @@ void CampaignJournal::append(std::size_t cell_index, const ExperimentResult& res
 CampaignResult run_campaign_checkpointed(const CampaignConfig& config,
                                          const CheckpointOptions& ckpt,
                                          const CampaignProgress& progress) {
-  if (!ckpt.enabled()) return run_campaign(config, progress);
-
   const CampaignPlan plan = plan_campaign(config);
   CampaignResult out;
   out.workloads = plan.workloads;
@@ -172,35 +170,31 @@ CampaignResult run_campaign_checkpointed(const CampaignConfig& config,
   const std::size_t total = plan.total();
   out.cells.resize(total);
 
-  std::filesystem::create_directories(ckpt.dir);
-  const std::string journal_path = ckpt.dir + "/campaign.journal";
-  const std::uint64_t fp = CampaignJournal::fingerprint(plan, config.options);
-
-  std::vector<char> done(total, 0);
+  // Every cell is an independent simulation on a fresh Platform.  Results
+  // land in index-determined slots and savings are computed in a
+  // deterministic post-pass, so the report is byte-identical for any `jobs`
+  // value, either engine, and any kill/resume history.
+  BatchCampaignEngine engine(plan, config.options, config.jobs, config.engine);
+  BatchCampaignEngine::Hooks hooks;
   std::size_t completed = 0;
-  const bool resuming = ckpt.resume && std::filesystem::exists(journal_path);
-  if (resuming) {
-    for (auto& entry : CampaignJournal::read(journal_path, fp)) {
-      if (entry.cell_index < total && !done[entry.cell_index]) {
-        out.cells[entry.cell_index].result = std::move(entry.result);
-        done[entry.cell_index] = 1;
-        ++completed;
+  std::optional<CampaignJournal> journal;
+  if (ckpt.enabled()) {
+    std::filesystem::create_directories(ckpt.dir);
+    const std::string journal_path = ckpt.dir + "/campaign.journal";
+    const std::uint64_t fp = CampaignJournal::fingerprint(plan, config.options);
+    std::vector<char> done(total, 0);
+    const bool resuming = ckpt.resume && std::filesystem::exists(journal_path);
+    if (resuming) {
+      for (auto& entry : CampaignJournal::read(journal_path, fp)) {
+        if (entry.cell_index < total && !done[entry.cell_index]) {
+          out.cells[entry.cell_index].result = std::move(entry.result);
+          done[entry.cell_index] = 1;
+          ++completed;
+        }
       }
     }
-  }
-  CampaignJournal journal(journal_path, fp, /*fresh=*/!resuming);
-
-  std::mutex mutex;
-  if (config.engine == CampaignEngine::kBatch) {
-    // The batch engine publishes each cell through on_done in flat-index
-    // order within a row; the journal append is index-tagged, so append
-    // order across rows doesn't matter.  The kill-point sits between "cell
-    // finished" and "cell journaled", exactly like the scalar path: a kill
-    // there loses that cell (and, batched, the not-yet-published rest of
-    // its row) and the resume re-runs the pending cells bit-identically.
-    BatchCampaignEngine engine(plan, config.options, config.jobs);
-    engine.skip_completed(done);
-    BatchCampaignEngine::Hooks hooks;
+    journal.emplace(journal_path, fp, /*fresh=*/!resuming);
+    engine.skip_completed(std::move(done));
     if (ckpt.every != 0) {
       hooks.customize = [&ckpt](std::size_t i, RunOptions& options) {
         options.checkpoint_every = ckpt.every;
@@ -208,46 +202,26 @@ CampaignResult run_campaign_checkpointed(const CampaignConfig& config,
         options.checkpoint_tag = "cell-" + std::to_string(i);
       };
     }
-    hooks.on_done = [&](std::size_t i, const ExperimentResult& result) {
-      common::killpoint(common::KillPoint::kMidCampaignCell);
-      std::lock_guard<std::mutex> lock(mutex);
-      journal.append(i, result);
-      ++completed;
-      if (progress) {
-        progress(plan.workloads[i / policy_count],
-                 plan.policies[i % policy_count].name, completed, total);
-      }
-    };
-    engine.run(out.cells, hooks);
-  } else {
-    common::JobPool pool(config.jobs);
-    pool.run(total, [&](std::size_t i) {
-      if (done[i]) return;
-      const std::size_t w = i / policy_count;
-      const std::size_t p = i % policy_count;
-      RunOptions options = config.options;
-      if (options.faults.any_faults()) {
-        options.faults.seed = campaign_cell_seed(options.faults.seed, i);
-      }
-      if (ckpt.every != 0) {
-        options.checkpoint_every = ckpt.every;
-        options.checkpoint_dir = ckpt.dir;
-        options.checkpoint_tag = "cell-" + std::to_string(i);
-      }
-      ExperimentResult result =
-          run_experiment(plan.workloads[w], plan.policies[p], options);
-      // The cell finished but is not journaled yet: a kill here loses the
-      // work, and the resume re-runs the cell bit-identically.
-      common::killpoint(common::KillPoint::kMidCampaignCell);
-      std::lock_guard<std::mutex> lock(mutex);
-      journal.append(i, result);
-      out.cells[i].result = std::move(result);
-      ++completed;
-      if (progress) {
-        progress(plan.workloads[w], plan.policies[p].name, completed, total);
-      }
-    });
   }
+
+  // The engine publishes each cell through on_done in flat-index order
+  // within a row; the journal append is index-tagged, so append order across
+  // rows doesn't matter.
+  std::mutex mutex;
+  hooks.on_done = [&](std::size_t i, const ExperimentResult& result) {
+    // The cell finished but is not journaled yet: a kill here loses it (and
+    // the not-yet-published rest of its row), and the resume re-runs the
+    // pending cells bit-identically.
+    if (journal) common::killpoint(common::KillPoint::kMidCampaignCell);
+    std::lock_guard<std::mutex> lock(mutex);
+    if (journal) journal->append(i, result);
+    ++completed;
+    if (progress) {
+      progress(plan.workloads[i / policy_count], plan.policies[i % policy_count].name,
+               completed, total);
+    }
+  };
+  engine.run(out.cells, hooks);
 
   finalize_campaign_savings(out);
   return out;

@@ -101,10 +101,10 @@ class CampaignJournal {
   common::Journal journal_;
 };
 
-/// run_campaign with a crash-safe journal: journaled cells are skipped on
-/// resume, finished cells are appended as they complete, and the report is
-/// byte-identical to an uninterrupted run.  Falls back to plain
-/// run_campaign when `ckpt` is disabled.
+/// The campaign driver behind run_campaign.  With `ckpt` enabled it keeps
+/// a crash-safe journal: journaled cells are skipped on resume, finished
+/// cells are appended as they complete, and the report is byte-identical to
+/// an uninterrupted run.  With `ckpt` disabled it is plain run_campaign.
 [[nodiscard]] CampaignResult run_campaign_checkpointed(
     const CampaignConfig& config, const CheckpointOptions& ckpt,
     const CampaignProgress& progress = {});

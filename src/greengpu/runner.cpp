@@ -55,6 +55,37 @@ Seconds tick_time(Seconds interval, std::uint64_t k) {
 
 }  // namespace
 
+bool fault_events_degrade(const std::vector<sim::FaultEvent>& events, std::size_t first) {
+  for (std::size_t i = first; i < events.size(); ++i) {
+    switch (events[i].outcome) {
+      case sim::FaultOutcome::kRerouted:
+      case sim::FaultOutcome::kForcedCompletion:
+      case sim::FaultOutcome::kRetriesExhausted:
+      case sim::FaultOutcome::kWatchdogTrip:
+      case sim::FaultOutcome::kThrottleStart:
+        return true;
+      default:
+        break;
+    }
+  }
+  return false;
+}
+
+std::vector<sim::FaultEvent> retained_fault_events(
+    const std::vector<sim::FaultEvent>& events, const RecordOptions& record) {
+  switch (record.mode) {
+    case RecordMode::kFull:
+      return events;
+    case RecordMode::kRing: {
+      const std::size_t keep = std::min(events.size(), record.ring_capacity);
+      return {events.end() - static_cast<std::ptrdiff_t>(keep), events.end()};
+    }
+    case RecordMode::kCounters:
+      break;
+  }
+  return {};
+}
+
 ExperimentEngine::ExperimentEngine(workloads::Workload& workload, const Policy& policy,
                                    const RunOptions& options)
     : workload_(&workload), policy_(&policy), options_(options),
@@ -245,20 +276,7 @@ void ExperimentEngine::step_iteration() {
   if (injector_ != nullptr) {
     const auto& events = injector_->events();
     rec.fault_events = events.size() - ev0;
-    rec.degraded = throttled_at_start;
-    for (std::size_t i = ev0; i < events.size(); ++i) {
-      switch (events[i].outcome) {
-        case sim::FaultOutcome::kRerouted:
-        case sim::FaultOutcome::kForcedCompletion:
-        case sim::FaultOutcome::kRetriesExhausted:
-        case sim::FaultOutcome::kWatchdogTrip:
-        case sim::FaultOutcome::kThrottleStart:
-          rec.degraded = true;
-          break;
-        default:
-          break;
-      }
-    }
+    rec.degraded = throttled_at_start || fault_events_degrade(events, ev0);
     if (rec.degraded) ++result_.degraded_iterations;
   }
 
@@ -267,8 +285,6 @@ void ExperimentEngine::step_iteration() {
     // Only a hardened policy knows to distrust a faulted iteration; the
     // un-hardened baseline learns from the distorted times on purpose.
     feedback.degraded = hard.enabled && rec.degraded;
-    feedback.copy_busy_time = rec.copy_busy_time;
-    feedback.overlap_time = rec.overlap_time;
     const DivisionDecision decision = divider_->update(feedback);
     rec.division_action = decision.action;
     if (decision.action != DivisionAction::kHold) ++result_.division_moves;
@@ -338,22 +354,8 @@ ExperimentResult ExperimentEngine::finish() {
     result_.trace = tracer_->samples();
   }
   if (injector_ != nullptr) {
-    const auto& events = injector_->events();
-    result_.fault_event_count = events.size();
-    switch (options_.record.mode) {
-      case RecordMode::kFull:
-        result_.fault_events = events;
-        break;
-      case RecordMode::kRing: {
-        const std::size_t keep =
-            std::min(events.size(), options_.record.ring_capacity);
-        result_.fault_events.assign(events.end() - static_cast<std::ptrdiff_t>(keep),
-                                    events.end());
-        break;
-      }
-      case RecordMode::kCounters:
-        break;
-    }
+    result_.fault_event_count = injector_->events().size();
+    result_.fault_events = retained_fault_events(injector_->events(), options_.record);
   }
   if (options_.model_only) {
     // Data buffers were never written; the caller owns verification (the

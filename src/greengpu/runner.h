@@ -173,6 +173,16 @@ class ExperimentAborted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Fault bookkeeping shared by the single- and multi-GPU experiment loops.
+/// True when an event logged at index `first` or later distorts the
+/// iteration's measurements: a reroute, forced completion, exhausted
+/// retries, watchdog trip or throttle onset.  Allocation-free.
+[[nodiscard]] bool fault_events_degrade(const std::vector<sim::FaultEvent>& events,
+                                        std::size_t first);
+/// The tail of a run's fault-event log that `record` retains.
+[[nodiscard]] std::vector<sim::FaultEvent> retained_fault_events(
+    const std::vector<sim::FaultEvent>& events, const RecordOptions& record);
+
 /// Run `workload` under `policy` on a fresh simulated testbed.
 [[nodiscard]] ExperimentResult run_experiment(workloads::Workload& workload,
                                               const Policy& policy,

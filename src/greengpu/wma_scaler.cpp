@@ -78,23 +78,9 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
     return d;
   }
 
-  // Optional copy-engine observation: a saturated DMA engine rides the
-  // memory clock, so fold its busy fraction into the memory-domain view
-  // before the loss lookup.  Integer-percent max, so the quantized rows
-  // stay exact.
-  unsigned mem_pct = sample.rates.memory;
-  double ce_busy = 0.0;
-  double ce_overlap = 0.0;
-  if (params_.observe_copy_engine) {
-    const cudalite::CopyEngineRates ce = nvml_->copy_engine_rates();
-    ce_busy = static_cast<double>(ce.busy) / 100.0;
-    ce_overlap = static_cast<double>(ce.overlap) / 100.0;
-    if (ce.busy > mem_pct) mem_pct = ce.busy;
-  }
-
   // Optional measurement-side noise filter (alpha = 1 passes through).
   const double uc = core_filter_.update(uc_raw);
-  const double um = mem_filter_.update(static_cast<double>(mem_pct) / 100.0);
+  const double um = mem_filter_.update(um_raw);
 
   // 2.+3. Eq. 1-4 as one fused pass.  With the filter off, the filtered
   // utilization IS the integer-percent sample (Ewma with alpha = 1 returns
@@ -107,7 +93,7 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
   const double* mem_row;
   if (quantized_applies_) {
     core_row = core_loss_q_.row(sample.rates.gpu);
-    mem_row = mem_loss_q_.row(mem_pct);
+    mem_row = mem_loss_q_.row(sample.rates.memory);
   } else {
     for (std::size_t i = 0; i < scratch_core_.size(); ++i) {
       scratch_core_[i] = params_.phi * component_loss(uc, core_umean_[i], params_.alpha_core);
@@ -134,8 +120,6 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
   ++steps_;
   ScalerDecision d{now, uc_raw, um_raw, uc, um, chosen};
   d.actuation_ok = applied;
-  d.copy_busy_util = ce_busy;
-  d.overlap_util = ce_overlap;
   decisions_.push(d);
   return d;
 }
@@ -169,22 +153,9 @@ ScalerDecision GpuFrequencyScaler::step_reference(Seconds now) {
     return d;
   }
 
-  // Optional copy-engine observation, identical to the fast path: the
-  // effective memory utilization is max(measured, copy-engine busy) on
-  // integer percents.
-  unsigned mem_pct = sample.rates.memory;
-  double ce_busy = 0.0;
-  double ce_overlap = 0.0;
-  if (params_.observe_copy_engine) {
-    const cudalite::CopyEngineRates ce = nvml_->copy_engine_rates();
-    ce_busy = static_cast<double>(ce.busy) / 100.0;
-    ce_overlap = static_cast<double>(ce.overlap) / 100.0;
-    if (ce.busy > mem_pct) mem_pct = ce.busy;
-  }
-
   // Optional measurement-side noise filter (alpha = 1 passes through).
   const double uc = core_filter_.update(uc_raw);
-  const double um = mem_filter_.update(static_cast<double>(mem_pct) / 100.0);
+  const double um = mem_filter_.update(um_raw);
 
   // 2. Per-level core and memory loss factors (Eq. 1 and Eq. 2).
   std::vector<double> core_losses(core_umean_.size());
@@ -211,8 +182,6 @@ ScalerDecision GpuFrequencyScaler::step_reference(Seconds now) {
   ++steps_;
   ScalerDecision d{now, uc_raw, um_raw, uc, um, chosen};
   d.actuation_ok = applied;
-  d.copy_busy_util = ce_busy;
-  d.overlap_util = ce_overlap;
   decisions_.push(d);
   return d;
 }
@@ -311,8 +280,6 @@ void save_decision(common::SnapshotWriter& w, const ScalerDecision& d) {
   w.u64(d.chosen.mem);
   w.b(d.sample_ok);
   w.b(d.actuation_ok);
-  w.f64(d.copy_busy_util);
-  w.f64(d.overlap_util);
 }
 
 ScalerDecision load_decision(common::SnapshotReader& r) {
@@ -326,8 +293,6 @@ ScalerDecision load_decision(common::SnapshotReader& r) {
   d.chosen.mem = static_cast<std::size_t>(r.u64());
   d.sample_ok = r.b();
   d.actuation_ok = r.b();
-  d.copy_busy_util = r.f64();
-  d.overlap_util = r.f64();
   return d;
 }
 }  // namespace

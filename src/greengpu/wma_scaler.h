@@ -49,11 +49,6 @@ struct ScalerDecision {
   /// False when the chosen pair could not be applied this step (write
   /// rejected/clamped/throttled); an asynchronous retry may still land it.
   bool actuation_ok{true};
-  /// Copy-engine busy/overlap fractions observed this step, as fractions in
-  /// [0, 1].  Zero unless `WmaParams::observe_copy_engine` is on (new
-  /// fields go at the end: decisions are aggregate-initialized elsewhere).
-  double copy_busy_util{0.0};
-  double overlap_util{0.0};
 };
 
 class GpuFrequencyScaler {

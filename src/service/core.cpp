@@ -273,7 +273,7 @@ std::string ServiceCore::handle_submit(const std::vector<std::string>& tokens) {
   request.policy = tokens[2];
   try {
     // Reject unknown names before they cost a seq or a journal record.
-    (void)workloads::make_workload(request.workload);
+    (void)workloads::workload_factory(request.workload);
     (void)policy_by_name(request.policy, config_.hardened);
     for (std::size_t i = 3; i < tokens.size(); ++i) {
       const std::string& t = tokens[i];

@@ -25,8 +25,8 @@ namespace gg::sim {
 
 class GpuDevice;
 
-/// Cumulative activity counters, differenced by CopyEngineSampler the same
-/// way GpuUtilSampler differences GpuActivityCounters.
+/// Cumulative activity counters; the experiment runner differences them per
+/// iteration (IterationRecord::copy_busy_time / overlap_time).
 struct CopyEngineCounters {
   /// Total time a transfer was in flight (seconds).
   double busy_integral{0.0};

@@ -6,7 +6,6 @@
 // counters.
 #pragma once
 
-#include "src/sim/copy_engine.h"
 #include "src/sim/cpu_device.h"
 #include "src/sim/gpu_device.h"
 
@@ -58,61 +57,6 @@ class GpuUtilSampler {
   GpuDevice* gpu_;
   EventQueue* queue_;
   GpuActivityCounters last_;
-  Seconds last_time_;
-};
-
-/// Copy-engine activity over one sampling window: `busy` is the fraction of
-/// the window a DMA transfer was in flight, `overlap` the fraction where the
-/// transfer ran concurrently with a kernel (overlap <= busy).
-struct CopyEngineUtilization {
-  double busy{0.0};
-  double overlap{0.0};
-};
-
-class CopyEngineSampler {
- public:
-  explicit CopyEngineSampler(CopyEngine& engine, EventQueue& queue)
-      : engine_(&engine), queue_(&queue), last_(engine.counters()),
-        last_time_(queue.now()) {}
-
-  /// Average busy/overlap fractions since the previous call (or
-  /// construction).  Returns zeros for an empty window.
-  CopyEngineUtilization sample() {
-    const CopyEngineCounters now = engine_->counters();
-    const Seconds t = queue_->now();
-    const double dt = (t - last_time_).get();
-    CopyEngineUtilization u;
-    if (dt > 0.0) {
-      u.busy = (now.busy_integral - last_.busy_integral) / dt;
-      u.overlap = (now.overlap_integral - last_.overlap_integral) / dt;
-    }
-    last_ = now;
-    last_time_ = t;
-    return u;
-  }
-
-  /// Serialize the windowed-differencing state (see GpuUtilSampler::save).
-  void save(common::SnapshotWriter& w) const {
-    w.f64(last_.busy_integral);
-    w.f64(last_.overlap_integral);
-    w.f64(last_.bytes_moved);
-    w.u64(last_.transfers_completed);
-    w.u64(last_.peak_queue_depth);
-    w.f64(last_time_.get());
-  }
-  void load(common::SnapshotReader& r) {
-    last_.busy_integral = r.f64();
-    last_.overlap_integral = r.f64();
-    last_.bytes_moved = r.f64();
-    last_.transfers_completed = r.u64();
-    last_.peak_queue_depth = r.u64();
-    last_time_ = Seconds{r.f64()};
-  }
-
- private:
-  CopyEngine* engine_;
-  EventQueue* queue_;
-  CopyEngineCounters last_;
   Seconds last_time_;
 };
 

@@ -20,6 +20,51 @@ namespace {
 /// Process-wide pipeline tuning; written by set_pipeline_tuning before runs,
 /// only read by make_workload afterwards.
 PipelineTuning g_pipeline_tuning{};
+
+template <typename W>
+WorkloadPtr make() {
+  return std::make_unique<W>();
+}
+
+WorkloadPtr make_kmeans_pipeline() {
+  KmeansPipelineConfig cfg;
+  cfg.pipelined = g_pipeline_tuning.pipelined;
+  cfg.stream_depth = g_pipeline_tuning.stream_depth;
+  cfg.chunks = g_pipeline_tuning.chunks;
+  return std::make_unique<KmeansPipeline>(cfg);
+}
+
+WorkloadPtr make_srad_stream() {
+  SradStreamConfig cfg;
+  cfg.pipelined = g_pipeline_tuning.pipelined;
+  cfg.stream_depth = g_pipeline_tuning.stream_depth;
+  cfg.frames_per_iteration = g_pipeline_tuning.chunks;
+  return std::make_unique<SradStream>(cfg);
+}
+
+struct Entry {
+  std::string_view name;
+  WorkloadFactory make;
+};
+
+/// The one name -> factory table, aliases included.
+constexpr Entry kFactories[] = {
+    {"bfs", make<Bfs>},
+    {"lud", make<Lud>},
+    {"nbody", make<Nbody>},
+    {"pathfinder", make<Pathfinder>},
+    {"PF", make<Pathfinder>},
+    {"QG", make<Qrng>},
+    {"qrng", make<Qrng>},
+    {"srad_v2", make<Srad>},
+    {"srad", make<Srad>},
+    {"hotspot", make<Hotspot>},
+    {"kmeans", make<Kmeans>},
+    {"streamcluster", make<Streamcluster>},
+    {"SC", make<Streamcluster>},
+    {"kmeans_pipeline", make_kmeans_pipeline},
+    {"srad_stream", make_srad_stream},
+};
 }  // namespace
 
 std::vector<std::string> pipeline_workload_names() {
@@ -37,31 +82,19 @@ std::vector<std::string> all_workload_names() {
 
 std::vector<std::string> divisible_workload_names() { return {"kmeans", "hotspot"}; }
 
-WorkloadPtr make_workload(std::string_view name) {
-  if (name == "bfs") return std::make_unique<Bfs>();
-  if (name == "lud") return std::make_unique<Lud>();
-  if (name == "nbody") return std::make_unique<Nbody>();
-  if (name == "pathfinder" || name == "PF") return std::make_unique<Pathfinder>();
-  if (name == "QG" || name == "qrng") return std::make_unique<Qrng>();
-  if (name == "srad_v2" || name == "srad") return std::make_unique<Srad>();
-  if (name == "hotspot") return std::make_unique<Hotspot>();
-  if (name == "kmeans") return std::make_unique<Kmeans>();
-  if (name == "streamcluster" || name == "SC") return std::make_unique<Streamcluster>();
-  if (name == "kmeans_pipeline") {
-    KmeansPipelineConfig cfg;
-    cfg.pipelined = g_pipeline_tuning.pipelined;
-    cfg.stream_depth = g_pipeline_tuning.stream_depth;
-    cfg.chunks = g_pipeline_tuning.chunks;
-    return std::make_unique<KmeansPipeline>(cfg);
-  }
-  if (name == "srad_stream") {
-    SradStreamConfig cfg;
-    cfg.pipelined = g_pipeline_tuning.pipelined;
-    cfg.stream_depth = g_pipeline_tuning.stream_depth;
-    cfg.frames_per_iteration = g_pipeline_tuning.chunks;
-    return std::make_unique<SradStream>(cfg);
+WorkloadFactory workload_factory(std::string_view name) {
+  for (const Entry& e : kFactories) {
+    if (e.name == name) return e.make;
   }
   throw std::invalid_argument("unknown workload: " + std::string(name));
 }
+
+std::vector<std::string_view> accepted_workload_names() {
+  std::vector<std::string_view> names;
+  for (const Entry& e : kFactories) names.push_back(e.name);
+  return names;
+}
+
+WorkloadPtr make_workload(std::string_view name) { return workload_factory(name)(); }
 
 }  // namespace gg::workloads

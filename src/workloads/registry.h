@@ -12,9 +12,18 @@ namespace gg::workloads {
 /// Names of all Table II workloads, in the paper's order.
 [[nodiscard]] std::vector<std::string> all_workload_names();
 
-/// Construct a workload by its Table II name ("bfs", "lud", "nbody",
-/// "pathfinder" (PF), "QG", "srad_v2", "hotspot", "kmeans",
-/// "streamcluster").  Throws std::invalid_argument for unknown names.
+using WorkloadFactory = WorkloadPtr (*)();
+
+/// The factory make_workload uses for `name`: a Table II name ("bfs", "lud",
+/// "nbody", "pathfinder" (PF), "QG" (qrng), "srad_v2" (srad), "hotspot",
+/// "kmeans", "streamcluster" (SC)) or a pipeline workload.  A table lookup
+/// that constructs nothing; throws std::invalid_argument for unknown names.
+[[nodiscard]] WorkloadFactory workload_factory(std::string_view name);
+
+/// Every name workload_factory accepts, aliases included, in table order.
+[[nodiscard]] std::vector<std::string_view> accepted_workload_names();
+
+/// Construct a workload by name: workload_factory(name)().
 [[nodiscard]] WorkloadPtr make_workload(std::string_view name);
 
 /// The two divisible workloads the paper's two-tier experiments use.

@@ -69,8 +69,6 @@ std::string report(CampaignConfig cfg, CampaignEngine engine, std::size_t jobs) 
 }
 
 TEST(CampaignEngineNames, RoundTripAndRejection) {
-  EXPECT_EQ(to_string(CampaignEngine::kScalar), "scalar");
-  EXPECT_EQ(to_string(CampaignEngine::kBatch), "batch");
   EXPECT_EQ(campaign_engine_from_string("scalar"), CampaignEngine::kScalar);
   EXPECT_EQ(campaign_engine_from_string("batch"), CampaignEngine::kBatch);
   EXPECT_FALSE(campaign_engine_from_string("vector").has_value());
@@ -174,6 +172,28 @@ TEST(BatchEngine, StatsReportMemoizationAndForks) {
   for (const auto& cell : cells) {
     EXPECT_TRUE(cell.result.verified);
     EXPECT_FALSE(cell.result.verify_skipped);
+  }
+}
+
+TEST(BatchEngine, ScalarRowsRunEveryCellWithFullComputeAndNoForks) {
+  // kScalar is the one-cell-row case: no verify memo, no prefix fork —
+  // every cell computes and verifies itself, like run_experiment().
+  for (const bool verify : {true, false}) {
+    SCOPED_TRACE(verify ? "verify on" : "verify off");
+    CampaignConfig cfg = replicate_config();
+    cfg.options.verify = verify;
+    const CampaignPlan plan = plan_campaign(cfg);
+    BatchCampaignEngine engine(plan, cfg.options, /*jobs=*/1, CampaignEngine::kScalar);
+    std::vector<CampaignCell> cells(plan.total());
+    engine.run(cells);
+    EXPECT_EQ(engine.stats().full_runs, plan.total());
+    EXPECT_EQ(engine.stats().model_runs, 0u);
+    EXPECT_EQ(engine.stats().forked_cells, 0u);
+    EXPECT_EQ(engine.stats().prefix_iterations_saved, 0u);
+    for (const auto& cell : cells) {
+      EXPECT_TRUE(cell.result.verified);
+      EXPECT_EQ(cell.result.verify_skipped, !verify);
+    }
   }
 }
 

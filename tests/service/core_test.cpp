@@ -6,14 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/common/killpoint.h"
 #include "src/common/snapshot.h"
 #include "src/service/journal.h"
+#include "src/workloads/registry.h"
 
 namespace gg::service {
 namespace {
@@ -103,6 +108,32 @@ TEST_F(ServiceCoreTest, ProtocolRejectsGarbageWithoutSideEffects) {
   EXPECT_EQ(core.stats().submitted, 0u);
   EXPECT_EQ(core.handle_line("SUBMIT bfs greengpu priority=1 deadline=9000 iters=5"),
             "202 accepted seq=1");
+}
+
+TEST_F(ServiceCoreTest, SubmitAdmitsEveryRegistryNameAndRejectsUnknownOnes) {
+  ServiceConfig config = small_config();
+  config.queue_capacity = 64;
+  ServiceCore core(config, journal_, /*resume=*/false);
+  const std::vector<std::string_view> names = workloads::accepted_workload_names();
+  for (const auto& canonical : workloads::all_workload_names()) {
+    EXPECT_NE(std::find(names.begin(), names.end(), canonical), names.end()) << canonical;
+  }
+  for (const auto& pipeline : workloads::pipeline_workload_names()) {
+    EXPECT_NE(std::find(names.begin(), names.end(), pipeline), names.end()) << pipeline;
+  }
+  std::size_t seq = 0;
+  for (const std::string_view name : names) {
+    SCOPED_TRACE(std::string(name));
+    EXPECT_NE(workloads::make_workload(name), nullptr);
+    EXPECT_EQ(core.handle_line("SUBMIT " + std::string(name) + " best-performance"),
+              "202 accepted seq=" + std::to_string(++seq));
+  }
+  EXPECT_THROW((void)workloads::make_workload("nope"), std::invalid_argument);
+  EXPECT_EQ(core.handle_line("SUBMIT nope best-performance"),
+            "400 unknown workload: nope");
+  EXPECT_EQ(core.handle_line("SUBMIT bfs_v2 best-performance"),
+            "400 unknown workload: bfs_v2");
+  EXPECT_EQ(core.stats().submitted, seq);
 }
 
 TEST_F(ServiceCoreTest, PauseHoldsWorkResumeReleasesIt) {
