@@ -34,7 +34,11 @@ void* Runtime::raw_alloc(std::size_t bytes, std::size_t alignment) {
   if (bytes == 0) throw std::invalid_argument("cudalite: zero-byte allocation");
   Allocation a;
   a.bytes = bytes;
-  a.storage = std::make_unique<std::byte[]>(bytes + alignment);
+  // Model-only storage is never read or written: skip the zero-fill so its
+  // pages are never touched.
+  const std::size_t total = bytes + alignment;
+  a.storage = compute_enabled() ? std::make_unique<std::byte[]>(total)
+                                : std::make_unique_for_overwrite<std::byte[]>(total);
   void* p = a.storage.get();
   const auto addr = reinterpret_cast<std::uintptr_t>(p);
   const std::uintptr_t aligned = (addr + alignment - 1) & ~(alignment - 1);

@@ -93,9 +93,13 @@ class Runtime;
 ///    EVERY simulated side effect (work submission, transfer charges, fault
 ///    draws, completion callbacks) happens identically.  Simulated timing,
 ///    energy and controller decisions are bit-identical to kFull by
-///    construction, because real kernel output never feeds the model.  This
-///    is the cell-stepping mode of the batched campaign engine, which
-///    memoizes one kFull execution per workload for verification instead.
+///    construction, because real kernel output never feeds the model.  No
+///    real data exists either: workloads build no inputs, and device storage
+///    is allocated but never touched, so its pages are never faulted in.
+///    Every simulated size (allocations, transfer counts, item counts) comes
+///    from the workload's config, never from a host buffer.  This is the
+///    cell-stepping mode of the batched campaign engine, which memoizes one
+///    kFull execution per workload for verification instead.
 enum class ComputeMode {
   kFull,
   kModelOnly,
@@ -249,6 +253,9 @@ class Runtime {
 
   /// Blocking host-to-device copy: copies bytes and advances simulated time
   /// by the bus transfer duration (host spins meanwhile, if sync_spin).
+  /// Uploads take an explicit count, never a host vector's size: a
+  /// workload's host buffers are empty under kModelOnly, and the charge
+  /// must not depend on that.
   template <typename T>
   void memcpy_h2d(DeviceBuffer<T>& dst, const T* src, std::size_t count) {
     check_range(dst, count, "memcpy_h2d");
@@ -256,18 +263,15 @@ class Runtime {
     charge_transfer(count * sizeof(T), /*h2d=*/true);
   }
   template <typename T>
-  void memcpy_h2d(DeviceBuffer<T>& dst, const std::vector<T>& src) {
-    memcpy_h2d(dst, src.data(), src.size());
-  }
-  template <typename T>
   void memcpy_d2h(T* dst, const DeviceBuffer<T>& src, std::size_t count) {
     check_range(src, count, "memcpy_d2h");
     if (compute_enabled()) std::copy(src.data(), src.data() + count, dst);
     charge_transfer(count * sizeof(T), /*h2d=*/false);
   }
+  /// Whole-buffer download; `dst` is resized only when bytes actually move.
   template <typename T>
   void memcpy_d2h(std::vector<T>& dst, const DeviceBuffer<T>& src) {
-    dst.resize(src.size());
+    if (compute_enabled()) dst.resize(src.size());
     memcpy_d2h(dst.data(), src, src.size());
   }
 
@@ -286,12 +290,6 @@ class Runtime {
     if (compute_enabled()) std::copy(src, src + count, dst.data());
     enqueue_copy(stream, effective_bytes(count * sizeof(T), sim_bytes),
                  /*h2d=*/true, std::move(on_complete));
-  }
-  template <typename T>
-  void memcpy_h2d_async(Stream& stream, DeviceBuffer<T>& dst, const std::vector<T>& src,
-                        double sim_bytes = 0.0, std::function<void()> on_complete = {}) {
-    memcpy_h2d_async(stream, dst, src.data(), src.size(), sim_bytes,
-                     std::move(on_complete));
   }
   /// Device-to-host counterpart; same eager-data / simulated-transfer split.
   template <typename T>

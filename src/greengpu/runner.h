@@ -235,6 +235,9 @@ class ExperimentEngine {
   void restore_prefix(common::SnapshotReader& r);
 
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
+  /// The run's cudalite runtime (valid after start(); its counters survive
+  /// finish()).
+  [[nodiscard]] const cudalite::Runtime& runtime() const { return *rt_; }
 
  private:
   void install_faults();

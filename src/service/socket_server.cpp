@@ -250,8 +250,10 @@ void SocketServer::serve(const LineHandler& handler, const StreamHooks& hooks,
       }
     }
 
-    // Read phase: drain readable sockets, dispatch completed lines.
-    for (std::size_t i = 0; i < conns.size(); ++i) {
+    // Read phase: drain readable sockets, dispatch completed lines.  Only
+    // the conns polled this tick have a pollfd; ones accepted above wait.
+    const std::size_t polled = pfds.size() - 1;
+    for (std::size_t i = 0; i < polled; ++i) {
       Conn& conn = conns[i];
       if (conn.dead || conn.read_closed) continue;
       const pollfd& pfd = pfds[i + 1];

@@ -11,7 +11,10 @@ namespace {
 constexpr int kInf = std::numeric_limits<int>::max() / 2;
 }
 
-Bfs::Bfs(BfsConfig config) : config_(config) {
+Bfs::Bfs(BfsConfig config) : config_(config) {}
+
+void Bfs::build_graph() {
+  if (!row_offsets_.empty()) return;
   Rng rng(config_.seed);
   const std::size_t n = config_.nodes;
   // Random out-edges, then transpose into an in-edge CSR.  A chain edge
@@ -37,11 +40,14 @@ IntensityProfile Bfs::profile(std::size_t /*iter*/) const { return config_.profi
 
 void Bfs::setup(cudalite::Runtime& rt) {
   const std::size_t n = config_.nodes;
-  dist_in_.assign(n, kInf);
-  dist_in_[0] = 0;  // source
-  dist_out_ = dist_in_;
+  if (rt.compute_enabled()) {
+    build_graph();
+    dist_in_.assign(n, kInf);
+    dist_in_[0] = 0;  // source
+    dist_out_ = dist_in_;
+  }
   dev_dist_ = rt.alloc<int>(n);
-  rt.memcpy_h2d(dev_dist_, dist_in_);
+  rt.memcpy_h2d(dev_dist_, dist_in_.data(), n);
   ran_ = false;
 }
 
@@ -65,10 +71,10 @@ void Bfs::finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*/) {
 }
 
 void Bfs::teardown(cudalite::Runtime& rt) {
-  rt.memcpy_h2d(dev_dist_, dist_in_);
+  rt.memcpy_h2d(dev_dist_, dist_in_.data(), config_.nodes);
   rt.memcpy_d2h(result_, dev_dist_);
   rt.free(dev_dist_);
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool Bfs::verify() const {

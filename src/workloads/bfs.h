@@ -54,6 +54,9 @@ class Bfs final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Generate the graph (once; full compute only).
+  void build_graph();
+
   BfsConfig config_;
   // CSR of in-edges.
   std::vector<std::size_t> row_offsets_;

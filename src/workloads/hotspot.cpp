@@ -16,30 +16,34 @@ constexpr double kAmbient = 80.0;
 constexpr double kPowerScale = 0.5;
 }  // namespace
 
-Hotspot::Hotspot(HotspotConfig config) : config_(config) {
+Hotspot::Hotspot(HotspotConfig config) : config_(config) {}
+
+void Hotspot::build_inputs() {
+  if (!power_.empty()) return;
   Rng rng(config_.seed);
   const std::size_t n = config_.rows * config_.cols;
-  temp_in_.resize(n);
-  temp_out_.assign(n, 0.0);
+  initial_temp_.resize(n);
   power_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    temp_in_[i] = rng.uniform(70.0, 90.0);
+    initial_temp_[i] = rng.uniform(70.0, 90.0);
     power_[i] = rng.uniform(0.0, 1.0);
   }
-  initial_temp_ = temp_in_;
 }
 
 IntensityProfile Hotspot::profile(std::size_t /*iter*/) const { return config_.profile; }
 
 void Hotspot::setup(cudalite::Runtime& rt) {
-  temp_in_ = initial_temp_;
-  const std::size_t n = temp_in_.size();
-  temp_out_.assign(n, 0.0);
+  const std::size_t n = config_.rows * config_.cols;
+  if (rt.compute_enabled()) {
+    build_inputs();
+    temp_in_ = initial_temp_;
+    temp_out_.assign(n, 0.0);
+  }
   dev_temp_a_ = rt.alloc<double>(n);
   dev_temp_b_ = rt.alloc<double>(n);
   dev_power_ = rt.alloc<double>(n);
-  rt.memcpy_h2d(dev_temp_a_, temp_in_);
-  rt.memcpy_h2d(dev_power_, power_);
+  rt.memcpy_h2d(dev_temp_a_, temp_in_.data(), n);
+  rt.memcpy_h2d(dev_power_, power_.data(), n);
   ran_ = false;
 }
 
@@ -98,12 +102,12 @@ void Hotspot::finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*/) 
 
 void Hotspot::teardown(cudalite::Runtime& rt) {
   // Mirror the device-side round trip of the real application.
-  rt.memcpy_h2d(dev_temp_b_, temp_in_);
+  rt.memcpy_h2d(dev_temp_b_, temp_in_.data(), config_.rows * config_.cols);
   rt.memcpy_d2h(result_, dev_temp_b_);
   rt.free(dev_temp_a_);
   rt.free(dev_temp_b_);
   rt.free(dev_power_);
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool Hotspot::verify() const {

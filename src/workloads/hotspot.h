@@ -54,6 +54,9 @@ class Hotspot final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Generate the initial temperatures and power map (once; full compute
+  /// only).
+  void build_inputs();
   void step_rows(std::size_t begin, std::size_t end);
   static void reference_step(const std::vector<double>& in, std::vector<double>& out,
                              const std::vector<double>& power, std::size_t rows,

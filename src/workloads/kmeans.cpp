@@ -50,7 +50,10 @@ void reference_step(const std::vector<double>& points, std::vector<double>& cent
 }
 }  // namespace
 
-Kmeans::Kmeans(KmeansConfig config) : config_(config) {
+Kmeans::Kmeans(KmeansConfig config) : config_(config) {}
+
+void Kmeans::build_inputs() {
+  if (!host_points_.empty()) return;
   Rng rng(config_.seed);
   const std::size_t n = config_.points;
   const std::size_t dims = config_.dims;
@@ -69,19 +72,22 @@ Kmeans::Kmeans(KmeansConfig config) : config_(config) {
   // Initial centroids: the first k points (the Rodinia convention).
   initial_centroids_.assign(host_points_.begin(),
                             host_points_.begin() + static_cast<std::ptrdiff_t>(k * dims));
-  centroids_ = initial_centroids_;
-  assignments_.assign(n, 0);
 }
 
 IntensityProfile Kmeans::profile(std::size_t /*iter*/) const { return config_.profile; }
 
 void Kmeans::setup(cudalite::Runtime& rt) {
-  dev_points_ = rt.alloc<double>(host_points_.size());
-  dev_centroids_ = rt.alloc<double>(centroids_.size());
-  rt.memcpy_h2d(dev_points_, host_points_);
-  rt.memcpy_h2d(dev_centroids_, centroids_);
-  centroids_ = initial_centroids_;
-  assignments_.assign(config_.points, 0);
+  const std::size_t n = config_.points * config_.dims;
+  const std::size_t kd = config_.clusters * config_.dims;
+  if (rt.compute_enabled()) {
+    build_inputs();
+    centroids_ = initial_centroids_;
+    assignments_.assign(config_.points, 0);
+  }
+  dev_points_ = rt.alloc<double>(n);
+  dev_centroids_ = rt.alloc<double>(kd);
+  rt.memcpy_h2d(dev_points_, host_points_.data(), n);
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), kd);
   ran_ = false;
 }
 
@@ -132,14 +138,14 @@ void Kmeans::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*/) {
       }
     }
   }
-  rt.memcpy_h2d(dev_centroids_, centroids_);
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), config_.clusters * config_.dims);
 }
 
 void Kmeans::teardown(cudalite::Runtime& rt) {
   rt.memcpy_d2h(result_centroids_, dev_centroids_);
   rt.free(dev_points_);
   rt.free(dev_centroids_);
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool Kmeans::verify() const {

@@ -48,6 +48,7 @@ class Kmeans final : public ProfiledWorkload {
   void teardown(cudalite::Runtime& rt) override;
   [[nodiscard]] bool verify() const override;
 
+  /// Current centroids; empty until a full-compute setup built the inputs.
   [[nodiscard]] const std::vector<double>& centroids() const { return centroids_; }
   [[nodiscard]] const KmeansConfig& config() const { return config_; }
 
@@ -57,6 +58,8 @@ class Kmeans final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Generate the points and initial centroids (once; full compute only).
+  void build_inputs();
   void assign_range(const double* points, std::size_t begin, std::size_t end);
 
   KmeansConfig config_;

@@ -28,6 +28,10 @@ KmeansPipeline::KmeansPipeline(KmeansPipelineConfig config) : config_(config) {
   if (config_.stream_depth == 0) {
     throw std::invalid_argument("KmeansPipeline: stream_depth must be >= 1");
   }
+}
+
+void KmeansPipeline::build_inputs() {
+  if (!host_points_.empty()) return;
   Rng rng(config_.seed);
   const std::size_t n = config_.points;
   const std::size_t dims = config_.dims;
@@ -43,8 +47,6 @@ KmeansPipeline::KmeansPipeline(KmeansPipelineConfig config) : config_(config) {
   }
   initial_centroids_.assign(host_points_.begin(),
                             host_points_.begin() + static_cast<std::ptrdiff_t>(k * dims));
-  centroids_ = initial_centroids_;
-  chunk_assign_.assign(n, 0);
 }
 
 IntensityProfile KmeansPipeline::profile(std::size_t /*iter*/) const {
@@ -69,13 +71,16 @@ void KmeansPipeline::setup(cudalite::Runtime& rt) {
     dev_points_.push_back(rt.alloc<double>(max_chunk * config_.dims));
     dev_assign_.push_back(rt.alloc<int>(max_chunk));
   }
-  dev_centroids_ = rt.alloc<double>(centroids_.size());
-  centroids_ = initial_centroids_;
-  chunk_assign_.assign(config_.points, 0);
-  partial_sums_.assign(config_.chunks,
-                       std::vector<double>(config_.clusters * config_.dims, 0.0));
-  partial_counts_.assign(config_.chunks, std::vector<std::size_t>(config_.clusters, 0));
-  rt.memcpy_h2d(dev_centroids_, centroids_);
+  const std::size_t kd = config_.clusters * config_.dims;
+  dev_centroids_ = rt.alloc<double>(kd);
+  if (rt.compute_enabled()) {
+    build_inputs();
+    centroids_ = initial_centroids_;
+    chunk_assign_.assign(config_.points, 0);
+    partial_sums_.assign(config_.chunks, std::vector<double>(kd, 0.0));
+    partial_counts_.assign(config_.chunks, std::vector<std::size_t>(config_.clusters, 0));
+  }
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), kd);
   streams_.clear();
   if (config_.pipelined) {
     // One copy stream + one compute stream per double-buffer slot.
@@ -164,8 +169,11 @@ void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*st
     const std::size_t begin = chunk_begin(c);
     const std::size_t count = chunk_begin(c + 1) - begin;
 
-    // Stage 1: upload the chunk's points into the slot buffer.
-    rt.memcpy_h2d_async(cs, dev_points_[slot], &host_points_[begin * config_.dims],
+    // Stage 1: upload the chunk's points into the slot buffer.  Model-only
+    // runs have no host data: the copy moves nothing and charges the same.
+    const bool real = rt.compute_enabled();
+    rt.memcpy_h2d_async(cs, dev_points_[slot],
+                        real ? host_points_.data() + begin * config_.dims : nullptr,
                         count * config_.dims, config_.sim_h2d_bytes);
     if (config_.pipelined) {
       // Compute must not start before the slot's upload landed.
@@ -194,7 +202,8 @@ void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*st
     // (per-chunk, never per-slot: the eager copy of a later chunk must not
     // clobber data this chunk's reduce stage reads at simulated time).
     rt.memcpy_d2h_async(
-        ks, &chunk_assign_[begin], dev_assign_[slot], count, config_.sim_d2h_bytes,
+        ks, real ? chunk_assign_.data() + begin : nullptr, dev_assign_[slot], count,
+        config_.sim_d2h_bytes,
         [this, &rt, c, on_gpu_done, on_cpu_done] GG_PIPELINE_STAGE {
           submit_reduce(rt, c, on_cpu_done);
           if (--pending_d2h_ == 0 && on_gpu_done) on_gpu_done();
@@ -246,7 +255,7 @@ void KmeansPipeline::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*
       }
     }
   }
-  rt.memcpy_h2d(dev_centroids_, centroids_);
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), config_.clusters * config_.dims);
 }
 
 void KmeansPipeline::teardown(cudalite::Runtime& rt) {
@@ -257,7 +266,7 @@ void KmeansPipeline::teardown(cudalite::Runtime& rt) {
   dev_points_.clear();
   dev_assign_.clear();
   streams_.clear();
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool KmeansPipeline::verify() const {

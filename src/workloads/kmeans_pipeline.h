@@ -75,9 +75,12 @@ class KmeansPipeline final : public Workload {
   [[nodiscard]] bool verify() const override;
 
   [[nodiscard]] const KmeansPipelineConfig& config() const { return config_; }
+  /// Current centroids; empty until a full-compute setup built the inputs.
   [[nodiscard]] const std::vector<double>& centroids() const { return centroids_; }
 
  private:
+  /// Generate the points and initial centroids (once; full compute only).
+  void build_inputs();
   /// Balanced chunk ranges: chunk c covers [chunk_begin(c), chunk_begin(c+1)).
   [[nodiscard]] std::size_t chunk_begin(std::size_t c) const;
   /// Assign points [b, e) (chunk-local indices) from the slot buffer — the

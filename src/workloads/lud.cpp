@@ -25,10 +25,9 @@ std::vector<double> Lud::make_matrix(std::size_t iter) const {
 
 void Lud::setup(cudalite::Runtime& rt) {
   dev_matrix_ = rt.alloc<double>(config_.dim * config_.dim);
-  // Sized here, not by the compute chunks: the teardown writeback's
-  // simulated transfer charges lu_.size() bytes, and model-only runs (which
-  // never execute the chunks) must charge exactly what full runs charge.
-  lu_.assign(config_.dim * config_.dim, 0.0);
+  // Sized here, not by the compute chunks, so the teardown writeback has a
+  // source even when no iteration ran.
+  if (rt.compute_enabled()) lu_.assign(config_.dim * config_.dim, 0.0);
   original_.clear();
   ran_ = false;
 }
@@ -55,7 +54,7 @@ void Lud::cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) {
 }
 
 void Lud::teardown(cudalite::Runtime& rt) {
-  rt.memcpy_h2d(dev_matrix_, lu_);
+  rt.memcpy_h2d(dev_matrix_, lu_.data(), config_.dim * config_.dim);
   std::vector<double> back;
   rt.memcpy_d2h(back, dev_matrix_);
   rt.free(dev_matrix_);

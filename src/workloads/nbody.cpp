@@ -11,34 +11,37 @@ namespace {
 constexpr double kSoftening2 = 1e-3;  // softened gravity, avoids singularities
 }
 
-Nbody::Nbody(NbodyConfig config) : config_(config) {
+Nbody::Nbody(NbodyConfig config) : config_(config) {}
+
+void Nbody::build_inputs() {
+  if (!mass_.empty()) return;
   Rng rng(config_.seed);
   const std::size_t n = config_.bodies;
-  pos_in_.resize(3 * n);
-  vel_in_.resize(3 * n);
+  initial_pos_.resize(3 * n);
+  initial_vel_.resize(3 * n);
   mass_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (int d = 0; d < 3; ++d) {
-      pos_in_[3 * i + d] = rng.uniform(-1.0, 1.0);
-      vel_in_[3 * i + d] = rng.uniform(-0.1, 0.1);
+      initial_pos_[3 * i + d] = rng.uniform(-1.0, 1.0);
+      initial_vel_[3 * i + d] = rng.uniform(-0.1, 0.1);
     }
     mass_[i] = rng.uniform(0.5, 1.5);
   }
-  initial_pos_ = pos_in_;
-  initial_vel_ = vel_in_;
-  pos_out_ = pos_in_;
-  vel_out_ = vel_in_;
 }
 
 IntensityProfile Nbody::profile(std::size_t /*iter*/) const { return config_.profile; }
 
 void Nbody::setup(cudalite::Runtime& rt) {
-  pos_in_ = initial_pos_;
-  vel_in_ = initial_vel_;
-  pos_out_ = pos_in_;
-  vel_out_ = vel_in_;
-  dev_pos_ = rt.alloc<double>(pos_in_.size());
-  rt.memcpy_h2d(dev_pos_, pos_in_);
+  const std::size_t n = 3 * config_.bodies;
+  if (rt.compute_enabled()) {
+    build_inputs();
+    pos_in_ = initial_pos_;
+    vel_in_ = initial_vel_;
+    pos_out_ = pos_in_;
+    vel_out_ = vel_in_;
+  }
+  dev_pos_ = rt.alloc<double>(n);
+  rt.memcpy_h2d(dev_pos_, pos_in_.data(), n);
   ran_ = false;
 }
 
@@ -81,10 +84,10 @@ void Nbody::finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*/) {
 }
 
 void Nbody::teardown(cudalite::Runtime& rt) {
-  rt.memcpy_h2d(dev_pos_, pos_in_);
+  rt.memcpy_h2d(dev_pos_, pos_in_.data(), 3 * config_.bodies);
   rt.memcpy_d2h(result_pos_, dev_pos_);
   rt.free(dev_pos_);
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool Nbody::verify() const {

@@ -49,6 +49,8 @@ class Nbody final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Generate the initial bodies (once; full compute only).
+  void build_inputs();
   void step_range(std::size_t begin, std::size_t end);
 
   NbodyConfig config_;

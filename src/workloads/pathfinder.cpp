@@ -20,11 +20,13 @@ int Pathfinder::weight(std::size_t row, std::size_t col) const {
 
 void Pathfinder::setup(cudalite::Runtime& rt) {
   const std::size_t c = config_.cols;
-  cost_in_.resize(c);
-  for (std::size_t j = 0; j < c; ++j) cost_in_[j] = weight(0, j);
-  cost_out_.assign(c, 0);
+  if (rt.compute_enabled()) {
+    cost_in_.resize(c);
+    for (std::size_t j = 0; j < c; ++j) cost_in_[j] = weight(0, j);
+    cost_out_.assign(c, 0);
+  }
   dev_cost_ = rt.alloc<long long>(c);
-  rt.memcpy_h2d(dev_cost_, cost_in_);
+  rt.memcpy_h2d(dev_cost_, cost_in_.data(), c);
   ran_ = false;
 }
 
@@ -48,10 +50,10 @@ void Pathfinder::finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*
 }
 
 void Pathfinder::teardown(cudalite::Runtime& rt) {
-  rt.memcpy_h2d(dev_cost_, cost_in_);
+  rt.memcpy_h2d(dev_cost_, cost_in_.data(), config_.cols);
   rt.memcpy_d2h(result_, dev_cost_);
   rt.free(dev_cost_);
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool Pathfinder::verify() const {

@@ -24,7 +24,7 @@ double Qrng::radical_inverse(std::uint64_t index) {
 }
 
 void Qrng::setup(cudalite::Runtime& rt) {
-  values_.assign(config_.points, 0.0);
+  if (rt.compute_enabled()) values_.assign(config_.points, 0.0);
   sums_.clear();
   dev_values_ = rt.alloc<double>(config_.points);
   ran_ = false;
@@ -66,7 +66,7 @@ void Qrng::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*/) {
 }
 
 void Qrng::teardown(cudalite::Runtime& rt) {
-  rt.memcpy_h2d(dev_values_, values_);
+  rt.memcpy_h2d(dev_values_, values_.data(), config_.points);
   std::vector<double> back;
   rt.memcpy_d2h(back, dev_values_);
   rt.free(dev_values_);

@@ -7,23 +7,27 @@
 
 namespace gg::workloads {
 
-Srad::Srad(SradConfig config) : config_(config) {
+Srad::Srad(SradConfig config) : config_(config) {}
+
+void Srad::build_inputs() {
+  if (!initial_img_.empty()) return;
   Rng rng(config_.seed);
-  const std::size_t n = config_.rows * config_.cols;
-  img_in_.resize(n);
+  initial_img_.resize(config_.rows * config_.cols);
   // Speckled image: positive intensities with multiplicative noise.
-  for (auto& p : img_in_) p = std::exp(rng.uniform(0.0, 2.0));
-  initial_img_ = img_in_;
-  img_out_.assign(n, 0.0);
+  for (auto& p : initial_img_) p = std::exp(rng.uniform(0.0, 2.0));
 }
 
 IntensityProfile Srad::profile(std::size_t /*iter*/) const { return config_.profile; }
 
 void Srad::setup(cudalite::Runtime& rt) {
-  img_in_ = initial_img_;
-  img_out_.assign(img_in_.size(), 0.0);
-  dev_img_ = rt.alloc<double>(img_in_.size());
-  rt.memcpy_h2d(dev_img_, img_in_);
+  const std::size_t n = config_.rows * config_.cols;
+  if (rt.compute_enabled()) {
+    build_inputs();
+    img_in_ = initial_img_;
+    img_out_.assign(n, 0.0);
+  }
+  dev_img_ = rt.alloc<double>(n);
+  rt.memcpy_h2d(dev_img_, img_in_.data(), n);
   ran_ = false;
 }
 
@@ -68,10 +72,10 @@ void Srad::finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*/) {
 }
 
 void Srad::teardown(cudalite::Runtime& rt) {
-  rt.memcpy_h2d(dev_img_, img_in_);
+  rt.memcpy_h2d(dev_img_, img_in_.data(), config_.rows * config_.cols);
   rt.memcpy_d2h(result_, dev_img_);
   rt.free(dev_img_);
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool Srad::verify() const {

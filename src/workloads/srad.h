@@ -50,6 +50,8 @@ class Srad final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Generate the speckled image (once; full compute only).
+  void build_inputs();
   void step_rows(const std::vector<double>& in, std::vector<double>& out,
                  std::size_t begin, std::size_t end) const;
 

@@ -58,9 +58,11 @@ void SradStream::setup(cudalite::Runtime& rt) {
     dev_in_.push_back(rt.alloc<double>(frame_elems()));
     dev_out_.push_back(rt.alloc<double>(frame_elems()));
   }
-  scratch_frame_.assign(frame_elems(), 0.0);
-  host_out_.assign(config_.frames_per_iteration * frame_elems(), 0.0);
-  frame_checksums_.assign(config_.frames_per_iteration, 0.0);
+  if (rt.compute_enabled()) {
+    scratch_frame_.assign(frame_elems(), 0.0);
+    host_out_.assign(config_.frames_per_iteration * frame_elems(), 0.0);
+    frame_checksums_.assign(config_.frames_per_iteration, 0.0);
+  }
   streams_.clear();
   const std::size_t n_streams = config_.pipelined ? config_.stream_depth : 1;
   for (std::size_t s = 0; s < n_streams; ++s) streams_.push_back(rt.create_stream());
@@ -95,8 +97,10 @@ void SradStream::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*stream
     // Stage 1: synthesize the next frame and upload it.  The real copy is
     // eager (host program order), so the single scratch buffer is safe to
     // reuse even though the simulated transfers overlap.
-    if (rt.compute_enabled()) generate_frame(global_frame, scratch_frame_.data());
-    rt.memcpy_h2d_async(s, dev_in_[slot], scratch_frame_, config_.sim_h2d_bytes);
+    const bool real = rt.compute_enabled();
+    if (real) generate_frame(global_frame, scratch_frame_.data());
+    rt.memcpy_h2d_async(s, dev_in_[slot], scratch_frame_.data(), frame_elems(),
+                        config_.sim_h2d_bytes);
 
     // Stage 2: diffusion step, row-parallel.  In-order stream: the kernel
     // cannot start before the slot's upload landed.
@@ -119,7 +123,7 @@ void SradStream::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*stream
     // Stage 3: download into the frame's own host region (per frame, never
     // per slot — a later frame's eager copy must not clobber what this
     // frame's checksum stage reads at simulated completion).
-    double* frame_out = &host_out_[f * frame_elems()];
+    double* frame_out = real ? host_out_.data() + f * frame_elems() : nullptr;
     rt.memcpy_d2h_async(
         s, frame_out, dev_out_[slot], frame_elems(), config_.sim_d2h_bytes,
         [this, &rt, f, frame_out, checksum_work, on_gpu_done, on_cpu_done]
@@ -183,7 +187,7 @@ void SradStream::teardown(cudalite::Runtime& rt) {
   dev_in_.clear();
   dev_out_.clear();
   streams_.clear();
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool SradStream::verify() const {

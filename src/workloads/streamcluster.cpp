@@ -7,7 +7,10 @@
 
 namespace gg::workloads {
 
-Streamcluster::Streamcluster(StreamclusterConfig config) : config_(config) {
+Streamcluster::Streamcluster(StreamclusterConfig config) : config_(config) {}
+
+void Streamcluster::build_inputs() {
+  if (!coords_.empty()) return;
   Rng rng(config_.seed);
   coords_.resize(config_.points * config_.dims);
   for (auto& c : coords_) c = rng.uniform(0.0, 1.0);
@@ -41,12 +44,16 @@ double Streamcluster::dist2(std::size_t a, std::size_t b) const {
 }
 
 void Streamcluster::setup(cudalite::Runtime& rt) {
-  // Initially every point is assigned to centre 0.
-  assign_cost_.resize(config_.points);
-  for (std::size_t i = 0; i < config_.points; ++i) assign_cost_[i] = dist2(i, 0);
-  cand_cost_.assign(config_.points, 0.0);
-  dev_coords_ = rt.alloc<double>(coords_.size());
-  rt.memcpy_h2d(dev_coords_, coords_);
+  if (rt.compute_enabled()) {
+    build_inputs();
+    // Initially every point is assigned to centre 0.
+    assign_cost_.resize(config_.points);
+    for (std::size_t i = 0; i < config_.points; ++i) assign_cost_[i] = dist2(i, 0);
+    cand_cost_.assign(config_.points, 0.0);
+  }
+  const std::size_t n = config_.points * config_.dims;
+  dev_coords_ = rt.alloc<double>(n);
+  rt.memcpy_h2d(dev_coords_, coords_.data(), n);
   ran_ = false;
 }
 
@@ -77,8 +84,8 @@ void Streamcluster::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*/
 
 void Streamcluster::teardown(cudalite::Runtime& rt) {
   rt.free(dev_coords_);
-  final_costs_ = assign_cost_;
-  ran_ = true;
+  ran_ = rt.compute_enabled();
+  if (ran_) final_costs_ = assign_cost_;
 }
 
 double Streamcluster::total_cost() const {

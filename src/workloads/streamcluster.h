@@ -53,7 +53,7 @@ class Streamcluster final : public ProfiledWorkload {
   void teardown(cudalite::Runtime& rt) override;
   [[nodiscard]] bool verify() const override;
 
-  /// Total assignment cost after the run (the clustering objective).
+  /// Total assignment cost after a full run (the clustering objective).
   [[nodiscard]] double total_cost() const;
 
  protected:
@@ -62,6 +62,8 @@ class Streamcluster final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Generate the point coordinates (once; full compute only).
+  void build_inputs();
   [[nodiscard]] std::size_t candidate_for(std::size_t iter) const;
   [[nodiscard]] double dist2(std::size_t a, std::size_t b) const;
 

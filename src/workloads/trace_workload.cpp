@@ -94,8 +94,8 @@ Seconds TraceWorkload::trace_duration() const {
   return Seconds{total};
 }
 
-void TraceWorkload::setup(cudalite::Runtime& /*rt*/) {
-  checksums_.assign(kItems, 0);
+void TraceWorkload::setup(cudalite::Runtime& rt) {
+  if (rt.compute_enabled()) checksums_.assign(kItems, 0);
   final_checksum_ = 0;
   ran_ = false;
 }
@@ -113,10 +113,10 @@ void TraceWorkload::cpu_chunk(std::size_t begin, std::size_t end, std::size_t it
   gpu_chunk(begin, end, iter);
 }
 
-void TraceWorkload::teardown(cudalite::Runtime& /*rt*/) {
+void TraceWorkload::teardown(cudalite::Runtime& rt) {
   final_checksum_ = 0;
   for (const std::uint64_t c : checksums_) final_checksum_ ^= c;
-  ran_ = true;
+  ran_ = rt.compute_enabled();
 }
 
 bool TraceWorkload::verify() const {

@@ -7,12 +7,19 @@
 // concurrently (the pthreads + CUDA structure of [16], [23]) and the caller
 // measures per-side completion times.
 //
-// Workloads REALLY compute: `setup` builds real inputs, the per-iteration
-// chunk functions run actual kernels on the cudalite pool, and `verify`
-// checks the final output against a scalar reference.  In parallel, each
-// workload carries an `IntensityProfile` per iteration that drives the
-// simulated timing/energy (calibrated to the Table II utilization classes
-// with the paper's enlarged problem sizes).
+// Workloads REALLY compute: the per-iteration chunk functions run actual
+// kernels on the cudalite pool, and `verify` checks the final output against
+// a scalar reference.  In parallel, each workload carries an
+// `IntensityProfile` per iteration that drives the simulated timing/energy
+// (calibrated to the Table II utilization classes with the paper's enlarged
+// problem sizes).
+//
+// The constructor holds the config and nothing else.  `setup` builds the
+// real inputs (once per object; later full runs reuse them) only when the
+// runtime computes (`rt.compute_enabled()`): a model-only run touches no
+// real data, so every simulated quantity — allocation sizes, transfer
+// counts, item counts — comes from the config, never from a host buffer.
+// `verify` holds only after a full run.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +56,8 @@ class Workload {
   /// this with the iteration index).
   [[nodiscard]] virtual IntensityProfile profile(std::size_t iter) const = 0;
 
-  /// Allocate device buffers and copy inputs (charges simulated H2D time).
+  /// Allocate device buffers and copy inputs (charges simulated H2D time);
+  /// builds the real inputs first under kFull only.
   virtual void setup(cudalite::Runtime& rt) = 0;
 
   /// Launch iteration `iter` with CPU share `cpu_ratio` (clamped to 0 when
@@ -79,7 +87,7 @@ class Workload {
   virtual void teardown(cudalite::Runtime& rt) = 0;
 
   /// Check final results against the scalar reference; call after a full
-  /// run + teardown.
+  /// run + teardown.  False after a model-only run.
   [[nodiscard]] virtual bool verify() const = 0;
 };
 

@@ -36,7 +36,7 @@ TEST_F(AsyncStreamTest, CopyAndKernelOnSeparateStreamsOverlap) {
 
   const double sim_bytes = 1.5e9;  // ~0.5 s on the default bus
   const Seconds t0 = platform_.now();
-  rt_.memcpy_h2d_async(copy_stream, dev, host, sim_bytes);
+  rt_.memcpy_h2d_async(copy_stream, dev, host.data(), host.size(), sim_bytes);
   ASSERT_TRUE(rt_.launch_range(kern_stream, 16, kernel_of(1.0),
                                [](std::size_t, std::size_t) {}));
   rt_.device_synchronize();
@@ -57,7 +57,7 @@ TEST_F(AsyncStreamTest, SameStreamOpsSerializeInOrder) {
 
   const double sim_bytes = 1.5e9;
   const Seconds t0 = platform_.now();
-  rt_.memcpy_h2d_async(stream, dev, host, sim_bytes);
+  rt_.memcpy_h2d_async(stream, dev, host.data(), host.size(), sim_bytes);
   ASSERT_TRUE(
       rt_.launch_range(stream, 16, kernel_of(1.0), [](std::size_t, std::size_t) {}));
   rt_.synchronize(stream);
@@ -76,7 +76,7 @@ TEST_F(AsyncStreamTest, StreamWaitEventDefersDependentWork) {
 
   const double sim_bytes = 1.5e9;
   const Seconds t0 = platform_.now();
-  rt_.memcpy_h2d_async(producer, dev, host, sim_bytes);
+  rt_.memcpy_h2d_async(producer, dev, host.data(), host.size(), sim_bytes);
   const Event uploaded = rt_.record_event(producer);
   rt_.stream_wait_event(consumer, uploaded);
 
@@ -109,7 +109,8 @@ TEST_F(AsyncStreamTest, AsyncCallbackFiresAtSimulatedCompletion) {
   std::vector<int> host(8, 3);
   const double sim_bytes = 6.0e8;
   Seconds done{-1.0};
-  rt_.memcpy_h2d_async(stream, dev, host, sim_bytes, [&] { done = platform_.now(); });
+  rt_.memcpy_h2d_async(stream, dev, host.data(), host.size(), sim_bytes,
+                       [&] { done = platform_.now(); });
   rt_.synchronize(stream);
   EXPECT_NEAR(done.get(), transfer_seconds(sim_bytes), 1e-12);
   rt_.free(dev);
@@ -123,7 +124,7 @@ TEST_F(AsyncStreamTest, RealDataMovesEagerlyAtEnqueue) {
 
   // Before any simulated time passes the device buffer already holds the
   // data (host program order), and a D2H enqueue reads it back immediately.
-  rt_.memcpy_h2d_async(stream, dev, host, 1.5e9);
+  rt_.memcpy_h2d_async(stream, dev, host.data(), host.size(), 1.5e9);
   std::vector<int> back(100, -1);
   rt_.memcpy_d2h_async(stream, back.data(), dev, back.size(), 1.5e9);
   EXPECT_EQ(back, host);
@@ -137,7 +138,7 @@ TEST_F(AsyncStreamTest, StatsCountExactBytesAndQueueDepth) {
   std::vector<double> host(1000, 1.0);
 
   // No sim_bytes override: counters must reflect the real sizes, exactly.
-  rt_.memcpy_h2d_async(stream, dev, host);
+  rt_.memcpy_h2d_async(stream, dev, host.data(), host.size());
   ASSERT_TRUE(
       rt_.launch_range(stream, 8, kernel_of(0.01), [](std::size_t, std::size_t) {}));
   std::vector<double> back(500);

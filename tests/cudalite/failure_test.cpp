@@ -74,7 +74,8 @@ TEST_F(FailureTest, UseAfterFreeIsCaughtByRangeCheck) {
   auto buf = rt_.alloc<int>(8);
   rt_.free(buf);
   std::vector<int> host(8, 0);
-  EXPECT_THROW(rt_.memcpy_h2d(buf, host), std::out_of_range);  // invalidated handle
+  // Invalidated handle.
+  EXPECT_THROW(rt_.memcpy_h2d(buf, host.data(), host.size()), std::out_of_range);
 }
 
 TEST_F(FailureTest, SpinStateRestoredAfterWaitError) {

@@ -45,7 +45,7 @@ TEST_F(RuntimeTest, MemcpyRoundTripPreservesData) {
   std::vector<int> host(1000);
   std::iota(host.begin(), host.end(), 0);
   auto dev = rt_.alloc<int>(1000);
-  rt_.memcpy_h2d(dev, host);
+  rt_.memcpy_h2d(dev, host.data(), host.size());
   std::vector<int> back;
   rt_.memcpy_d2h(back, dev);
   EXPECT_EQ(back, host);
@@ -55,7 +55,7 @@ TEST_F(RuntimeTest, MemcpyChargesBusTime) {
   std::vector<double> host(1 << 20);  // 8 MiB
   auto dev = rt_.alloc<double>(host.size());
   const Seconds before = platform_.now();
-  rt_.memcpy_h2d(dev, host);
+  rt_.memcpy_h2d(dev, host.data(), host.size());
   const double bytes = static_cast<double>(host.size() * sizeof(double));
   const Seconds expected = platform_.bus().transfer_time(bytes);
   EXPECT_NEAR((platform_.now() - before).get(), expected.get(), 1e-12);
@@ -66,7 +66,7 @@ TEST_F(RuntimeTest, MemcpyChargesBusTime) {
 TEST_F(RuntimeTest, MemcpyOutOfRangeThrows) {
   auto dev = rt_.alloc<int>(10);
   std::vector<int> host(11);
-  EXPECT_THROW(rt_.memcpy_h2d(dev, host), std::out_of_range);
+  EXPECT_THROW(rt_.memcpy_h2d(dev, host.data(), host.size()), std::out_of_range);
 }
 
 TEST_F(RuntimeTest, LaunchExecutesEveryThread) {

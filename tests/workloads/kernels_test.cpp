@@ -54,6 +54,12 @@ TEST(KmeansKernel, SeedChangesData) {
   KmeansConfig b = a;
   b.seed = a.seed + 1;
   Kmeans wa(a), wb(b);
+  // Inputs are built by a full-compute setup, not by the constructor.
+  sim::Platform platform;
+  cudalite::Runtime rt(platform, 1);
+  wa.setup(rt);
+  wb.setup(rt);
+  ASSERT_FALSE(wa.centroids().empty());
   EXPECT_NE(wa.centroids()[0], wb.centroids()[0]);
 }
 
