@@ -42,7 +42,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E534747u;
 /// the service journal's OutcomeRecord.
 /// v4: copy sampler dropped from NvmlDevice, copy-busy/overlap fields
 /// dropped from ScalerDecision.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// v5: the controller checkpoint becomes ExperimentEngine::save_checkpoint,
+/// and campaign rows write it per cell inside one row frame.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) of `size` bytes.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);

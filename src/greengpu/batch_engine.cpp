@@ -1,10 +1,16 @@
 #include "src/greengpu/batch_engine.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/common/annotations.h"
@@ -27,27 +33,78 @@ struct CellState {
   /// This cell runs real kernels.  In a memoizing (kBatch) row it is the
   /// verify donor whose outcome the model-only cells copy.
   bool full_compute{false};
+  /// Latest controller checkpoint (ExperimentEngine::save_checkpoint) and
+  /// the cadence boundary it was taken at; 0 = none yet.
+  common::SnapshotWriter checkpoint;
+  std::size_t checkpoint_at{0};
 };
 
+/// Refresh `s`'s record at its current iteration boundary.
+void take_checkpoint(CellState& s) {
+  s.checkpoint = common::SnapshotWriter{};
+  s.engine->save_checkpoint(s.checkpoint);
+  s.checkpoint_at = s.engine->iteration();
+}
+
+/// The row checkpoint frame: the latest record of every cell that has one,
+/// in flat-index order.  `carried` holds records an earlier run left for
+/// cells this run skips (journaled on resume).
+///   [u64 n] then n x ([u64 cell index][u64 length][save_checkpoint payload])
+void save_row_checkpoint(common::SnapshotWriter& w,
+                         const std::vector<std::unique_ptr<CellState>>& states,
+                         const std::map<std::size_t, std::string>& carried) {
+  std::map<std::size_t, std::string_view> records(carried.begin(), carried.end());
+  for (const auto& s : states) {
+    if (s->checkpoint_at == 0) continue;
+    const std::vector<std::uint8_t>& payload = s->checkpoint.payload();
+    records.emplace(s->index, std::string_view(reinterpret_cast<const char*>(payload.data()),
+                                               payload.size()));
+  }
+  w.u64(records.size());
+  for (const auto& [index, record] : records) {
+    w.u64(index);
+    w.str(record);
+  }
+}
+
+/// The records an earlier run's row file holds for cells marked in `done`;
+/// none if the file was never written.
+std::map<std::size_t, std::string> load_row_checkpoint(const std::string& path,
+                                                       const std::vector<char>& done) {
+  std::map<std::size_t, std::string> records;
+  if (!std::filesystem::exists(path)) return records;
+  common::SnapshotReader r = common::SnapshotReader::from_file(path);
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t k = 0; k < n; ++k) {
+    const auto index = static_cast<std::size_t>(r.u64());
+    std::string record = r.str();
+    if (index < done.size() && done[index] != 0) records.emplace(index, std::move(record));
+  }
+  r.expect_done();
+  return records;
+}
+
 /// Lockstep stepper: one sweep advances every live cell by one iteration
-/// until all cells run out.  Cells march down the iteration axis together
-/// (the SoA orientation of the batch), over a contiguous pointer array.
-/// Per-cell work inside the sweep is allocation-free — machine-checked by
-/// greengpu-lint's batch-loop-alloc rule; the per-cell containers are built
-/// by the caller before stepping begins.
-GG_HOT_BATCH void step_lockstep(CellState* const* live, std::size_t n) {
+/// until each cell reaches `until` or runs out.  Cells march down the
+/// iteration axis together (the SoA orientation of the batch), over a
+/// contiguous pointer array.  Per-cell work inside the sweep is
+/// allocation-free — machine-checked by greengpu-lint's batch-loop-alloc
+/// rule; the per-cell containers are built by the caller before stepping
+/// begins, and checkpoint I/O happens between calls.
+GG_HOT_BATCH void step_lockstep(CellState* const* live, std::size_t n, std::size_t until) {
   bool any = n > 0;
   while (any) {
     any = false;
     for (std::size_t k = 0; k < n; ++k) {
       ExperimentEngine& e = *live[k]->engine;
-      if (e.iteration() < e.total_iterations()) {
+      const std::size_t stop = std::min(until, e.total_iterations());
+      if (e.iteration() < stop) {
         // GG_LINT_ALLOW(hot-alloc-transitive): step_iteration allocates only
         // on the watchdog-abort throw path (the diagnostic string of
         // ExperimentAborted); the per-iteration fast path is allocation-free
         // (PR 7 batch-equivalence bench).
         e.step_iteration();
-        any = any || e.iteration() < e.total_iterations();
+        any = any || e.iteration() < stop;
       }
     }
   }
@@ -57,9 +114,9 @@ GG_HOT_BATCH void step_lockstep(CellState* const* live, std::size_t n) {
 
 BatchCampaignEngine::BatchCampaignEngine(const CampaignPlan& plan,
                                          const RunOptions& options, std::size_t jobs,
-                                         CampaignEngine engine)
+                                         CampaignEngine engine, CheckpointOptions checkpoint)
     : plan_(&plan), options_(&options), jobs_(jobs), engine_(engine),
-      done_(plan.total(), 0) {}
+      checkpoint_(std::move(checkpoint)), done_(plan.total(), 0) {}
 
 void BatchCampaignEngine::skip_completed(std::vector<char> done) {
   if (done.size() != plan_->total()) {
@@ -101,6 +158,13 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
   const std::size_t warmup = options_->faults_active_from;
   const bool forking = memoize && stride > 1 && warmup > 0 &&
                        options_->faults.any_faults() && !options_->record_trace;
+  // Controller checkpoints: each cell's record is refreshed at every
+  // multiple of `every` it reaches, and the row rewrites one file holding
+  // the latest record of each of its cells.  Without a cadence the row is
+  // one chunk that never reaches a boundary.
+  const bool checkpointing = checkpoint_.enabled() && checkpoint_.every != 0;
+  const std::size_t every =
+      checkpointing ? checkpoint_.every : std::numeric_limits<std::size_t>::max();
 
   stats_ = Stats{};
   std::mutex stats_mutex;
@@ -137,6 +201,24 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
     }
     if (states.empty()) return;
 
+    // A resumed run keeps the records its predecessor wrote for the row's
+    // journaled cells, which it does not re-run.
+    const std::string row_path = checkpoint_.dir + "/row-" + std::to_string(first) + ".ggsn";
+    const bool row_has_done = std::any_of(done_.begin() + static_cast<std::ptrdiff_t>(first),
+                                          done_.begin() + static_cast<std::ptrdiff_t>(last),
+                                          [](char d) { return d != 0; });
+    const std::map<std::size_t, std::string> carried =
+        checkpointing && row_has_done ? load_row_checkpoint(row_path, done_)
+                                      : std::map<std::size_t, std::string>{};
+    bool row_dirty = false;
+    const auto write_row = [&] {
+      if (!row_dirty) return;
+      common::SnapshotWriter frame;
+      save_row_checkpoint(frame, states, carried);
+      frame.write_atomic(row_path);
+      row_dirty = false;
+    };
+
     // Start every cell; within a forkable replicate group, the group's
     // first pending cell simulates the shared warm-up once, snapshots it,
     // and the rest restore from the snapshot at iteration W.
@@ -154,7 +236,13 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
       if (forking && group_end - k > 1) {
         ExperimentEngine& donor = *states[k]->engine;
         const std::size_t fork_at = std::min(warmup, donor.total_iterations());
-        while (donor.iteration() < fork_at) donor.step_iteration();
+        while (donor.iteration() < fork_at) {
+          donor.step_iteration();
+          if (donor.iteration() % every == 0) {
+            take_checkpoint(*states[k]);
+            row_dirty = true;
+          }
+        }
         common::SnapshotWriter prefix;
         donor.save_prefix(prefix);
         const std::string context = "warm-up prefix of " + plan_->workloads[w] +
@@ -163,6 +251,10 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
           states[m]->engine->start();
           auto reader = common::SnapshotReader::from_payload(prefix.payload(), context);
           states[m]->engine->restore_prefix(reader);
+          // The warm-up is bit-identical across the group, so the donor's
+          // warm-up record is each replicate's own.
+          states[m]->checkpoint = states[k]->checkpoint;
+          states[m]->checkpoint_at = states[k]->checkpoint_at;
           ++row.forked_cells;
           row.prefix_iterations_saved += fork_at;
         }
@@ -175,10 +267,26 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
     // Lockstep over the whole row: contiguous pointer array, one iteration
     // per live cell per sweep.  Fork donors enter already at iteration W;
     // the stepper only advances cells that still have iterations left.
+    // The row steps in cadence-sized chunks and writes its file after every
+    // chunk in which a cell reached the boundary; the first chunk's write
+    // also flushes the warm-up records of fork donors and their replicates.
     std::vector<CellState*> live;
     live.reserve(states.size());
     for (const auto& s : states) live.push_back(s.get());
-    step_lockstep(live.data(), live.size());
+    const auto pending = [](const CellState* s) {
+      return s->engine->iteration() < s->engine->total_iterations();
+    };
+    for (std::size_t until = every;; until += every) {
+      step_lockstep(live.data(), live.size(), until);
+      for (CellState* s : live) {
+        if (s->engine->iteration() == until && s->checkpoint_at != until) {
+          take_checkpoint(*s);
+          row_dirty = true;
+        }
+      }
+      write_row();
+      if (std::none_of(live.begin(), live.end(), pending)) break;
+    }
 
     // Finish and publish in flat-index order: the verify donor is the
     // lowest pending index, so its memo is set before any model cell needs

@@ -26,6 +26,15 @@
 // byte-identical for any --jobs value.  Within a row the live cells step in
 // lockstep over contiguous state (the GG_HOT_BATCH stepper), and results
 // publish in flat-index order.
+//
+// With a checkpoint cadence (CheckpointOptions::every), a row steps in
+// cadence-sized chunks and, after each chunk in which a cell reached a
+// multiple of `every`, atomically rewrites one file,
+// `<dir>/row-<first flat index>.ggsn`, holding the latest
+// ExperimentEngine::save_checkpoint record of each of its cells (layout in
+// docs/RECOVERY.md).  A kScalar row is one cell, so it writes one file per
+// cell.  A row with cells marked by skip_completed reads its earlier file
+// back once and keeps those cells' records in every rewrite.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +42,7 @@
 #include <vector>
 
 #include "src/greengpu/campaign.h"
+#include "src/greengpu/recovery.h"
 #include "src/greengpu/runner.h"
 
 namespace gg::greengpu {
@@ -41,7 +51,8 @@ class BatchCampaignEngine {
  public:
   struct Hooks {
     /// Adjust a cell's RunOptions after the engine applied the per-cell
-    /// fault-seed fork but before the cell starts (checkpoint tags, etc.).
+    /// fault-seed fork but before the cell starts; also marks the start of
+    /// a cell's work (perfbench opens its per-row trace spans here).
     /// Must not change anything that breaks the warm-up-sharing contract
     /// (model_only, faults_active_from, fault rates).
     std::function<void(std::size_t, RunOptions&)> customize;
@@ -68,8 +79,11 @@ class BatchCampaignEngine {
   /// `plan` and `options` must outlive the engine.  `jobs` as in
   /// CampaignConfig::jobs (0 = hardware concurrency); parallelism is across
   /// rows, whose width `engine` selects (whole workload rows by default).
+  /// `checkpoint.dir` (which must exist) and `checkpoint.every` set the
+  /// row-file cadence; `resume` is the caller's business (skip_completed).
   BatchCampaignEngine(const CampaignPlan& plan, const RunOptions& options,
-                      std::size_t jobs, CampaignEngine engine = CampaignEngine::kBatch);
+                      std::size_t jobs, CampaignEngine engine = CampaignEngine::kBatch,
+                      CheckpointOptions checkpoint = {});
 
   /// Resume support: mark cells whose results are already known (journal
   /// replay).  Skipped cells are neither run nor published; `done` must have
@@ -88,6 +102,7 @@ class BatchCampaignEngine {
   const RunOptions* options_;
   std::size_t jobs_;
   CampaignEngine engine_;
+  CheckpointOptions checkpoint_;
   std::vector<char> done_;
   Stats stats_;
 };

@@ -77,20 +77,6 @@ ExperimentResult load_result(common::SnapshotReader& r) {
 
 }  // namespace
 
-std::optional<RunCheckpointMeta> read_run_checkpoint_meta(const std::string& path) {
-  try {
-    common::SnapshotReader r = common::SnapshotReader::from_file(path);
-    RunCheckpointMeta meta;
-    meta.iteration = r.u64();
-    meta.sim_time = r.f64();
-    meta.has_scaler = r.b();
-    meta.has_divider = r.b();
-    return meta;
-  } catch (const common::SnapshotError&) {
-    return std::nullopt;
-  }
-}
-
 std::uint64_t CampaignJournal::fingerprint(const CampaignPlan& plan,
                                            const RunOptions& options) {
   common::SnapshotWriter w;
@@ -174,7 +160,7 @@ CampaignResult run_campaign_checkpointed(const CampaignConfig& config,
   // land in index-determined slots and savings are computed in a
   // deterministic post-pass, so the report is byte-identical for any `jobs`
   // value, either engine, and any kill/resume history.
-  BatchCampaignEngine engine(plan, config.options, config.jobs, config.engine);
+  BatchCampaignEngine engine(plan, config.options, config.jobs, config.engine, ckpt);
   BatchCampaignEngine::Hooks hooks;
   std::size_t completed = 0;
   std::optional<CampaignJournal> journal;
@@ -195,13 +181,6 @@ CampaignResult run_campaign_checkpointed(const CampaignConfig& config,
     }
     journal.emplace(journal_path, fp, /*fresh=*/!resuming);
     engine.skip_completed(std::move(done));
-    if (ckpt.every != 0) {
-      hooks.customize = [&ckpt](std::size_t i, RunOptions& options) {
-        options.checkpoint_every = ckpt.every;
-        options.checkpoint_dir = ckpt.dir;
-        options.checkpoint_tag = "cell-" + std::to_string(i);
-      };
-    }
   }
 
   // The engine publishes each cell through on_done in flat-index order

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,25 +39,15 @@ namespace gg::greengpu {
 struct CheckpointOptions {
   /// Journal + snapshot directory; empty disables checkpointing entirely.
   std::string dir;
-  /// Per-run controller snapshot cadence in iterations (0 = journal only).
+  /// Controller snapshot cadence in iterations (0 = journal only): each
+  /// batch row atomically rewrites `<dir>/row-<first cell>.ggsn` with the
+  /// latest checkpoint of each of its cells (BatchCampaignEngine).
   std::size_t every{0};
   /// Skip cells already present in the journal instead of starting fresh.
   bool resume{false};
 
   [[nodiscard]] bool enabled() const { return !dir.empty(); }
 };
-
-/// Validated prefix of a periodic run checkpoint written by run_experiment
-/// (`<dir>/<tag>.ggsn`).  nullopt for a missing, truncated or corrupt file —
-/// the caller's clean fallback is "cold start".
-struct RunCheckpointMeta {
-  std::uint64_t iteration{0};
-  double sim_time{0.0};
-  bool has_scaler{false};
-  bool has_divider{false};
-};
-[[nodiscard]] std::optional<RunCheckpointMeta> read_run_checkpoint_meta(
-    const std::string& path);
 
 /// Append-only, CRC-framed journal of completed campaign cells — the
 /// campaign-cell schema layered on common::Journal's framing (magic "GGJL",

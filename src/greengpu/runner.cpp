@@ -184,15 +184,14 @@ void ExperimentEngine::start() {
   iter_ = 0;
 }
 
-void ExperimentEngine::write_checkpoint() const {
-  common::SnapshotWriter ckpt;
-  ckpt.u64(iter_ + 1);
-  ckpt.f64(platform_->now().get());
-  ckpt.b(scaler_ != nullptr);
-  ckpt.b(divider_ != nullptr);
-  if (scaler_) scaler_->save(ckpt);
-  if (divider_) divider_->save(ckpt);
-  ckpt.write_atomic(options_.checkpoint_dir + "/" + options_.checkpoint_tag + ".ggsn");
+void ExperimentEngine::save_checkpoint(common::SnapshotWriter& w) const {
+  if (!started_) throw std::logic_error("ExperimentEngine: save_checkpoint() before start()");
+  w.u64(iter_);
+  w.f64(platform_->now().get());
+  w.b(scaler_ != nullptr);
+  w.b(divider_ != nullptr);
+  if (scaler_) scaler_->save(w);
+  if (divider_) divider_->save(w);
 }
 
 void ExperimentEngine::step_iteration() {
@@ -295,11 +294,6 @@ void ExperimentEngine::step_iteration() {
     }
   }
   iteration_log_.push(rec);
-
-  if (options_.checkpoint_every != 0 && !options_.checkpoint_dir.empty() &&
-      (iter + 1) % options_.checkpoint_every == 0) {
-    write_checkpoint();
-  }
   ++iter_;
 }
 
@@ -373,7 +367,15 @@ ExperimentResult ExperimentEngine::finish() {
 
 ExperimentResult ExperimentEngine::run() {
   start();
-  while (iter_ < n_iters_) step_iteration();
+  const std::size_t every = options_.checkpoint_dir.empty() ? 0 : options_.checkpoint_every;
+  while (iter_ < n_iters_) {
+    step_iteration();
+    if (every != 0 && iter_ % every == 0) {
+      common::SnapshotWriter ckpt;
+      save_checkpoint(ckpt);
+      ckpt.write_atomic(options_.checkpoint_dir + "/" + options_.checkpoint_tag + ".ggsn");
+    }
+  }
   return finish();
 }
 

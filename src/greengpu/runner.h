@@ -153,11 +153,14 @@ struct RunOptions {
   /// feeds control, so joules/decisions are bit-identical across modes.
   /// Campaigns override this to counters-only (see campaign.h).
   RecordOptions record{};
-  /// Write a controller checkpoint (scaler weights, divider state, virtual
-  /// time) every N iterations via the atomic snapshot writer; 0 disables.
-  /// Checkpoints are pure observation — they never feed back into the run,
-  /// so results are bit-identical at any cadence (proven by the bench's
-  /// `journaled_reports_identical` invariant).
+  /// Standalone runs (run_experiment / ExperimentEngine::run) atomically
+  /// rewrite `<checkpoint_dir>/<checkpoint_tag>.ggsn` with the
+  /// ExperimentEngine::save_checkpoint payload (scaler weights, divider
+  /// state, virtual time) every N iterations; 0 disables.  Campaign cells
+  /// ignore these three fields: the batch engine writes one file per row at
+  /// the CheckpointOptions cadence instead (recovery.h).  Checkpoints are
+  /// pure observation — they never feed back into the run, so results are
+  /// bit-identical at any cadence.
   std::size_t checkpoint_every{0};
   /// Directory for periodic checkpoints (must exist; empty disables).
   std::string checkpoint_dir;
@@ -218,7 +221,8 @@ class ExperimentEngine {
   /// Teardown + final accounting + verification; call once, after the last
   /// iteration.
   [[nodiscard]] ExperimentResult finish();
-  /// start() + every iteration + finish(), i.e. exactly run_experiment().
+  /// start() + every iteration + finish(), i.e. exactly run_experiment(),
+  /// including its `<checkpoint_tag>.ggsn` writes at the RunOptions cadence.
   [[nodiscard]] ExperimentResult run();
 
   /// Snapshot the entire run at the current iteration boundary: virtual
@@ -234,6 +238,11 @@ class ExperimentEngine {
   /// continues bit-identically to a run that simulated the prefix itself.
   void restore_prefix(common::SnapshotReader& r);
 
+  /// Append the controller checkpoint at the current iteration boundary:
+  /// iterations completed, virtual time, has-scaler/has-divider flags, then
+  /// the scaler and divider state.  Observation only; requires start().
+  void save_checkpoint(common::SnapshotWriter& w) const;
+
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
   /// The run's cudalite runtime (valid after start(); its counters survive
   /// finish()).
@@ -241,7 +250,6 @@ class ExperimentEngine {
 
  private:
   void install_faults();
-  void write_checkpoint() const;
 
   workloads::Workload* workload_;
   const Policy* policy_;

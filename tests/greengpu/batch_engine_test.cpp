@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -10,6 +13,8 @@
 
 #include "src/greengpu/recovery.h"
 #include "src/sim/crash.h"
+#include "src/workloads/registry.h"
+#include "tests/greengpu/checkpoint_files.h"
 
 namespace gg::greengpu {
 namespace {
@@ -304,6 +309,90 @@ TEST(BatchRecovery, ResumeCrossesEngines) {
   write_campaign_csv(csv, resumed);
   write_campaign_json(json, resumed);
   EXPECT_EQ(csv.str() + "\n" + json.str(), golden);
+}
+
+// --- row checkpoints: one file per row, every cell's latest record --------
+
+/// save_checkpoint of a standalone run of cell `i` (its forked fault seed
+/// applied) stepped to iteration `boundary`.
+std::vector<std::uint8_t> standalone_checkpoint(const CampaignConfig& cfg,
+                                                const CampaignPlan& plan, std::size_t i,
+                                                std::size_t boundary) {
+  const std::size_t pc = plan.policies.size();
+  RunOptions options = cfg.options;
+  options.faults.seed = campaign_cell_seed(options.faults.seed, i);
+  return test::expected_checkpoint(plan.workloads[i / pc], plan.policies[i % pc], options,
+                                   boundary);
+}
+
+TEST(BatchCheckpoint, RowFileHoldsEachCellsLatestRecord) {
+  // Replicates fork from a warm-up of W = 9 iterations, so at every <= 9 the
+  // fork donors' warm-up boundaries count: at every = 4, lud's last record
+  // (at 8) comes from the warm-up alone, and the forked replicates hold it
+  // only by inheriting it.  Rows are ragged: lud runs 10 iterations, kmeans
+  // 20 (truncated), so at every = 12 only the kmeans row has a boundary and
+  // at every = 50 no row has one.
+  const std::filesystem::path dir = test_dir();
+  CampaignConfig cfg = faulty_config();
+  cfg.workloads = {"lud", "kmeans"};
+  cfg.policies = {Policy::best_performance(), Policy::green_gpu()};
+  cfg.fault_replicates = 2;
+  cfg.options.faults_active_from = 9;
+  cfg.options.max_iterations = 20;
+  cfg.jobs = 2;
+  const CampaignPlan plan = plan_campaign(cfg);
+  const std::size_t pc = plan.policies.size();
+  ASSERT_EQ(plan.replicate_stride, 2u);
+  const std::string golden = report(cfg, CampaignEngine::kScalar, 1);
+
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::uint8_t>> expected;
+  for (const CampaignEngine engine : {CampaignEngine::kBatch, CampaignEngine::kScalar}) {
+    cfg.engine = engine;
+    const std::size_t row_width = engine == CampaignEngine::kBatch ? pc : 1;
+    for (const std::size_t every : {0, 2, 4, 12, 50}) {
+      SCOPED_TRACE(std::string(engine == CampaignEngine::kBatch ? "batch" : "scalar") +
+                   " every=" + std::to_string(every));
+      CheckpointOptions ckpt;
+      ckpt.dir = (dir / ((engine == CampaignEngine::kBatch ? "batch-" : "scalar-") +
+                         std::to_string(every)))
+                     .string();
+      ckpt.every = every;
+      const CampaignResult result = run_campaign_checkpointed(cfg, ckpt);
+      std::ostringstream csv;
+      std::ostringstream json;
+      write_campaign_csv(csv, result);
+      write_campaign_json(json, result);
+      EXPECT_EQ(csv.str() + "\n" + json.str(), golden);
+
+      std::set<std::string> files;
+      for (const auto& entry : std::filesystem::directory_iterator(ckpt.dir)) {
+        if (entry.path().extension() == ".ggsn") files.insert(entry.path().filename().string());
+      }
+      std::set<std::string> rows_with_boundary;
+      for (std::size_t i = 0; i < plan.total(); ++i) {
+        const std::size_t total =
+            std::min(cfg.options.max_iterations,
+                     workloads::make_workload(plan.workloads[i / pc])->iterations());
+        const std::size_t boundary = every == 0 ? 0 : total / every * every;
+        const std::string row = "row-" + std::to_string(i / row_width * row_width) + ".ggsn";
+        if (boundary == 0) continue;
+        rows_with_boundary.insert(row);
+        const auto records = test::read_row_checkpoint((std::filesystem::path(ckpt.dir) / row).string());
+        ASSERT_TRUE(records.has_value()) << row;
+        ASSERT_EQ(records->count(i), 1u) << "cell " << i << " missing from " << row;
+        const test::CheckpointRecord& rec = records->at(i);
+        EXPECT_EQ(rec.iteration, boundary) << "cell " << i;
+        auto& want = expected[{i, boundary}];
+        if (want.empty()) want = standalone_checkpoint(cfg, plan, i, boundary);
+        EXPECT_EQ(rec.payload, want) << "cell " << i << " at " << boundary;
+        // A row file holds its own cells and nothing else.
+        for (const auto& [index, unused] : *records) {
+          EXPECT_EQ(index / row_width, i / row_width) << row;
+        }
+      }
+      EXPECT_EQ(files, rows_with_boundary);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,12 +16,16 @@
 #include "src/greengpu/division.h"
 #include "src/greengpu/wma_scaler.h"
 #include "src/sim/crash.h"
+#include "src/workloads/registry.h"
+#include "tests/greengpu/checkpoint_files.h"
 
 namespace gg::greengpu {
 namespace {
 
 using common::KillPoint;
 using common::SnapshotError;
+using test::read_row_checkpoint;
+using test::read_run_checkpoint;
 
 /// Fresh per-test scratch directory (named after the running test, so
 /// parallel ctest jobs never collide; wiped on entry).
@@ -79,8 +85,17 @@ TEST(Recovery, UninterruptedCheckpointedRunMatchesPlain) {
   ckpt.every = 5;
   EXPECT_EQ(report(run_campaign_checkpointed(cfg, ckpt)), golden);
   EXPECT_TRUE(std::filesystem::exists(dir / "campaign.journal"));
-  // Per-cell controller snapshots were written and are readable.
-  EXPECT_TRUE(read_run_checkpoint_meta((dir / "cell-1.ggsn").string()).has_value());
+  // The scalar engine's rows are one cell wide: cell 1 (pathfinder under
+  // scaling, 60 iterations) has its own row file, holding its record at the
+  // last multiple of 5.
+  const auto row = read_row_checkpoint((dir / "row-1.ggsn").string());
+  ASSERT_TRUE(row.has_value());
+  ASSERT_EQ(row->size(), 1u);
+  ASSERT_EQ(row->count(1), 1u);
+  EXPECT_EQ(row->at(1).iteration, 60u);
+  EXPECT_GT(row->at(1).sim_time, 0.0);
+  EXPECT_TRUE(row->at(1).has_scaler);
+  EXPECT_FALSE(row->at(1).has_divider);
 }
 
 TEST(Recovery, CheckpointCadenceNeverChangesReports) {
@@ -135,6 +150,84 @@ TEST(Recovery, KillAndResumeIsByteIdenticalAtEveryKillPoint) {
       }
     }
   }
+}
+
+TEST(Recovery, CrashInsideRowSnapshotWriteKeepsPreviousRowAndResumes) {
+  // The journal hosts the same kill-point as the snapshot writer, so a dry
+  // run over the hit index finds the first kill that lands inside a row
+  // file's rewrite — a `.tmp` beside the row's previous good file.
+  const std::filesystem::path root = test_dir();
+  CampaignConfig cfg = small_config(false);
+  cfg.engine = CampaignEngine::kBatch;
+  const std::string golden = report(run_campaign(cfg));
+  CheckpointOptions ckpt;
+  ckpt.every = 3;
+  std::filesystem::path torn;
+  for (std::uint64_t nth = 1; torn.empty(); ++nth) {
+    ckpt.dir = (root / ("hit-" + std::to_string(nth))).string();
+    sim::CrashInjector crash(KillPoint::kMidCheckpoint, nth, common::CrashMode::kThrow);
+    try {
+      (void)run_campaign_checkpointed(cfg, ckpt);
+    } catch (const common::CrashInjected&) {
+    }
+    ASSERT_TRUE(crash.fired()) << "no kill-point hit landed in a row rewrite";
+    for (const auto& entry : std::filesystem::directory_iterator(ckpt.dir)) {
+      const std::filesystem::path& p = entry.path();
+      if (p.extension() == ".tmp" && std::filesystem::exists(p.parent_path() / p.stem())) {
+        torn = p;
+      }
+    }
+  }
+  const std::filesystem::path good = torn.parent_path() / torn.stem();
+  EXPECT_EQ(good.filename().string().rfind("row-", 0), 0u) << good;
+  const auto records = read_row_checkpoint(good.string());
+  ASSERT_TRUE(records.has_value()) << good;
+  EXPECT_FALSE(records->empty());
+
+  ckpt.resume = true;
+  EXPECT_EQ(report(run_campaign_checkpointed(cfg, ckpt)), golden);
+}
+
+/// Every snapshot file of a checkpoint directory, name -> bytes.
+std::map<std::string, std::string> snapshot_files(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".ggsn") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] = {std::istreambuf_iterator<char>(in),
+                                               std::istreambuf_iterator<char>()};
+  }
+  return files;
+}
+
+TEST(Recovery, ResumedRowKeepsItsJournaledCellsRecords) {
+  // kBatch rows are whole workload rows.  Killing the second cell after it
+  // finished but before it was journaled leaves row 0 with cell 0 journaled
+  // and cell 1 pending; the resumed run re-runs only cell 1, and its row
+  // rewrite must keep cell 0's record.  So the snapshot files end up
+  // byte-identical to an uninterrupted run's.
+  const std::filesystem::path root = test_dir();
+  CampaignConfig cfg = small_config(false);
+  cfg.engine = CampaignEngine::kBatch;
+  CheckpointOptions ckpt;
+  ckpt.every = 5;
+  ckpt.dir = (root / "plain").string();
+  const std::string golden = report(run_campaign_checkpointed(cfg, ckpt));
+  const auto want = snapshot_files(ckpt.dir);
+  ASSERT_EQ(want.size(), 2u);
+  ASSERT_EQ(want.count("row-0.ggsn"), 1u);
+
+  ckpt.dir = (root / "resumed").string();
+  {
+    sim::CrashInjector crash(KillPoint::kMidCampaignCell, 2, common::CrashMode::kThrow);
+    EXPECT_THROW((void)run_campaign_checkpointed(cfg, ckpt), common::CrashInjected);
+  }
+  ckpt.resume = true;
+  EXPECT_EQ(report(run_campaign_checkpointed(cfg, ckpt)), golden);
+  const auto records = read_row_checkpoint((root / "resumed" / "row-0.ggsn").string());
+  ASSERT_TRUE(records.has_value());
+  EXPECT_EQ(records->size(), 2u);
+  EXPECT_EQ(snapshot_files(ckpt.dir), want);
 }
 
 TEST(Recovery, SupervisorGivesUpPastRestartBudget) {
@@ -327,17 +420,20 @@ TEST(Recovery, RunCheckpointMetaRoundTripsAndRejectsCorruption) {
   (void)run_experiment("pathfinder", Policy::scaling_only(), options);
 
   const std::string path = (dir / "probe.ggsn").string();
-  const auto meta = read_run_checkpoint_meta(path);
+  const auto meta = read_run_checkpoint(path);
   ASSERT_TRUE(meta.has_value());
   EXPECT_EQ(meta->iteration, 20u);
   EXPECT_GT(meta->sim_time, 0.0);
   EXPECT_TRUE(meta->has_scaler);
   EXPECT_FALSE(meta->has_divider);
+  // The file frames exactly the engine's save_checkpoint record.
+  EXPECT_EQ(meta->payload,
+            test::expected_checkpoint("pathfinder", Policy::scaling_only(), options, 20));
 
   // Corrupt and missing files are a clean "no checkpoint", never a throw.
   std::filesystem::resize_file(path, 10);
-  EXPECT_FALSE(read_run_checkpoint_meta(path).has_value());
-  EXPECT_FALSE(read_run_checkpoint_meta((dir / "absent.ggsn").string()).has_value());
+  EXPECT_FALSE(read_run_checkpoint(path).has_value());
+  EXPECT_FALSE(read_run_checkpoint((dir / "absent.ggsn").string()).has_value());
 }
 
 TEST(Recovery, DividerSaveLoadContinuesExactDecisionStream) {

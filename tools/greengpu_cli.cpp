@@ -65,7 +65,8 @@
 //   --checkpoint-dir DIR        journal + snapshot directory (enables
 //                               checkpointing; created if missing)
 //   --checkpoint-every N        also snapshot controller state every N
-//                               iterations (N >= 1; omit to disable)
+//                               iterations (N >= 1; omit to disable; needs
+//                               --checkpoint-dir)
 //   --resume                    campaign only: skip cells already in DIR's
 //                               journal; the finished report is byte-identical
 //                               to an uninterrupted run
@@ -147,6 +148,9 @@ void validate_flag_ranges(const Flags& flags) {
   if (flags.has("checkpoint-every") && flags.get_int("checkpoint-every", 0) < 1) {
     reject("--checkpoint-every must be >= 1 (omit the flag to disable "
            "periodic snapshots)");
+  }
+  if (flags.has("checkpoint-every") && flags.get_string("checkpoint-dir", "").empty()) {
+    reject("--checkpoint-every requires --checkpoint-dir");
   }
   if (flags.get_bool("resume", false)) {
     if (!flags.get_bool("campaign", false)) reject("--resume requires --campaign");
