@@ -34,15 +34,21 @@ void* Runtime::raw_alloc(std::size_t bytes, std::size_t alignment) {
   if (bytes == 0) throw std::invalid_argument("cudalite: zero-byte allocation");
   Allocation a;
   a.bytes = bytes;
-  // Model-only storage is never read or written: skip the zero-fill so its
-  // pages are never touched.
-  const std::size_t total = bytes + alignment;
-  a.storage = compute_enabled() ? std::make_unique<std::byte[]>(total)
-                                : std::make_unique_for_overwrite<std::byte[]>(total);
-  void* p = a.storage.get();
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t aligned = (addr + alignment - 1) & ~(alignment - 1);
-  a.aligned = reinterpret_cast<void*>(aligned);
+  const auto align_up = [alignment](std::uintptr_t addr) {
+    return (addr + alignment - 1) & ~(alignment - 1);
+  };
+  if (compute_enabled()) {
+    a.storage = std::make_unique<std::byte[]>(bytes + alignment);
+    a.aligned = reinterpret_cast<void*>(
+        align_up(reinterpret_cast<std::uintptr_t>(a.storage.get())));
+  } else {
+    // Model-only storage is never read or written: keep only the alignment
+    // slack, with the handle past its first byte — unique and non-null for
+    // raw_free, and (malloc being at least as aligned) one past the end.
+    a.storage = std::make_unique_for_overwrite<std::byte[]>(alignment);
+    a.aligned = reinterpret_cast<void*>(
+        align_up(reinterpret_cast<std::uintptr_t>(a.storage.get()) + 1));
+  }
   void* result = a.aligned;
   allocations_.push_back(std::move(a));
   stats_.device_bytes_in_use += bytes;

@@ -94,8 +94,10 @@ class Runtime;
 ///    draws, completion callbacks) happens identically.  Simulated timing,
 ///    energy and controller decisions are bit-identical to kFull by
 ///    construction, because real kernel output never feeds the model.  No
-///    real data exists either: workloads build no inputs, and device storage
-///    is allocated but never touched, so its pages are never faulted in.
+///    real data exists either: workloads build no inputs, and a device
+///    allocation reserves no host bytes beyond its alignment slack (its
+///    pointer stays unique for `free`, and any touch overruns the block).
+///    The `device_bytes_*` statistics still count the full simulated size.
 ///    Every simulated size (allocations, transfer counts, item counts) comes
 ///    from the workload's config, never from a host buffer.  This is the
 ///    cell-stepping mode of the batched campaign engine, which memoizes one

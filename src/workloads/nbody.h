@@ -8,6 +8,10 @@
 // (N^2 interactions against N loads), so the profile carries high core and
 // moderate memory utilization — throttling memory is nearly free, throttling
 // cores is not (Fig. 1).
+//
+// Every advance of the bodies, the parallel chunks and `verify()`'s serial
+// reference alike, goes through `advance_bodies`: the reference runs the
+// same per-body kernel serially over [0, N) from the initial state.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +20,25 @@
 #include "src/workloads/workload.h"
 
 namespace gg::workloads {
+
+/// One timestep's buffers, 3N doubles per position/velocity array (x, y, z
+/// interleaved per body), N masses.
+struct NbodyStep {
+  const double* pos_in;
+  const double* vel_in;
+  const double* mass;
+  double* pos_out;
+  double* vel_out;
+  std::size_t bodies;
+  double dt;
+};
+
+/// Advance bodies [begin, end) one timestep: accumulate each body's softened
+/// gravity from all `bodies` inputs (j ascending), then integrate velocity and
+/// position.  Two bodies share each SSE2 instruction where available; every
+/// lane performs the scalar operations in the scalar order, so the output is
+/// bit-identical to the one-body loop however [begin, end) is split.
+void advance_bodies(const NbodyStep& step, std::size_t begin, std::size_t end);
 
 struct NbodyConfig {
   std::size_t bodies{1024};

@@ -4,23 +4,23 @@
 
 namespace gg::workloads {
 
+namespace {
+/// Heavy-phase transform: an inverse-CND-like map (Moro's rational
+/// approximation shape; exact constants are irrelevant to the reproduction,
+/// determinism is what matters).
+inline double moro(double u) {
+  const double x = u - 0.5;
+  const double r = x * x;
+  return x * (2.50662823884 + r * (-18.61500062529 + r * 41.39119773534)) /
+         (1.0 + r * (-8.47351093090 + r * 23.08336743743));
+}
+}  // namespace
+
 Qrng::Qrng(QrngConfig config) : config_(config) {}
 
 IntensityProfile Qrng::profile(std::size_t iter) const {
   const std::size_t phase = (iter / config_.phase_length) % 2;
   return phase == 0 ? config_.heavy_profile : config_.light_profile;
-}
-
-double Qrng::radical_inverse(std::uint64_t index) {
-  // Reverse the bits of the index and interpret as a binary fraction.
-  std::uint64_t v = index;
-  v = ((v >> 1) & 0x5555555555555555ULL) | ((v & 0x5555555555555555ULL) << 1);
-  v = ((v >> 2) & 0x3333333333333333ULL) | ((v & 0x3333333333333333ULL) << 2);
-  v = ((v >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((v & 0x0F0F0F0F0F0F0F0FULL) << 4);
-  v = ((v >> 8) & 0x00FF00FF00FF00FFULL) | ((v & 0x00FF00FF00FF00FFULL) << 8);
-  v = ((v >> 16) & 0x0000FFFF0000FFFFULL) | ((v & 0x0000FFFF0000FFFFULL) << 16);
-  v = (v >> 32) | (v << 32);
-  return static_cast<double>(v >> 11) * 0x1.0p-53;
 }
 
 void Qrng::setup(cudalite::Runtime& rt) {
@@ -32,25 +32,14 @@ void Qrng::setup(cudalite::Runtime& rt) {
 
 void Qrng::gpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) {
   // Iteration `iter` emits points [iter*N, (iter+1)*N) of Sobol dimension
-  // iter mod kDimensions (the SDK generator fills one dimension per pass).
+  // iter mod kDimensions (the SDK generator fills one dimension per pass);
+  // heavy-phase iterations transform them in place, light ones emit them.
   const std::uint64_t base = static_cast<std::uint64_t>(iter) * config_.points +
                              config_.seed;
   const std::size_t dim = iter % kDimensions;
-  const std::size_t phase = (iter / config_.phase_length) % 2;
-  for (std::size_t i = begin; i < end; ++i) {
-    const double u = sobol_.sample(base + i + 1, dim);
-    if (phase == 0) {
-      // Heavy phase: map through an inverse-CND-like transform (Moro's
-      // rational approximation shape; exact constants are irrelevant to the
-      // reproduction, determinism is what matters).
-      const double x = u - 0.5;
-      const double r = x * x;
-      values_[i] = x * (2.50662823884 + r * (-18.61500062529 + r * 41.39119773534)) /
-                   (1.0 + r * (-8.47351093090 + r * 23.08336743743));
-    } else {
-      // Light phase: plain sequence output.
-      values_[i] = u;
-    }
+  sobol_.fill(base + begin + 1, end - begin, dim, values_.data() + begin);
+  if ((iter / config_.phase_length) % 2 == 0) {
+    for (std::size_t i = begin; i < end; ++i) values_[i] = moro(values_[i]);
   }
 }
 
@@ -75,24 +64,15 @@ void Qrng::teardown(cudalite::Runtime& rt) {
 
 bool Qrng::verify() const {
   if (!ran_ || sums_.size() != config_.iterations) return false;
-  // Recompute every iteration's reduction serially.
+  // Recompute every iteration's points and reduction serially.
+  std::vector<double> u(config_.points);
   for (std::size_t it = 0; it < config_.iterations; ++it) {
     const std::uint64_t base = static_cast<std::uint64_t>(it) * config_.points +
                                config_.seed;
-    const std::size_t dim = it % kDimensions;
-    const std::size_t phase = (it / config_.phase_length) % 2;
+    sobol_.fill(base + 1, config_.points, it % kDimensions, u.data());
+    const bool heavy = (it / config_.phase_length) % 2 == 0;
     double s = 0.0;
-    for (std::size_t i = 0; i < config_.points; ++i) {
-      const double u = sobol_.sample(base + i + 1, dim);
-      if (phase == 0) {
-        const double x = u - 0.5;
-        const double r = x * x;
-        s += x * (2.50662823884 + r * (-18.61500062529 + r * 41.39119773534)) /
-             (1.0 + r * (-8.47351093090 + r * 23.08336743743));
-      } else {
-        s += u;
-      }
-    }
+    for (const double v : u) s += heavy ? moro(v) : v;
     if (std::fabs(s - sums_[it]) > 1e-9 * (1.0 + std::fabs(s))) return false;
   }
   return true;

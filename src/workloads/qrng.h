@@ -46,10 +46,6 @@ class Qrng final : public ProfiledWorkload {
   void teardown(cudalite::Runtime& rt) override;
   [[nodiscard]] bool verify() const override;
 
-  /// Van der Corput radical inverse in base 2 of `index` (dimension 0 of
-  /// the Sobol sequence; kept for reference and tests).
-  [[nodiscard]] static double radical_inverse(std::uint64_t index);
-
   /// Number of Sobol dimensions cycled across iterations.
   static constexpr std::size_t kDimensions = 4;
 

@@ -5,6 +5,13 @@
 // multi-dimensional Sobol generator with Joe-Kuo style direction numbers for
 // the first dimensions.  Dimension 0 degenerates to the van der Corput
 // radical inverse.
+//
+// Points are in natural order: point i XORs the direction integer of every
+// set bit of i.  The generator stores prefix XORs of the direction integers
+// instead, which turns that into a Gray-code walk: `sample` XORs one prefix
+// per set bit of i ^ (i >> 1), and `fill` steps from point i to i + 1 with a
+// single XOR.  QG's kernel and its serial reference in `Qrng::verify` both
+// generate through `fill`.
 #pragma once
 
 #include <cstdint>
@@ -20,25 +27,20 @@ class Sobol {
   /// Throws std::invalid_argument for dimensions outside [1, kMaxDimensions].
   explicit Sobol(std::size_t dimensions);
 
-  [[nodiscard]] std::size_t dimensions() const { return v_.size(); }
+  [[nodiscard]] std::size_t dimensions() const { return prefix_.size(); }
 
   /// The `index`-th point's coordinate in dimension `dim`, in [0, 1).
-  /// Points are indexed from 0 (point 0 is the origin, by convention).
+  /// Points are indexed from 0 (point 0 is the origin, by convention); only
+  /// the low kBits bits of `index` select the point.
   [[nodiscard]] double sample(std::uint64_t index, std::size_t dim) const;
 
-  /// Convenience: all coordinates of one point.
-  [[nodiscard]] std::vector<double> point(std::uint64_t index) const;
+  /// out[k] = sample(first + k, dim) for k in [0, count), bit for bit.
+  void fill(std::uint64_t first, std::size_t count, std::size_t dim, double* out) const;
 
  private:
-  // v_[dim][bit]: direction integers, kBits entries per dimension.
-  std::vector<std::vector<std::uint64_t>> v_;
+  // prefix_[dim][t] = v[0] ^ ... ^ v[t] over the dimension's direction
+  // integers v, kBits entries per dimension.
+  std::vector<std::vector<std::uint64_t>> prefix_;
 };
-
-/// Star discrepancy proxy used in tests: the maximum deviation of the
-/// empirical CDF from uniform over `n` points of dimension `dim`, evaluated
-/// on a fixed grid of axis-aligned anchors.  Low-discrepancy sequences beat
-/// pseudorandom ones by a wide margin on this metric.
-[[nodiscard]] double uniformity_deviation(const Sobol& sobol, std::size_t dim,
-                                          std::uint64_t n);
 
 }  // namespace gg::workloads

@@ -9,7 +9,9 @@
 //
 // Workloads REALLY compute: the per-iteration chunk functions run actual
 // kernels on the cudalite pool, and `verify` checks the final output against
-// a scalar reference.  In parallel, each workload carries an
+// a serial reference recomputed from the initial inputs (nbody and QG run
+// the very per-item kernel their chunks use, serially over every item).  In
+// parallel, each workload carries an
 // `IntensityProfile` per iteration that drives the simulated timing/energy
 // (calibrated to the Table II utilization classes with the paper's enlarged
 // problem sizes).

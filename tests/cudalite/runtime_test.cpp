@@ -28,6 +28,25 @@ TEST_F(RuntimeTest, AllocTracksStats) {
   EXPECT_EQ(rt_.stats().device_bytes_peak, 800u);
 }
 
+TEST_F(RuntimeTest, ModelOnlyAllocKeepsAccountingAndDistinctHandles) {
+  rt_.set_compute_mode(ComputeMode::kModelOnly);
+  auto a = rt_.alloc<double>(1 << 20);
+  auto b = rt_.alloc<double>(1 << 20);
+  auto c = rt_.alloc<char>(3);
+  EXPECT_TRUE(a.valid() && b.valid() && c.valid());
+  EXPECT_NE(a.data(), b.data());
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % alignof(double), 0u);
+  EXPECT_EQ(rt_.stats().device_bytes_in_use, 2u * 8u * (1u << 20) + 3u);
+  // Transfers charge simulated time without touching the (absent) storage.
+  std::vector<double> host(1 << 20, 1.0);
+  rt_.memcpy_h2d(a, host.data(), host.size());
+  rt_.free(b);
+  rt_.free(a);
+  rt_.free(c);
+  EXPECT_EQ(rt_.stats().device_bytes_in_use, 0u);
+  EXPECT_EQ(rt_.stats().device_bytes_peak, 2u * 8u * (1u << 20) + 3u);
+}
+
 TEST_F(RuntimeTest, ZeroAllocThrows) {
   EXPECT_THROW(rt_.alloc<int>(0), std::invalid_argument);
 }

@@ -14,6 +14,7 @@
 #include "src/workloads/qrng.h"
 #include "src/workloads/srad.h"
 #include "src/workloads/streamcluster.h"
+#include "tests/workloads/kernel_oracles.h"
 
 namespace gg::workloads {
 namespace {
@@ -194,11 +195,11 @@ TEST(QrngKernel, IterationSumsNearExpectation) {
 }
 
 TEST(QrngKernel, RadicalInverseKnownValues) {
-  EXPECT_DOUBLE_EQ(Qrng::radical_inverse(1), 0.5);
-  EXPECT_DOUBLE_EQ(Qrng::radical_inverse(2), 0.25);
-  EXPECT_DOUBLE_EQ(Qrng::radical_inverse(3), 0.75);
-  EXPECT_DOUBLE_EQ(Qrng::radical_inverse(4), 0.125);
-  EXPECT_DOUBLE_EQ(Qrng::radical_inverse(0), 0.0);
+  EXPECT_DOUBLE_EQ(radical_inverse(1), 0.5);
+  EXPECT_DOUBLE_EQ(radical_inverse(2), 0.25);
+  EXPECT_DOUBLE_EQ(radical_inverse(3), 0.75);
+  EXPECT_DOUBLE_EQ(radical_inverse(4), 0.125);
+  EXPECT_DOUBLE_EQ(radical_inverse(0), 0.0);
 }
 
 // --- srad ---------------------------------------------------------------------

@@ -18,6 +18,11 @@
 //   * times one Algorithm 1 scaler step through the fused fast path and the
 //     straight-line reference (ns/op + speedup) and asserts their decision
 //     streams match over the timed runs,
+//   * times the campaign's two hottest real kernels on one thread: nbody's
+//     all-pairs step in ns per interaction, and QG's Sobol generation in ns
+//     per sample through Sobol::fill and through per-index Sobol::sample,
+//     and asserts the fast paths' bits do not depend on how the work is cut
+//     (nbody chunk splits, fill vs sample),
 //   * measures the crash-checkpoint overhead (journal + periodic controller
 //     snapshots at --checkpoint-every 0/10/100 vs no checkpointing) and
 //     asserts the journaled reports stay byte-identical to the plain run,
@@ -27,7 +32,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -46,7 +53,9 @@
 #include "src/sim/crash.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/platform.h"
+#include "src/workloads/nbody.h"
 #include "src/workloads/registry.h"
+#include "src/workloads/sobol.h"
 
 namespace {
 
@@ -215,6 +224,85 @@ ScalerTimings time_scaler_step() {
   t.reference_ns = time_scaler_steps(true, t.steps, ref_chosen);
   t.speedup = t.fast_ns > 0.0 ? t.reference_ns / t.fast_ns : 0.0;
   t.decisions_match = fast_chosen == ref_chosen;
+  return t;
+}
+
+struct KernelTimings {
+  double nbody_ns_per_interaction{0.0};
+  double fill_ns_per_sample{0.0};
+  double sample_ns_per_sample{0.0};
+  double fill_speedup{0.0};
+  bool identical{false};
+};
+
+template <typename Fn>
+double median_seconds(int reps, Fn&& fn) {
+  std::vector<double> secs;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = Clock::now();
+    fn();
+    secs.push_back(seconds_since(start));
+  }
+  std::sort(secs.begin(), secs.end());
+  return secs[secs.size() / 2];
+}
+
+/// Median of eleven timed passes per kernel, in the campaign's sizes: four
+/// 1024-body nbody steps, and QG's 45 iterations x 8192 points of Sobol
+/// generation cycling four dimensions.
+KernelTimings time_kernels() {
+  KernelTimings t;
+  constexpr int kReps = 11;
+  constexpr int kNbodySteps = 4;
+
+  constexpr std::size_t kBodies = 1024;
+  std::vector<double> pos(3 * kBodies), vel(3 * kBodies), mass(kBodies);
+  std::vector<double> whole_pos(3 * kBodies), whole_vel(3 * kBodies);
+  std::vector<double> split_pos(3 * kBodies), split_vel(3 * kBodies);
+  for (std::size_t i = 0; i < 3 * kBodies; ++i) {
+    pos[i] = std::sin(0.37 * static_cast<double>(i));
+    vel[i] = 0.1 * std::cos(0.11 * static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i < kBodies; ++i) mass[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i));
+  const workloads::NbodyStep whole{pos.data(),       vel.data(),       mass.data(),
+                                   whole_pos.data(), whole_vel.data(), kBodies, 1e-3};
+  const double nbody_s = median_seconds(kReps, [&] {
+    for (int step = 0; step < kNbodySteps; ++step) workloads::advance_bodies(whole, 0, kBodies);
+  });
+  t.nbody_ns_per_interaction = nbody_s * 1e9 / (double(kNbodySteps) * kBodies * kBodies);
+  // Odd chunk boundaries put bodies in different SIMD lanes and the tail.
+  workloads::NbodyStep split = whole;
+  split.pos_out = split_pos.data();
+  split.vel_out = split_vel.data();
+  workloads::advance_bodies(split, 0, 1);
+  workloads::advance_bodies(split, 1, 512);
+  workloads::advance_bodies(split, 512, kBodies);
+  const bool nbody_identical =
+      std::memcmp(whole_pos.data(), split_pos.data(), whole_pos.size() * sizeof(double)) == 0 &&
+      std::memcmp(whole_vel.data(), split_vel.data(), whole_vel.size() * sizeof(double)) == 0;
+
+  constexpr std::size_t kPoints = 8192, kIterations = 45, kDims = 4;
+  const workloads::Sobol sobol(kDims);
+  std::vector<double> filled(kPoints * kIterations), sampled(kPoints * kIterations);
+  const auto first = [](std::size_t it) { return std::uint64_t{it} * kPoints + 60; };
+  const double fill_s = median_seconds(kReps, [&] {
+    for (std::size_t it = 0; it < kIterations; ++it) {
+      sobol.fill(first(it), kPoints, it % kDims, filled.data() + it * kPoints);
+    }
+  });
+  const double sample_s = median_seconds(kReps, [&] {
+    for (std::size_t it = 0; it < kIterations; ++it) {
+      for (std::size_t i = 0; i < kPoints; ++i) {
+        sampled[it * kPoints + i] = sobol.sample(first(it) + i, it % kDims);
+      }
+    }
+  });
+  const double samples = double(kPoints) * kIterations;
+  t.fill_ns_per_sample = fill_s * 1e9 / samples;
+  t.sample_ns_per_sample = sample_s * 1e9 / samples;
+  t.fill_speedup = fill_s > 0.0 ? sample_s / fill_s : 0.0;
+  t.identical = nbody_identical &&
+                std::memcmp(filled.data(), sampled.data(), filled.size() * sizeof(double)) == 0;
   return t;
 }
 
@@ -504,6 +592,16 @@ int main(int argc, char** argv) {
               s.decisions_match ? "identical" : "DIFFER");
   ok = s.decisions_match && ok;
 
+  std::printf("timing nbody and QG kernels (one thread)...\n");
+  const KernelTimings k = time_kernels();
+  std::printf("  nbody:       %.2f ns/interaction\n", k.nbody_ns_per_interaction);
+  std::printf("  Sobol fill:  %.2f ns/sample\n", k.fill_ns_per_sample);
+  std::printf("  Sobol sample: %.2f ns/sample\n", k.sample_ns_per_sample);
+  std::printf("[%s] kernel fast paths: fill %.1fx faster than sample, bits %s\n",
+              k.identical ? "OK" : "FAIL", k.fill_speedup,
+              k.identical ? "identical" : "DIFFER");
+  ok = k.identical && ok;
+
   std::ofstream out(out_file);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_file.c_str());
@@ -593,6 +691,14 @@ int main(int argc, char** argv) {
   w.kv("reference_ns_per_step", s.reference_ns);
   w.kv("speedup_fast_vs_reference", s.speedup);
   w.kv("decisions_identical", s.decisions_match);
+  w.end_object();
+  w.key("kernels");
+  w.begin_object();
+  w.kv("nbody_ns_per_interaction", k.nbody_ns_per_interaction);
+  w.kv("sobol_fill_ns_per_sample", k.fill_ns_per_sample);
+  w.kv("sobol_sample_ns_per_sample", k.sample_ns_per_sample);
+  w.kv("sobol_fill_speedup_vs_sample", k.fill_speedup);
+  w.kv("identical", k.identical);
   w.end_object();
   w.key("checkpoint");
   w.begin_object();

@@ -14,6 +14,10 @@ Checks, in order:
     (speedup floor, host-independent — both sides ran on the same machine);
   * the batch campaign engine must beat the scalar engine on the replicate
     sweep (speedup floor, host-independent for the same reason);
+  * Sobol::fill must beat per-index Sobol::sample on the same points
+    (speedup floor, host-independent — both sides ran on the same machine),
+    and the nbody and QG fast paths must keep their bits whatever the work
+    split (invariant flag);
   * the pipelined schedules must beat their synchronous baselines on
     simulated makespan (speedup floor) and keep a minimum copy/compute
     overlap — fully host-independent: both sides are simulated seconds;
@@ -46,6 +50,7 @@ TIMED_METRICS = [
     ("batch", "scalar_seconds"),
     ("batch", "batch_seconds"),
     ("pipeline", "campaign_seconds"),
+    ("kernels", "nbody_ns_per_interaction"),
 ]
 
 # Invariants that must be true in the current record, on any host.
@@ -61,6 +66,7 @@ INVARIANT_FLAGS = [
     ("pipeline", "identical_reports_across_jobs"),
     ("pipeline", "identical_reports_across_engines"),
     ("pipeline", "identical_reports_after_resume"),
+    ("kernels", "identical"),
     # Streaming telemetry: every event a slow consumer loses must be
     # accounted by DROPPED framing — delivered + dropped == published.
     ("service", "drop_accounting_exact"),
@@ -74,6 +80,12 @@ SPEEDUP_FLOOR = 1.5
 # parallel: both sides run --jobs 1 on the same machine, so the floor holds
 # on any host class, single-core included.
 BATCH_SPEEDUP_FLOOR = 5.0
+# Sobol::fill (one XOR per point) vs Sobol::sample (one XOR per set bit of
+# the point's Gray code) over QG's campaign points, same thread, same host.
+# Six runs on a 4-vCPU Xeon VM measured 4.8-9.2x (fill ~1.1-2.6 ns per
+# sample, its stores included); the floor sits below that band and still
+# catches a fill that falls back to per-index generation.
+SOBOL_FILL_SPEEDUP_FLOOR = 3.0
 # Pipelined vs synchronous schedule, in SIMULATED seconds — pure model
 # arithmetic, identical on every host, so the floors are exact gates, not
 # noise-tolerant ones.  Measured: kmeans 1.42x / srad 1.49x at the default
@@ -161,6 +173,17 @@ def main():
     else:
         print(f"[OK]   batch engine {batch_speedup:.2f}x faster than scalar "
               f"(floor {BATCH_SPEEDUP_FLOOR:.1f}x)")
+
+    fill_speedup = get(current, "kernels", "sobol_fill_speedup_vs_sample")
+    if not isinstance(fill_speedup, (int, float)) or isinstance(fill_speedup, bool):
+        failures.append("kernels.sobol_fill_speedup_vs_sample: missing from current record")
+    elif fill_speedup < SOBOL_FILL_SPEEDUP_FLOOR:
+        failures.append(
+            f"kernels.sobol_fill_speedup_vs_sample: {fill_speedup:.2f}x < "
+            f"{SOBOL_FILL_SPEEDUP_FLOOR:.1f}x floor")
+    else:
+        print(f"[OK]   Sobol::fill {fill_speedup:.1f}x faster than per-index sample "
+              f"(floor {SOBOL_FILL_SPEEDUP_FLOOR:.1f}x)")
 
     pipe_speedup = get(current, "pipeline", "min_makespan_speedup")
     if not isinstance(pipe_speedup, (int, float)) or isinstance(pipe_speedup, bool):

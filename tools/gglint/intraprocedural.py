@@ -123,6 +123,14 @@ REQUIRED_HOT = [
     ("src/cudalite/stream_scheduler.cpp",
      re.compile(r"void\s+StreamScheduler::pump\s*\("),
      "StreamScheduler::pump"),
+    # The campaign's two hottest real kernels: nbody's all-pairs step (the
+    # SSE2 lane loop) and QG's incremental Sobol generation.
+    ("src/workloads/nbody.cpp",
+     re.compile(r"void\s+advance_bodies\s*\("),
+     "advance_bodies"),
+    ("src/workloads/sobol.cpp",
+     re.compile(r"void\s+Sobol::fill\s*\("),
+     "Sobol::fill"),
 ]
 
 # pipeline-blocking-sync: blocking waits banned inside GG_PIPELINE_STAGE
