@@ -89,7 +89,11 @@ class CpuGovernor {
   [[nodiscard]] std::size_t current_level() const { return platform_->cpu().level(); }
 
  private:
+  /// Schedule the next tick() one interval from now.
   void arm();
+  /// One periodic invocation: step(now), then every following sample that
+  /// is due before any other event (EventQueue::fire_inline), then arm().
+  void tick();
 
   sim::Platform* platform_;
   Seconds interval_;

@@ -115,11 +115,13 @@ void ServiceCore::resume_from_journal() {
   std::map<std::uint64_t, Request> pending;
   // The last start record without a matching outcome is the claim the dying
   // daemon never finished; it must run first, not re-enter the queue.
-  std::optional<StartRecord> claimed;
+  StartRecord claimed;
+  bool has_claim = false;
   for (const auto& record : records) {
     switch (record.kind) {
       case RecordKind::kStart:
         claimed = record.start;
+        has_claim = true;
         break;
       case RecordKind::kAdmit: {
         const Request& r = record.admit;
@@ -154,7 +156,7 @@ void ServiceCore::resume_from_journal() {
           }
           pending.erase(it);
         }
-        if (claimed && claimed->seq == o.seq) claimed.reset();
+        if (has_claim && claimed.seq == o.seq) has_claim = false;
         vtime_ = Seconds{o.vtime_after};
         breaker_.on_result(o.device, o.status == OutcomeStatus::kOk);
         if (o.status == OutcomeStatus::kOk) {
@@ -168,25 +170,25 @@ void ServiceCore::resume_from_journal() {
       }
     }
   }
-  if (claimed) {
-    const auto it = pending.find(claimed->seq);
+  if (has_claim) {
+    const auto it = pending.find(claimed.seq);
     if (it != pending.end()) {
       // Re-issue the unfinished claim.  acquire() on the rebuilt breaker is
       // deterministic, so it reproduces both the device choice and its
       // side-effect (an open device turning half-open for its probe); the
       // journaled device cross-checks that the rebuild really converged.
       const std::size_t device = breaker_.acquire();
-      if (device != static_cast<std::size_t>(claimed->device)) {
+      if (device != static_cast<std::size_t>(claimed.device)) {
         throw common::SnapshotError(
             journal_.path() + ": resumed breaker picked device " +
             std::to_string(device) + " but the journaled claim of seq " +
-            std::to_string(claimed->seq) + " ran on device " +
-            std::to_string(claimed->device));
+            std::to_string(claimed.seq) + " ran on device " +
+            std::to_string(claimed.device));
       }
       Job job;
       job.request = it->second;
       job.device = device;
-      job.vtime_before = Seconds{claimed->vtime};
+      job.vtime_before = Seconds{claimed.vtime};
       states_[job.request.seq] = "running";
       inflight_ = job;
       pending.erase(it);

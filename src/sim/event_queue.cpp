@@ -74,8 +74,32 @@ GG_HOT bool EventQueue::step() {
   return true;
 }
 
+GG_HOT bool EventQueue::fire_inline(Seconds when) {
+  owner_.assert_owner("sim::EventQueue");
+  if (when < now_) throw std::invalid_argument("EventQueue: schedule in the past");
+  if (when > horizon_) return false;
+  // A cancelled front entry at or before `when` may hide a later live one;
+  // declining is always exact, so do not look behind it.
+  if (heap_.empty() ? horizon_ == kNoHorizon : !(when < heap_.front().when)) return false;
+  // With the entry (when, next_seq_) pushed, the next drop_cancelled() would
+  // find no cancelled entry ahead of it, so only its compaction can happen.
+  const std::size_t size = heap_.size() + 1;
+  if (slab_->cancelled_in_heap * 2 > size && size >= kCompactionMinSize) compact();
+  ++next_seq_;
+  now_ = when;
+  ++fired_;
+  return true;
+}
+
 void EventQueue::run_until(Seconds until) {
   if (until < now_) throw std::invalid_argument("EventQueue: run_until in the past");
+  // Restores the enclosing horizon on every exit, a throwing action included.
+  struct HorizonScope {
+    Seconds& horizon;
+    Seconds saved;
+    ~HorizonScope() { horizon = saved; }
+  } scope{horizon_, horizon_};
+  horizon_ = until;
   for (;;) {
     drop_cancelled();
     if (heap_.empty() || heap_.front().when > until) break;

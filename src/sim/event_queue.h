@@ -13,9 +13,16 @@
 // the heap is compacted in one pass — DVFS-driven rescheduling cancels
 // constantly, and without compaction long runs drag dead entries through
 // every sift.
+//
+// A self-re-arming periodic action (the CPU governor's 0.1 s sample) can
+// skip the heap altogether while nothing else is due: fire_inline() fires
+// "an event at `when` scheduled right now" in place when that event would
+// be the very next one the queue fires, and keeps the clock and counters
+// exactly as the heap round trip would have left them.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -169,6 +176,20 @@ class EventQueue {
     return schedule_at(now_ + delay, std::move(action));
   }
 
+  /// Fire an action at `when` in place of `schedule_at(when, action)` when
+  /// that event would be the next one fired: `when` is strictly earlier
+  /// than every heap entry, and not past the horizon of the innermost
+  /// run_until() in progress (outside run_until, the heap must also hold
+  /// an entry, so a lone periodic action cannot spin forever).  On success
+  /// the clock moves to `when`, the sequence number and fired count advance
+  /// and a due compaction runs, exactly as the heap round trip would have
+  /// done; the caller then runs the action itself.  Returns false and
+  /// changes nothing otherwise: the caller schedules the action at `when`.
+  /// Bit-exact only for a caller that fires from inside an event action and
+  /// returns to the queue right after (nothing else runs between the two
+  /// heap operations this replaces).
+  [[nodiscard]] bool fire_inline(Seconds when);
+
   /// Run events with timestamp <= `until`, then advance the clock to `until`.
   void run_until(Seconds until);
 
@@ -216,6 +237,8 @@ class EventQueue {
 
   /// Below this size a full rebuild costs more than it saves.
   static constexpr std::size_t kCompactionMinSize = 64;
+  /// horizon_ outside any run_until().
+  static constexpr Seconds kNoHorizon{std::numeric_limits<double>::infinity()};
 
   /// Pop cancelled entries off the top so empty()/peek logic sees live
   /// events, and rebuild the heap outright once cancelled entries are the
@@ -231,6 +254,8 @@ class EventQueue {
   common::ThreadChecker owner_;
   std::shared_ptr<detail::EventSlab> slab_{std::make_shared<detail::EventSlab>()};
   Seconds now_{0.0};
+  /// `until` of the innermost run_until() in progress (fire_inline bound).
+  Seconds horizon_{kNoHorizon};
   std::uint64_t next_seq_{0};
   std::uint64_t fired_{0};
   mutable std::uint64_t compactions_{0};

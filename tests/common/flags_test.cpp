@@ -35,7 +35,7 @@ TEST(Flags, BooleanValues) {
 
 TEST(Flags, BadBooleanThrows) {
   Flags f({"--a=maybe"});
-  EXPECT_THROW(f.get_bool("a", false), std::invalid_argument);
+  EXPECT_THROW((void)f.get_bool("a", false), std::invalid_argument);
 }
 
 TEST(Flags, Positional) {
@@ -50,9 +50,9 @@ TEST(Flags, Positional) {
 
 TEST(Flags, NumbersValidated) {
   Flags f({"--x=3.5abc", "--y=12"});
-  EXPECT_THROW(f.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)f.get_double("x", 0.0), std::invalid_argument);
   EXPECT_EQ(f.get_int("y", 0), 12);
-  EXPECT_THROW(f.get_int("x", 0), std::invalid_argument);
+  EXPECT_THROW((void)f.get_int("x", 0), std::invalid_argument);
 }
 
 TEST(Flags, NegativeNumbers) {

@@ -40,12 +40,12 @@ TEST(RingBuffer, OverwritesOldest) {
 TEST(RingBuffer, IndexOutOfRangeThrows) {
   RingBuffer<int> rb(3);
   rb.push(1);
-  EXPECT_THROW(rb[1], std::out_of_range);
+  EXPECT_THROW((void)rb[1], std::out_of_range);
 }
 
 TEST(RingBuffer, NewestOnEmptyThrows) {
   RingBuffer<int> rb(2);
-  EXPECT_THROW(rb.newest(), std::out_of_range);
+  EXPECT_THROW((void)rb.newest(), std::out_of_range);
 }
 
 TEST(RingBuffer, ClearResets) {

@@ -57,8 +57,8 @@ TEST(Campaign, ProgressCallbackCounts) {
 
 TEST(Campaign, CellIndexValidation) {
   const CampaignResult r = run_campaign(small_config());
-  EXPECT_THROW(r.cell(2, 0), std::out_of_range);
-  EXPECT_THROW(r.cell(0, 2), std::out_of_range);
+  EXPECT_THROW((void)r.cell(2, 0), std::out_of_range);
+  EXPECT_THROW((void)r.cell(0, 2), std::out_of_range);
 }
 
 TEST(Campaign, CsvReportWellFormed) {

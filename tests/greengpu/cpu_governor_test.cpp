@@ -106,7 +106,7 @@ TEST(GovernorKind, StringRoundTrip) {
                     CpuGovernorKind::kConservative, CpuGovernorKind::kWma}) {
     EXPECT_EQ(cpu_governor_from_string(to_string(kind)), kind);
   }
-  EXPECT_THROW(cpu_governor_from_string("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)cpu_governor_from_string("bogus"), std::invalid_argument);
 }
 
 TEST(GovernorFactory, ProducesNamedGovernors) {

@@ -66,8 +66,8 @@ TEST(ComponentLoss, SmallAlphaFavoursPerformance) {
 }
 
 TEST(ComponentLoss, AlphaOutOfRangeThrows) {
-  EXPECT_THROW(component_loss(0.5, 0.5, -0.1), std::invalid_argument);
-  EXPECT_THROW(component_loss(0.5, 0.5, 1.1), std::invalid_argument);
+  EXPECT_THROW((void)component_loss(0.5, 0.5, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)component_loss(0.5, 0.5, 1.1), std::invalid_argument);
 }
 
 TEST(TotalLoss, Equation3Blend) {
@@ -75,8 +75,8 @@ TEST(TotalLoss, Equation3Blend) {
 }
 
 TEST(TotalLoss, PhiBoundsChecked) {
-  EXPECT_THROW(total_loss(0.1, 0.1, -0.01), std::invalid_argument);
-  EXPECT_THROW(total_loss(0.1, 0.1, 1.01), std::invalid_argument);
+  EXPECT_THROW((void)total_loss(0.1, 0.1, -0.01), std::invalid_argument);
+  EXPECT_THROW((void)total_loss(0.1, 0.1, 1.01), std::invalid_argument);
 }
 
 TEST(UpdatedWeight, Equation4) {
@@ -93,10 +93,10 @@ TEST(UpdatedWeight, FullLossLeavesBetaFraction) {
 }
 
 TEST(UpdatedWeight, ParameterValidation) {
-  EXPECT_THROW(updated_weight(1.0, 0.5, 0.0), std::invalid_argument);
-  EXPECT_THROW(updated_weight(1.0, 0.5, 1.0), std::invalid_argument);
-  EXPECT_THROW(updated_weight(1.0, -0.1, 0.5), std::invalid_argument);
-  EXPECT_THROW(updated_weight(1.0, 1.1, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)updated_weight(1.0, 0.5, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)updated_weight(1.0, 0.5, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)updated_weight(1.0, -0.1, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)updated_weight(1.0, 1.1, 0.5), std::invalid_argument);
 }
 
 // Property sweep: for any utilization, exactly one loss side is non-zero and

@@ -32,8 +32,8 @@ TEST(WeightTable, ZeroDimensionThrows) {
 
 TEST(WeightTable, IndexOutOfRangeThrows) {
   WeightTable t(2, 3);
-  EXPECT_THROW(t.weight(2, 0), std::out_of_range);
-  EXPECT_THROW(t.weight(0, 3), std::out_of_range);
+  EXPECT_THROW((void)t.weight(2, 0), std::out_of_range);
+  EXPECT_THROW((void)t.weight(0, 3), std::out_of_range);
 }
 
 TEST(WeightTable, LossSizeMismatchThrows) {

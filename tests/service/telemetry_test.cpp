@@ -370,7 +370,7 @@ TEST_F(TelemetryCoreTest, ResumeCursorReplaysByteIdentical) {
   const ServiceConfig config = small_config();
   ServiceCore core(config, journal_, /*resume=*/false);
   for (int i = 0; i < 3; ++i) {
-    core.handle_line("SUBMIT bfs best-performance");
+    (void)core.handle_line("SUBMIT bfs best-performance");
   }
   while (core.step()) {
   }
@@ -395,7 +395,7 @@ TEST_F(TelemetryCoreTest, ResumeCursorReplaysByteIdentical) {
       << "WATCH FROM must replay exactly what an uninterrupted subscriber saw";
 
   // New live events splice gaplessly behind a drained resume stream.
-  core.handle_line("SUBMIT bfs best-performance");
+  (void)core.handle_line("SUBMIT bfs best-performance");
   const auto tail = drain_core(core, id);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].rfind("EVENT 10 admit seq=4 ", 0), 0u) << tail[0];
@@ -403,7 +403,7 @@ TEST_F(TelemetryCoreTest, ResumeCursorReplaysByteIdentical) {
 
 TEST_F(TelemetryCoreTest, RefusesBadAndBeyondCursors) {
   ServiceCore core(small_config(), journal_, /*resume=*/false);
-  core.handle_line("SUBMIT bfs best-performance");
+  (void)core.handle_line("SUBMIT bfs best-performance");
   while (core.step()) {
   }
   ASSERT_EQ(core.telemetry().published(), 3u);
@@ -441,7 +441,7 @@ TEST_F(TelemetryCoreTest, ResumedDaemonSeedsTheStreamPosition) {
   const ServiceConfig config = small_config();
   {
     ServiceCore core(config, journal_, /*resume=*/false);
-    core.handle_line("SUBMIT bfs best-performance");
+    (void)core.handle_line("SUBMIT bfs best-performance");
     while (core.step()) {
     }
     ASSERT_EQ(core.telemetry().published(), 3u);

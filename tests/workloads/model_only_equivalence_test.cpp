@@ -107,9 +107,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(registry_names()),
                        ::testing::Values(std::size_t{0}, std::size_t{1}, std::size_t{2},
                                          std::size_t{3})),
-    [](const auto& info) {
-      const std::string policy = paper_policies()[std::get<1>(info.param)].name;
-      std::string id = std::get<0>(info.param) + "_" + policy;
+    [](const auto& param_info) {
+      const std::string policy = paper_policies()[std::get<1>(param_info.param)].name;
+      std::string id = std::get<0>(param_info.param) + "_" + policy;
       for (char& c : id) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

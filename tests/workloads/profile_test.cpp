@@ -26,12 +26,12 @@ TEST(MakeGpuEstimate, PeakUtilizationMatchesTargets) {
 TEST(MakeGpuEstimate, ValidatesInputs) {
   IntensityProfile p;
   p.core_util = 1.5;
-  EXPECT_THROW(make_gpu_estimate(kGpu, 576_MHz, 900_MHz, p, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)make_gpu_estimate(kGpu, 576_MHz, 900_MHz, p, 1.0), std::invalid_argument);
   p = IntensityProfile{};
   p.unit_time_s = 0.0;
-  EXPECT_THROW(make_gpu_estimate(kGpu, 576_MHz, 900_MHz, p, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)make_gpu_estimate(kGpu, 576_MHz, 900_MHz, p, 1.0), std::invalid_argument);
   p = IntensityProfile{};
-  EXPECT_THROW(make_gpu_estimate(kGpu, 576_MHz, 900_MHz, p, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)make_gpu_estimate(kGpu, 576_MHz, 900_MHz, p, 0.0), std::invalid_argument);
 }
 
 TEST(MakeCpuWork, SlowdownSetsDuration) {
@@ -48,12 +48,12 @@ TEST(MakeCpuWork, SlowdownSetsDuration) {
 
 TEST(MakeCpuWork, ValidatesInputs) {
   IntensityProfile p;
-  EXPECT_THROW(make_cpu_work(kCpu, 2800_MHz, p, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)make_cpu_work(kCpu, 2800_MHz, p, 0.0), std::invalid_argument);
   p.cpu_slowdown = 0.0;
-  EXPECT_THROW(make_cpu_work(kCpu, 2800_MHz, p, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)make_cpu_work(kCpu, 2800_MHz, p, 1.0), std::invalid_argument);
   p = IntensityProfile{};
   p.cpu_compute_fraction = 1.2;
-  EXPECT_THROW(make_cpu_work(kCpu, 2800_MHz, p, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)make_cpu_work(kCpu, 2800_MHz, p, 1.0), std::invalid_argument);
 }
 
 TEST(MakeCpuWork, UsesAllCoresByDefault) {

@@ -15,7 +15,7 @@ TEST(Sobol, DimensionBoundsChecked) {
   EXPECT_THROW(Sobol(9), std::invalid_argument);
   Sobol s(8);
   EXPECT_EQ(s.dimensions(), 8u);
-  EXPECT_THROW(s.sample(1, 8), std::out_of_range);
+  EXPECT_THROW((void)s.sample(1, 8), std::out_of_range);
 }
 
 TEST(Sobol, PointZeroIsOrigin) {

@@ -23,6 +23,11 @@
 //     per sample through Sobol::fill and through per-index Sobol::sample,
 //     and asserts the fast paths' bits do not depend on how the work is cut
 //     (nbody chunk splits, fill vs sample),
+//   * times the CPU governor's sampling tick: a model-only frequency-scaling
+//     kmeans cell minus its governor-less twin, per governor decision, and
+//     asserts that the attached ondemand governor (back-to-back samples run
+//     inline, off the event heap) decides and accounts bit for bit like the
+//     same governor stepped from a plain self-re-arming heap event,
 //   * measures the crash-checkpoint overhead (journal + periodic controller
 //     snapshots at --checkpoint-every 0/10/100 vs no checkpointing) and
 //     asserts the journaled reports stay byte-identical to the plain run,
@@ -31,12 +36,14 @@
 // Exit code 0 iff every identity check passed.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,9 +51,11 @@
 
 #include "src/common/flags.h"
 #include "src/common/json.h"
+#include "src/common/rng.h"
 #include "src/cudalite/nvml.h"
 #include "src/cudalite/nvsettings.h"
 #include "src/greengpu/campaign.h"
+#include "src/greengpu/cpu_governor.h"
 #include "src/greengpu/recovery.h"
 #include "src/greengpu/runner.h"
 #include "src/greengpu/wma_scaler.h"
@@ -303,6 +312,104 @@ KernelTimings time_kernels() {
   t.fill_speedup = fill_s > 0.0 ? sample_s / fill_s : 0.0;
   t.identical = nbody_identical &&
                 std::memcmp(filled.data(), sampled.data(), filled.size() * sizeof(double)) == 0;
+  return t;
+}
+
+struct GovernorTimings {
+  double cell_ms{0.0};
+  double no_governor_cell_ms{0.0};
+  std::uint64_t decisions{0};
+  double ns_per_tick{0.0};
+  bool identical_to_heap_driven{false};
+};
+
+/// Runs an ondemand governor over a seeded mix of CPU bursts (waited on
+/// with step() loops, like cudalite's synchronize) and synchronous-copy
+/// spins, either attached or stepped from a plain heap event that re-arms
+/// itself through schedule_in; returns the bit patterns of its decisions
+/// and of the CPU's energy and activity integrals.
+std::vector<std::uint64_t> governor_replay(bool attached) {
+  sim::Platform platform;
+  sim::EventQueue& queue = platform.queue();
+  sim::CpuDevice& cpu = platform.cpu();
+  greengpu::OndemandGovernor gov(platform, greengpu::OndemandParams{});
+  sim::EventHandle next;
+  std::function<void()> arm = [&] {
+    next = queue.schedule_in(gov.interval(), [&] {
+      gov.step(queue.now());
+      arm();
+    });
+  };
+  if (attached) {
+    gov.attach();
+  } else {
+    arm();
+  }
+  Rng rng(0x60E5);
+  for (int i = 0; i < 400; ++i) {
+    bool done = false;
+    sim::CpuWork work;
+    work.units = 1.0 + rng.uniform(0.0, 10.0);
+    work.ops_per_unit = rng.uniform(1e7, 2e8);
+    cpu.submit(work, [&done] { done = true; });
+    while (!done) queue.step();
+    done = false;
+    cpu.set_spinning(true);
+    queue.schedule_in(Seconds{rng.uniform(0.0, 5.0)}, [&done] { done = true; });
+    while (!done) queue.step();
+    queue.run_until(queue.now());
+    cpu.set_spinning(false);
+  }
+  gov.detach();
+  next.cancel();
+  std::vector<std::uint64_t> bits;
+  const auto put = [&bits](double v) { bits.push_back(std::bit_cast<std::uint64_t>(v)); };
+  for (const greengpu::GovernorDecision& d : gov.decisions()) {
+    put(d.time.get());
+    put(d.util);
+    bits.push_back(d.level);
+  }
+  const sim::CpuActivityCounters c = cpu.counters();
+  put(cpu.energy().get());
+  put(cpu.spin_energy().get());
+  put(c.util_integral);
+  put(c.busy_integral);
+  put(c.spin_integral);
+  return bits;
+}
+
+/// Median host time of a model-only kmeans cell under the paper's
+/// frequency-scaling policy (ondemand on the CPU) and of the same cell with
+/// no CPU governor, interleaved; their difference per governor decision is
+/// the cost of one sampling tick.
+GovernorTimings time_governor() {
+  constexpr int kReps = 21;
+  GovernorTimings t;
+  greengpu::RunOptions options;
+  options.model_only = true;
+  options.verify = false;
+  options.record = greengpu::RecordOptions{greengpu::RecordMode::kCounters, 0};
+  const greengpu::Policy with = greengpu::Policy::scaling_only();
+  greengpu::Policy without = with;
+  without.cpu_governor = greengpu::CpuGovernorKind::kNone;
+  std::vector<double> with_ms, without_ms;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto start = Clock::now();
+    const greengpu::ExperimentResult r = greengpu::run_experiment("kmeans", with, options);
+    with_ms.push_back(seconds_since(start) * 1e3);
+    t.decisions = r.governor_decision_count;
+    start = Clock::now();
+    (void)greengpu::run_experiment("kmeans", without, options);
+    without_ms.push_back(seconds_since(start) * 1e3);
+  }
+  std::sort(with_ms.begin(), with_ms.end());
+  std::sort(without_ms.begin(), without_ms.end());
+  t.cell_ms = with_ms[kReps / 2];
+  t.no_governor_cell_ms = without_ms[kReps / 2];
+  t.ns_per_tick = t.decisions > 0 ? (t.cell_ms - t.no_governor_cell_ms) * 1e6 /
+                                        static_cast<double>(t.decisions)
+                                  : 0.0;
+  t.identical_to_heap_driven = governor_replay(true) == governor_replay(false);
   return t;
 }
 
@@ -602,6 +709,16 @@ int main(int argc, char** argv) {
               k.identical ? "identical" : "DIFFER");
   ok = k.identical && ok;
 
+  std::printf("timing the CPU governor tick (model-only kmeans cell)...\n");
+  const GovernorTimings g = time_governor();
+  std::printf("  with ondemand %.2f ms, without %.2f ms, %llu decisions: %.1f ns/tick\n",
+              g.cell_ms, g.no_governor_cell_ms, static_cast<unsigned long long>(g.decisions),
+              g.ns_per_tick);
+  std::printf("[%s] attached governor vs heap-driven steps: %s\n",
+              g.identical_to_heap_driven ? "OK" : "FAIL",
+              g.identical_to_heap_driven ? "identical" : "DIFFER");
+  ok = g.identical_to_heap_driven && ok;
+
   std::ofstream out(out_file);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_file.c_str());
@@ -699,6 +816,14 @@ int main(int argc, char** argv) {
   w.kv("sobol_sample_ns_per_sample", k.sample_ns_per_sample);
   w.kv("sobol_fill_speedup_vs_sample", k.fill_speedup);
   w.kv("identical", k.identical);
+  w.end_object();
+  w.key("governor");
+  w.begin_object();
+  w.kv("kmeans_cell_ms", g.cell_ms);
+  w.kv("kmeans_no_governor_cell_ms", g.no_governor_cell_ms);
+  w.kv("decisions", static_cast<double>(g.decisions));
+  w.kv("ns_per_tick", g.ns_per_tick);
+  w.kv("identical_to_heap_driven", g.identical_to_heap_driven);
   w.end_object();
   w.key("checkpoint");
   w.begin_object();

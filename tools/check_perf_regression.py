@@ -8,8 +8,9 @@ Compares a freshly measured record against the committed one:
 
 Checks, in order:
   * hard invariants that must hold on any host: the determinism identity
-    flags (including batch-vs-scalar engine identity) and the scaler
-    fast-vs-reference decision identity;
+    flags (including batch-vs-scalar engine identity), the scaler
+    fast-vs-reference decision identity and the attached-vs-heap-driven
+    CPU governor identity;
   * the scaler fast path must actually be faster than the reference
     (speedup floor, host-independent — both sides ran on the same machine);
   * the batch campaign engine must beat the scalar engine on the replicate
@@ -24,7 +25,8 @@ Checks, in order:
   * the parallel speedup vs --jobs 1, but only when neither record carries
     the single_core_host marker — one worker cannot speed anything up, so
     comparing that number across host classes is meaningless;
-  * ns/op and campaign wall-clock regressions vs the baseline, but only
+  * ns/op (the governor's per-tick cost included) and campaign wall-clock
+    regressions vs the baseline, but only
     when the baseline was recorded on the same host class (matching
     host_cpus) — absolute timings are not comparable across machines.
 
@@ -51,6 +53,7 @@ TIMED_METRICS = [
     ("batch", "batch_seconds"),
     ("pipeline", "campaign_seconds"),
     ("kernels", "nbody_ns_per_interaction"),
+    ("governor", "ns_per_tick"),
 ]
 
 # Invariants that must be true in the current record, on any host.
@@ -67,6 +70,9 @@ INVARIANT_FLAGS = [
     ("pipeline", "identical_reports_across_engines"),
     ("pipeline", "identical_reports_after_resume"),
     ("kernels", "identical"),
+    # The attached CPU governor (samples run inline, off the event heap)
+    # against the same governor stepped from a plain heap event.
+    ("governor", "identical_to_heap_driven"),
     # Streaming telemetry: every event a slow consumer loses must be
     # accounted by DROPPED framing — delivered + dropped == published.
     ("service", "drop_accounting_exact"),

@@ -100,9 +100,17 @@ REQUIRED_HOT = [
     ("src/sim/event_queue.cpp",
      re.compile(r"bool\s+EventQueue::step\s*\("),
      "EventQueue::step"),
+    ("src/sim/event_queue.cpp",
+     re.compile(r"bool\s+EventQueue::fire_inline\s*\("),
+     "EventQueue::fire_inline"),
     ("src/sim/event_queue.h",
      re.compile(r"std::uint32_t\s+acquire\s*\("),
      "EventSlab::acquire"),
+    # The CPU governor's tick loop: one call per run of back-to-back
+    # samples (100 ms each, ~50k per long model-only cell).
+    ("src/greengpu/cpu_governor.cpp",
+     re.compile(r"void\s+CpuGovernor::tick\s*\("),
+     "CpuGovernor::tick"),
     ("src/greengpu/telemetry.h",
      re.compile(r"void\s+push\s*\("),
      "DecisionRecorder::push"),
