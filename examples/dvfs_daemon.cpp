@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   std::printf("\nrun finished in %.1f simulated seconds; GPU energy %.0f J\n",
               delta.elapsed.get(), delta.gpu.get());
   std::printf("results %s; %llu clock transitions\n",
-              workload->verify() ? "verified" : "NOT verified",
+              workload->verify(rt.pool()) ? "verified" : "NOT verified",
               static_cast<unsigned long long>(platform.gpu().frequency_transitions()));
   return 0;
 }

@@ -182,7 +182,7 @@ MultiExperimentResult run_multi_experiment(workloads::Workload& workload,
     result.fault_event_count = injector->events().size();
     result.fault_events = retained_fault_events(injector->events(), options.record);
   }
-  result.verified = options.verify ? workload.verify() : true;
+  result.verified = options.verify ? workload.verify(rt.pool()) : true;
   return result;
 }
 

@@ -360,7 +360,7 @@ ExperimentResult ExperimentEngine::finish() {
     // A truncated run cannot be checked against the full-length reference.
     const bool can_verify = options_.verify && n_iters_ == workload_->iterations();
     result_.verify_skipped = !can_verify;
-    result_.verified = can_verify ? workload_->verify() : true;
+    result_.verified = can_verify ? workload_->verify(rt_->pool()) : true;
   }
   return std::move(result_);
 }

@@ -132,9 +132,10 @@ struct RunOptions {
   /// Record a periodic platform trace (Fig. 5).
   bool record_trace{false};
   Seconds trace_period{1.0};
-  /// Check results against the scalar reference after the run.
+  /// Check results against the workload's reference after the run.
   bool verify{true};
-  /// Thread-pool size for real kernel execution (0 = hardware concurrency).
+  /// Thread-pool size for real kernel execution and for the verify()
+  /// reference (0 = hardware concurrency).
   std::size_t pool_workers{0};
   /// Override the workload's iteration count (0 = workload default).
   std::size_t max_iterations{0};

@@ -8,19 +8,11 @@
 //
 // Each kernel is a single pass of independent lanes — no reductions, no
 // cross-lane data flow — so the compiler auto-vectorizes the plain loop.
-// When the build enables GREENGPU_BATCH_SIMD (and the target has SSE2), an
-// explicit 2-lane SSE2 body runs instead; packed IEEE div/sub on independent
-// lanes is bit-identical to the scalar ops, and the baseline<=0 guard is a
-// branch-free mask blend, so the flag changes throughput only, never bytes.
 #pragma once
 
 #include <cstddef>
 
 #include "src/common/annotations.h"
-
-#if defined(GREENGPU_BATCH_SIMD) && defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace gg::sim {
 
@@ -29,19 +21,7 @@ namespace gg::sim {
 GG_HOT_BATCH inline void batch_saving_vs_baseline(const double* value,
                                                   const double* baseline,
                                                   double* out, std::size_t n) {
-  std::size_t i = 0;
-#if defined(GREENGPU_BATCH_SIMD) && defined(__SSE2__)
-  const __m128d ones = _mm_set1_pd(1.0);
-  const __m128d zeros = _mm_setzero_pd();
-  for (; i + 2 <= n; i += 2) {
-    const __m128d b = _mm_loadu_pd(baseline + i);
-    const __m128d v = _mm_loadu_pd(value + i);
-    const __m128d mask = _mm_cmpgt_pd(b, zeros);
-    const __m128d saving = _mm_sub_pd(ones, _mm_div_pd(v, b));
-    _mm_storeu_pd(out + i, _mm_and_pd(mask, saving));
-  }
-#endif
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     out[i] = baseline[i] > 0.0 ? 1.0 - value[i] / baseline[i] : 0.0;
   }
 }
@@ -50,19 +30,7 @@ GG_HOT_BATCH inline void batch_saving_vs_baseline(const double* value,
 /// (the campaign's "time delta vs baseline" per cell).
 GG_HOT_BATCH inline void batch_rel_delta(const double* value, const double* baseline,
                                          double* out, std::size_t n) {
-  std::size_t i = 0;
-#if defined(GREENGPU_BATCH_SIMD) && defined(__SSE2__)
-  const __m128d ones = _mm_set1_pd(1.0);
-  const __m128d zeros = _mm_setzero_pd();
-  for (; i + 2 <= n; i += 2) {
-    const __m128d b = _mm_loadu_pd(baseline + i);
-    const __m128d v = _mm_loadu_pd(value + i);
-    const __m128d mask = _mm_cmpgt_pd(b, zeros);
-    const __m128d delta = _mm_sub_pd(_mm_div_pd(v, b), ones);
-    _mm_storeu_pd(out + i, _mm_and_pd(mask, delta));
-  }
-#endif
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     out[i] = baseline[i] > 0.0 ? value[i] / baseline[i] - 1.0 : 0.0;
   }
 }

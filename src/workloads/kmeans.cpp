@@ -1,5 +1,6 @@
 #include "src/workloads/kmeans.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,22 +19,30 @@ double dist2(const double* p, const double* c, std::size_t dims) {
   return s;
 }
 
-/// One full serial kmeans pass (assignment + update) used by the reference.
-void reference_step(const std::vector<double>& points, std::vector<double>& centroids,
-                    std::vector<int>& assignments, std::size_t n, std::size_t dims,
-                    std::size_t k) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double best = std::numeric_limits<double>::max();
-    int best_c = 0;
-    for (std::size_t c = 0; c < k; ++c) {
-      const double d = dist2(&points[i * dims], &centroids[c * dims], dims);
-      if (d < best) {
-        best = d;
-        best_c = static_cast<int>(c);
+/// One full kmeans pass (assignment + update) used by the reference.  Each
+/// point's assignment depends on that point alone, so the pass runs on the
+/// pool in fixed blocks; the update stays serial in point order, the
+/// summation order the divided run uses.
+void reference_step(cudalite::ThreadPool& pool, const std::vector<double>& points,
+                    std::vector<double>& centroids, std::vector<int>& assignments,
+                    std::size_t n, std::size_t dims, std::size_t k) {
+  constexpr std::size_t kBlock = Kmeans::kVerifyBlock;
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  pool.parallel_for(blocks, [&](std::size_t b) {
+    const std::size_t end = std::min(n, (b + 1) * kBlock);
+    for (std::size_t i = b * kBlock; i < end; ++i) {
+      double best = std::numeric_limits<double>::max();
+      int best_c = 0;
+      for (std::size_t c = 0; c < k; ++c) {
+        const double d = dist2(&points[i * dims], &centroids[c * dims], dims);
+        if (d < best) {
+          best = d;
+          best_c = static_cast<int>(c);
+        }
       }
+      assignments[i] = best_c;
     }
-    assignments[i] = best_c;
-  }
+  });
   std::vector<double> sums(k * dims, 0.0);
   std::vector<std::size_t> counts(k, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -148,15 +157,16 @@ void Kmeans::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Kmeans::verify() const {
+bool Kmeans::verify(cudalite::ThreadPool& pool) const {
   if (!ran_) return false;
-  // Scalar reference: rerun the full algorithm serially from the stored
-  // initial state; the divided execution must match bit-for-bit up to
-  // summation order (same order here), so compare with a tight tolerance.
+  // Reference: rerun the full algorithm from the stored initial state (the
+  // assignment pass on the pool); the divided execution must match
+  // bit-for-bit up to summation order (same order here), so compare with a
+  // tight tolerance.
   std::vector<double> ref_centroids = initial_centroids_;
   std::vector<int> ref_assignments(config_.points, 0);
   for (std::size_t it = 0; it < config_.iterations; ++it) {
-    reference_step(host_points_, ref_centroids, ref_assignments, config_.points,
+    reference_step(pool, host_points_, ref_centroids, ref_assignments, config_.points,
                    config_.dims, config_.clusters);
   }
   if (result_centroids_.size() != ref_centroids.size()) return false;

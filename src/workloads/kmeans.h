@@ -46,10 +46,20 @@ class Kmeans final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify() const override;
+  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+
+  /// Points per block of the reference's assignment pass, whatever the
+  /// pool's size.  Not a power of two: the launch cuts [0, N) into
+  /// worker-count chunks, and a power-of-two block would group into those
+  /// same point ranges at the default N, so a pool that lost or repeated a
+  /// chunk would corrupt the kernel and the reference alike.
+  static constexpr std::size_t kVerifyBlock = 1000;
 
   /// Current centroids; empty until a full-compute setup built the inputs.
   [[nodiscard]] const std::vector<double>& centroids() const { return centroids_; }
+  /// The points (N x D row-major; the first K are the initial centroids);
+  /// empty until a full-compute setup built the inputs.
+  [[nodiscard]] const std::vector<double>& points() const { return host_points_; }
   [[nodiscard]] const KmeansConfig& config() const { return config_; }
 
  protected:

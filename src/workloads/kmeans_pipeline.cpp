@@ -269,7 +269,7 @@ void KmeansPipeline::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool KmeansPipeline::verify() const {
+bool KmeansPipeline::verify(cudalite::ThreadPool& /*pool*/) const {
   if (!ran_) return false;
   // Scalar reference mirroring the chunked execution exactly: per-chunk
   // partial sums merged in chunk order (floating-point summation grouping

@@ -1,5 +1,6 @@
 #include "src/workloads/nbody.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -148,16 +149,21 @@ void Nbody::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Nbody::verify() const {
+bool Nbody::verify(cudalite::ThreadPool& pool) const {
   if (!ran_) return false;
-  // Serial reference: every iteration recomputed from the initial state by
-  // the same per-body kernel over [0, N).
+  // Reference: every iteration recomputed from the initial state by the same
+  // per-body kernel over [0, N), in fixed blocks of kVerifyBlock bodies on
+  // the pool (split-invariant, so the bits do not depend on the blocks).
   const std::size_t n = config_.bodies;
+  const std::size_t blocks = (n + kVerifyBlock - 1) / kVerifyBlock;
   std::vector<double> pi = initial_pos_, po = initial_pos_;
   std::vector<double> vi = initial_vel_, vo = initial_vel_;
   for (std::size_t it = 0; it < config_.iterations; ++it) {
-    advance_bodies({pi.data(), vi.data(), mass_.data(), po.data(), vo.data(), n, config_.dt},
-                   0, n);
+    const NbodyStep step{pi.data(), vi.data(), mass_.data(), po.data(),
+                         vo.data(), n,         config_.dt};
+    pool.parallel_for(blocks, [&step, n](std::size_t b) {
+      advance_bodies(step, b * kVerifyBlock, std::min(n, (b + 1) * kVerifyBlock));
+    });
     std::swap(pi, po);
     std::swap(vi, vo);
   }

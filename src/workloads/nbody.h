@@ -9,9 +9,10 @@
 // moderate memory utilization — throttling memory is nearly free, throttling
 // cores is not (Fig. 1).
 //
-// Every advance of the bodies, the parallel chunks and `verify()`'s serial
+// Every advance of the bodies, the parallel chunks and `verify()`'s
 // reference alike, goes through `advance_bodies`: the reference runs the
-// same per-body kernel serially over [0, N) from the initial state.
+// same per-body kernel over [0, N) from the initial state, in fixed blocks of
+// 100 bodies on the pool it is handed (the launch splits by worker count).
 #pragma once
 
 #include <cstdint>
@@ -64,7 +65,13 @@ class Nbody final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify() const override;
+  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+
+  /// Bodies per block of verify()'s reference, whatever the pool's size.
+  /// The launch cuts [0, N) into worker-count chunks instead, and no chunk
+  /// of the reference covers the same bodies as a launch chunk, so a pool
+  /// that lost or repeated a chunk would not corrupt both alike.
+  static constexpr std::size_t kVerifyBlock = 100;
 
  protected:
   [[nodiscard]] std::size_t real_items() const override { return config_.bodies; }

@@ -190,7 +190,7 @@ void SradStream::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool SradStream::verify() const {
+bool SradStream::verify(cudalite::ThreadPool& /*pool*/) const {
   if (!ran_) return false;
   // Serial reference over the whole stream, identical math and identical
   // summation order (per-frame element order, frames folded in order).

@@ -9,9 +9,14 @@
 //
 // Workloads REALLY compute: the per-iteration chunk functions run actual
 // kernels on the cudalite pool, and `verify` checks the final output against
-// a serial reference recomputed from the initial inputs (nbody and QG run
-// the very per-item kernel their chunks use, serially over every item).  In
-// parallel, each workload carries an
+// a reference recomputed from the initial inputs, every iteration of it
+// (nbody and QG run the very per-item kernel their chunks use over every
+// item).  nbody and kmeans recompute on the pool `verify` is handed — the
+// run's own, so a 1-worker pool is the serial case — in fixed blocks whose
+// size does not depend on the worker count and differs from the launch
+// partition, so a pool that lost or repeated a launch chunk cannot corrupt
+// the kernel and the reference alike; the other, cheap references ignore
+// the pool.  In parallel, each workload carries an
 // `IntensityProfile` per iteration that drives the simulated timing/energy
 // (calibrated to the Table II utilization classes with the paper's enlarged
 // problem sizes).
@@ -88,9 +93,10 @@ class Workload {
   /// Copy results back (charges simulated D2H time).
   virtual void teardown(cudalite::Runtime& rt) = 0;
 
-  /// Check final results against the scalar reference; call after a full
-  /// run + teardown.  False after a model-only run.
-  [[nodiscard]] virtual bool verify() const = 0;
+  /// Check final results against the reference recomputed on `pool` (the
+  /// run's pool, fixed blocks; the tolerance does not depend on the pool);
+  /// call after a full run + teardown.  False after a model-only run.
+  [[nodiscard]] virtual bool verify(cudalite::ThreadPool& pool) const = 0;
 };
 
 /// Base class implementing the generic split-launch plumbing.  Subclasses

@@ -69,20 +69,36 @@ TEST(NbodyFastPath, WholeRangeMatchesScalarOracleBitForBit) {
 
 TEST(NbodyFastPath, AnySplitMatchesScalarOracleBitForBit) {
   // Pool chunks start and end anywhere: odd and even chunk lengths, odd
-  // starts, empty chunks and single bodies all must give the oracle's bits.
-  const std::vector<std::vector<std::size_t>> splits = {
+  // starts, empty chunks and single bodies all must give the oracle's bits;
+  // so must verify()'s fixed blocks of Nbody::kVerifyBlock bodies.  Three
+  // timesteps: each later one starts from the previous output.
+  std::vector<std::vector<std::size_t>> splits = {
       {0, 1, 64},         {0, 31, 64},     {0, 32, 33, 64}, {0, 7, 7, 20, 63, 64},
       {0, 3, 6, 9, 64},   {0, 64},         {0, 511, 1023},  {0, 1, 2, 500, 1001, 1023},
       {0, 340, 682, 1023}};
+  for (const std::size_t n : {257, 1024}) {
+    std::vector<std::size_t> blocks;
+    for (std::size_t b = 0; b < n; b += Nbody::kVerifyBlock) blocks.push_back(b);
+    blocks.push_back(n);
+    splits.push_back(blocks);
+  }
   for (const auto& cuts : splits) {
     const std::size_t n = cuts.back();
     Bodies fast(n, 7), slow(n, 7);
-    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
-      advance_bodies(fast.step(), cuts[k], cuts[k + 1]);
+    for (int step = 0; step < 3; ++step) {
+      for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+        advance_bodies(fast.step(), cuts[k], cuts[k + 1]);
+      }
+      oracle::nbody_step(slow.step(), 0, n);
+      EXPECT_TRUE(same_bits(fast.pos_out, slow.pos_out))
+          << "n=" << n << " cuts " << cuts.size() << " step " << step;
+      EXPECT_TRUE(same_bits(fast.vel_out, slow.vel_out))
+          << "n=" << n << " cuts " << cuts.size() << " step " << step;
+      std::swap(fast.pos, fast.pos_out);
+      std::swap(fast.vel, fast.vel_out);
+      std::swap(slow.pos, slow.pos_out);
+      std::swap(slow.vel, slow.vel_out);
     }
-    oracle::nbody_step(slow.step(), 0, n);
-    EXPECT_TRUE(same_bits(fast.pos_out, slow.pos_out)) << "n=" << n << " cuts " << cuts.size();
-    EXPECT_TRUE(same_bits(fast.vel_out, slow.vel_out)) << "n=" << n << " cuts " << cuts.size();
   }
 }
 

@@ -109,10 +109,11 @@ RunOptions quick(bool model_only) {
 }
 
 TEST(WorkloadInputs, ModelOnlyThenFullRunVerifies) {
+  cudalite::ThreadPool pool(1);
   for (std::string_view name : accepted_workload_names()) {
     auto w = make_workload(name);
     const auto model = greengpu::run_experiment(*w, Policy::green_gpu(), quick(true));
-    EXPECT_FALSE(w->verify()) << name << ": no real output after a model-only run";
+    EXPECT_FALSE(w->verify(pool)) << name << ": no real output after a model-only run";
     const auto full = greengpu::run_experiment(*w, Policy::green_gpu(), quick(false));
     EXPECT_TRUE(full.verified) << name;
     EXPECT_EQ(model.exec_time.get(), full.exec_time.get()) << name;
@@ -133,7 +134,8 @@ TEST(WorkloadInputs, FullRunTwiceVerifiesBothTimes) {
 TEST(WorkloadInputs, TraceWorkloadRunsModelOnlyThenFullTwice) {
   TraceWorkload w({{0.9, 0.3, 20.0}, {0.2, 0.8, 15.0}});
   (void)greengpu::run_experiment(w, Policy::green_gpu(), quick(true));
-  EXPECT_FALSE(w.verify());
+  cudalite::ThreadPool pool(1);
+  EXPECT_FALSE(w.verify(pool));
   EXPECT_TRUE(greengpu::run_experiment(w, Policy::green_gpu(), quick(false)).verified);
   EXPECT_TRUE(greengpu::run_experiment(w, Policy::green_gpu(), quick(false)).verified);
 }

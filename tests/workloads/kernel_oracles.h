@@ -1,15 +1,19 @@
-// Test-only oracles for the nbody and QG fast paths, plus the Sobol helpers
-// only tests use.
+// Test-only oracles for the nbody and QG fast paths and for the kmeans
+// reference, plus the Sobol helpers only tests use.
 //
-// The oracles are the straight-line formulas the fast paths replaced: the
-// one-body-at-a-time nbody loop and the natural-order Sobol bit loop over
+// The kernel oracles are the straight-line formulas the fast paths replaced:
+// the one-body-at-a-time nbody loop and the natural-order Sobol bit loop over
 // freshly built direction integers.  The fast paths must match them bit for
-// bit (fast_kernels_test.cpp).
+// bit (fast_kernels_test.cpp).  The kmeans oracle is the serial loop its
+// `verify()` ran before it took the run's pool: every iteration over every
+// point on one thread, in point order (verify_reference_test.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/workloads/nbody.h"
@@ -40,6 +44,50 @@ inline void nbody_step(const NbodyStep& s, std::size_t begin, std::size_t end) {
     s.pos_out[3 * i + 1] = yi + s.vel_out[3 * i + 1] * s.dt;
     s.pos_out[3 * i + 2] = zi + s.vel_out[3 * i + 2] * s.dt;
   }
+}
+
+/// The kmeans reference as one serial loop: `iterations` passes, each
+/// assigning every point to its nearest centroid (lowest index on ties) and
+/// then recomputing every non-empty cluster's mean in point order, starting
+/// from the first `k` points.  `points` is N x `dims` row-major.
+inline std::vector<double> kmeans_run(const std::vector<double>& points, std::size_t dims,
+                                      std::size_t k, std::size_t iterations) {
+  const std::size_t n = points.size() / dims;
+  std::vector<double> centroids(points.begin(),
+                                points.begin() + static_cast<std::ptrdiff_t>(k * dims));
+  std::vector<std::size_t> assignments(n, 0);
+  for (std::size_t it = 0; it < iterations; ++it) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = std::numeric_limits<double>::max();
+      std::size_t best_c = 0;
+      for (std::size_t c = 0; c < k; ++c) {
+        double d2 = 0.0;
+        for (std::size_t d = 0; d < dims; ++d) {
+          const double diff = points[i * dims + d] - centroids[c * dims + d];
+          d2 += diff * diff;
+        }
+        if (d2 < best) {
+          best = d2;
+          best_c = c;
+        }
+      }
+      assignments[i] = best_c;
+    }
+    std::vector<double> sums(k * dims, 0.0);
+    std::vector<std::size_t> counts(k, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t c = assignments[i];
+      ++counts[c];
+      for (std::size_t d = 0; d < dims; ++d) sums[c * dims + d] += points[i * dims + d];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) continue;  // an empty cluster keeps its centroid
+      for (std::size_t d = 0; d < dims; ++d) {
+        centroids[c * dims + d] = sums[c * dims + d] / static_cast<double>(counts[c]);
+      }
+    }
+  }
+  return centroids;
 }
 
 /// Sobol points in natural order: XOR the direction integer of every set bit

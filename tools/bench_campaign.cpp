@@ -11,8 +11,10 @@
 //     speedups across host classes,
 //   * times the batch campaign engine against the scalar engine on a
 //     fault-replicate sweep (the batch engine's target shape: many cells
-//     per workload sharing a warm-up prefix) and asserts the two engines'
-//     reports are byte-identical at every --jobs value,
+//     per workload sharing a warm-up prefix), asserts the two engines'
+//     reports are byte-identical at every --jobs value, and records each
+//     workload row's wall time in one more batch pass at the widest --jobs
+//     value (first customize hook to last on_done hook) and the longest row,
 //   * times the sim::EventQueue hot paths (schedule/fire, cancelled-entry
 //     ride-along, DVFS-style cancel churn) in ns per event,
 //   * times one Algorithm 1 scaler step through the fused fast path and the
@@ -23,6 +25,9 @@
 //     per sample through Sobol::fill and through per-index Sobol::sample,
 //     and asserts the fast paths' bits do not depend on how the work is cut
 //     (nbody chunk splits, fill vs sample),
+//   * times nbody's and kmeans' verify() references on a 1-worker pool and
+//     on a host_cpus-worker pool, and asserts that both pool sizes verify a
+//     full run and reject a run whose last merge step was skipped,
 //   * times the CPU governor's sampling tick: a model-only frequency-scaling
 //     kmeans cell minus its governor-less twin, per governor decision, and
 //     asserts that the attached ondemand governor (back-to-back samples run
@@ -44,6 +49,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -54,6 +60,8 @@
 #include "src/common/rng.h"
 #include "src/cudalite/nvml.h"
 #include "src/cudalite/nvsettings.h"
+#include "src/cudalite/thread_pool.h"
+#include "src/greengpu/batch_engine.h"
 #include "src/greengpu/campaign.h"
 #include "src/greengpu/cpu_governor.h"
 #include "src/greengpu/recovery.h"
@@ -65,6 +73,7 @@
 #include "src/workloads/nbody.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/sobol.h"
+#include "tests/workloads/hand_driven_run.h"
 
 namespace {
 
@@ -105,6 +114,43 @@ CampaignRun run_campaign_checkpointed_timed(const greengpu::CampaignConfig& cfg,
   const auto start = Clock::now();
   const greengpu::CampaignResult result = greengpu::run_campaign_checkpointed(cfg, ckpt);
   return to_run(result, seconds_since(start));
+}
+
+struct RowWall {
+  std::string workload;
+  double ms{0.0};
+};
+
+/// Each workload row's wall time in one batch-engine pass over `cfg`'s plan,
+/// from the row's first `customize` hook to its last `on_done` hook.  A
+/// timing pass only: the reports come from run_campaign's passes.
+std::vector<RowWall> time_rows(const greengpu::CampaignConfig& cfg) {
+  const greengpu::CampaignPlan plan = greengpu::plan_campaign(cfg);
+  const std::size_t pc = plan.policies.size();
+  std::vector<Clock::time_point> first(plan.workloads.size()), last(plan.workloads.size());
+  std::vector<char> started(plan.workloads.size(), 0);
+  std::mutex mu;
+  greengpu::BatchCampaignEngine::Hooks hooks;
+  hooks.customize = [&](std::size_t i, greengpu::RunOptions&) {
+    const Clock::time_point now = Clock::now();
+    std::lock_guard<std::mutex> lock(mu);
+    if (!started[i / pc]) first[i / pc] = now;
+    started[i / pc] = 1;
+  };
+  hooks.on_done = [&](std::size_t i, const greengpu::ExperimentResult&) {
+    const Clock::time_point now = Clock::now();
+    std::lock_guard<std::mutex> lock(mu);
+    last[i / pc] = now;
+  };
+  greengpu::BatchCampaignEngine engine(plan, cfg.options, cfg.jobs, cfg.engine);
+  std::vector<greengpu::CampaignCell> cells(plan.total());
+  engine.run(cells, hooks);
+  std::vector<RowWall> rows;
+  for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
+    rows.push_back({plan.workloads[w],
+                    std::chrono::duration<double, std::milli>(last[w] - first[w]).count()});
+  }
+  return rows;
 }
 
 /// Fault channels that perturb every cell but never abort an un-hardened
@@ -312,6 +358,42 @@ KernelTimings time_kernels() {
   t.fill_speedup = fill_s > 0.0 ? sample_s / fill_s : 0.0;
   t.identical = nbody_identical &&
                 std::memcmp(filled.data(), sampled.data(), filled.size() * sizeof(double)) == 0;
+  return t;
+}
+
+struct VerifyTiming {
+  std::string workload;
+  double one_worker_ms{0.0};
+  double pooled_ms{0.0};
+  double speedup{0.0};
+};
+
+/// Median of seven interleaved verify() calls per pool size after one full
+/// run of `name`; `identical` stays true only if every call verified and a
+/// perturbed run fails on both pools.
+VerifyTiming time_verify(const std::string& name, std::size_t workers, bool& identical) {
+  constexpr int kReps = 7;
+  VerifyTiming t;
+  t.workload = name;
+  cudalite::ThreadPool one(1), many(workers);
+  const workloads::WorkloadPtr wl = workloads::make_workload(name);
+  workloads::run_by_hand(*wl, workers, wl->iterations());
+  std::vector<double> one_ms, many_ms;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto start = Clock::now();
+    identical = wl->verify(one) && identical;
+    one_ms.push_back(seconds_since(start) * 1e3);
+    start = Clock::now();
+    identical = wl->verify(many) && identical;
+    many_ms.push_back(seconds_since(start) * 1e3);
+  }
+  std::sort(one_ms.begin(), one_ms.end());
+  std::sort(many_ms.begin(), many_ms.end());
+  t.one_worker_ms = one_ms[kReps / 2];
+  t.pooled_ms = many_ms[kReps / 2];
+  t.speedup = t.pooled_ms > 0.0 ? t.one_worker_ms / t.pooled_ms : 0.0;
+  workloads::run_by_hand(*wl, workers, wl->iterations() - 1);
+  identical = !wl->verify(one) && !wl->verify(many) && identical;
   return t;
 }
 
@@ -570,6 +652,15 @@ int main(int argc, char** argv) {
               batch_jobs_identical ? "OK" : "FAIL",
               batch_jobs_identical ? "identical" : "DIFFER");
   ok = batch_jobs_identical && ok;
+  // Row wall times at the widest --jobs value: the sweep's shape.
+  greengpu::CampaignConfig rows_cfg = sweep_batch;
+  rows_cfg.jobs = jobs_sweep.back();
+  const std::vector<RowWall> rows = time_rows(rows_cfg);
+  const RowWall longest_row = *std::max_element(
+      rows.begin(), rows.end(), [](const RowWall& a, const RowWall& b) { return a.ms < b.ms; });
+  std::printf("  row wall times at --jobs %zu:", jobs_sweep.back());
+  for (const RowWall& r : rows) std::printf(" %s %.0f ms", r.workload.c_str(), r.ms);
+  std::printf("; longest %s\n", longest_row.workload.c_str());
 
   // Pipeline workloads: the asynchronous multi-stream schedule vs the
   // synchronous baseline, in simulated seconds and joules (both sides run
@@ -709,6 +800,23 @@ int main(int argc, char** argv) {
               k.identical ? "identical" : "DIFFER");
   ok = k.identical && ok;
 
+  std::printf("timing the nbody and kmeans verify() references...\n");
+  bool verify_identical = true;
+  std::vector<VerifyTiming> verify_runs;
+  const std::size_t verify_workers = host_cpus ? host_cpus : 1;
+  double min_verify_speedup = 0.0;
+  for (const char* name : {"nbody", "kmeans"}) {
+    const VerifyTiming v = time_verify(name, verify_workers, verify_identical);
+    std::printf("  %-7s 1 worker %.1f ms, %zu workers %.1f ms (%.2fx)\n", v.workload.c_str(),
+                v.one_worker_ms, verify_workers, v.pooled_ms, v.speedup);
+    min_verify_speedup =
+        verify_runs.empty() ? v.speedup : std::min(min_verify_speedup, v.speedup);
+    verify_runs.push_back(v);
+  }
+  std::printf("[%s] references verify on both pools and reject a perturbed run: %s\n",
+              verify_identical ? "OK" : "FAIL", verify_identical ? "yes" : "NO");
+  ok = verify_identical && ok;
+
   std::printf("timing the CPU governor tick (model-only kmeans cell)...\n");
   const GovernorTimings g = time_governor();
   std::printf("  with ondemand %.2f ms, without %.2f ms, %llu decisions: %.1f ns/tick\n",
@@ -764,6 +872,18 @@ int main(int argc, char** argv) {
   w.kv("speedup_vs_scalar", batch_speedup);
   w.kv("identical_reports", b_scalar.csv == b_batch.csv && b_scalar.json == b_batch.json);
   w.kv("identical_reports_across_jobs", batch_jobs_identical);
+  w.kv("rows_jobs", static_cast<double>(jobs_sweep.back()));
+  w.key("rows");
+  w.begin_array();
+  for (const RowWall& r : rows) {
+    w.begin_object();
+    w.kv("workload", r.workload);
+    w.kv("ms", r.ms);
+    w.end_object();
+  }
+  w.end_array();
+  w.kv("longest_row", longest_row.workload);
+  w.kv("longest_row_ms", longest_row.ms);
   w.end_object();
   w.key("pipeline");
   w.begin_object();
@@ -816,6 +936,17 @@ int main(int argc, char** argv) {
   w.kv("sobol_sample_ns_per_sample", k.sample_ns_per_sample);
   w.kv("sobol_fill_speedup_vs_sample", k.fill_speedup);
   w.kv("identical", k.identical);
+  w.end_object();
+  w.key("verify");
+  w.begin_object();
+  w.kv("workers", static_cast<double>(verify_workers));
+  for (const VerifyTiming& v : verify_runs) {
+    w.kv(v.workload + "_one_worker_ms", v.one_worker_ms);
+    w.kv(v.workload + "_pooled_ms", v.pooled_ms);
+    w.kv(v.workload + "_speedup", v.speedup);
+  }
+  w.kv("min_speedup", min_verify_speedup);
+  w.kv("identical", verify_identical);
   w.end_object();
   w.key("governor");
   w.begin_object();
