@@ -54,12 +54,13 @@ double gpu_saving(const std::string& workload_name, const Split& split) {
     }
     const auto workload = workloads::make_workload(workload_name);
     workload->setup(rt);
-    auto stream = rt.create_stream();
+    std::vector<cudalite::Stream> streams{rt.create_stream()};
     const auto e0 = platform.snapshot();
     for (std::size_t iter = 0; iter < workload->iterations(); ++iter) {
-      bool g = false, c = false;
-      workload->run_iteration(rt, stream, iter, 0.0, [&] { g = true; }, [&] { c = true; });
-      rt.wait_until([&] { return g && c; });
+      std::size_t pending = 2;
+      workload->run_iteration(rt, streams, iter, {0.0, 1.0},
+                              [&](std::size_t) { --pending; });
+      rt.wait_until([&] { return pending == 0; });
       workload->finish_iteration(rt, iter);
     }
     workload->teardown(rt);

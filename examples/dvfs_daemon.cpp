@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/cudalite/api.h"
@@ -45,13 +46,13 @@ int main(int argc, char** argv) {
 
   const auto workload = workloads::make_workload(name);
   workload->setup(rt);
-  auto stream = rt.create_stream();
+  std::vector<cudalite::Stream> streams{rt.create_stream()};
   const auto start_energy = platform.snapshot();
   for (std::size_t iter = 0; iter < workload->iterations(); ++iter) {
-    bool gpu_done = false, cpu_done = false;
-    workload->run_iteration(rt, stream, iter, 0.0, [&] { gpu_done = true; },
-                            [&] { cpu_done = true; });
-    rt.wait_until([&] { return gpu_done && cpu_done; });
+    // Everything on the GPU: the CPU slot signals at once.
+    std::size_t pending = 2;
+    workload->run_iteration(rt, streams, iter, {0.0, 1.0}, [&](std::size_t) { --pending; });
+    rt.wait_until([&] { return pending == 0; });
     workload->finish_iteration(rt, iter);
   }
   workload->teardown(rt);

@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "src/common/flags.h"
-#include "src/greengpu/multi_runner.h"
+#include "src/greengpu/runner.h"
 #include "src/workloads/kmeans.h"
 
 int main(int argc, char** argv) {
@@ -33,21 +33,21 @@ int main(int argc, char** argv) {
               gpus);
 
   workloads::Kmeans workload{};
-  const auto result = greengpu::run_multi_experiment(
-      workload, gpus,
-      greengpu::MultiPolicy::green_gpu(greengpu::MultiDividerKind::kProfiling));
+  greengpu::Policy policy = greengpu::Policy::green_gpu();
+  policy.divider = greengpu::DividerKind::kProfiling;
+  const auto result = greengpu::run_experiment(workload, policy, {}, gpus);
 
-  std::printf("iter  shares (CPU");
-  for (std::size_t g = 0; g < gpus; ++g) std::printf(" | GPU%zu", g);
-  std::printf(")          slot times (s)\n");
+  std::printf("iter  CPU share   CPU time  slowest GPU time (s)\n");
   for (const auto& it : result.iterations) {
     if (it.index > 6 && it.index + 2 < result.iterations.size()) continue;
-    std::printf("%4zu  ", it.index);
-    for (double s : it.shares) std::printf("%5.1f%% ", s * 100.0);
-    std::printf("   ");
-    for (const Seconds t : it.slot_times) std::printf("%7.1f ", t.get());
-    std::printf("\n");
+    std::printf("%4zu  %8.1f%%  %9.1f  %9.1f\n", it.index, it.cpu_ratio * 100.0,
+                it.cpu_time.get(), it.gpu_time.get());
   }
+  std::printf("\nfinal shares (CPU");
+  for (std::size_t g = 0; g < gpus; ++g) std::printf(" | GPU%zu", g);
+  std::printf("):");
+  for (double s : result.final_shares) std::printf(" %.1f%%", s * 100.0);
+  std::printf("\n");
 
   std::printf("\nexec time %.1f s, total energy %.0f J (CPU %.0f J",
               result.exec_time.get(), result.total_energy().get(),

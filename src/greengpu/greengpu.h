@@ -10,8 +10,8 @@
 //   - wma_scaler.h                        — Algorithm 1 as a daemon
 //   - cpu_governor.h                      — ondemand and friends
 //   - division.h / model_dividers.h       — tier 1 and its alternatives
-//   - multi_division.h / multi_runner.h   — CPU + N GPUs
-//   - policy.h / runner.h                 — experiments
+//   - multi_division.h                    — tier 1 across CPU + N GPUs
+//   - policy.h / runner.h                 — experiments on 1 or N GPUs
 //   - campaign.h                          — result matrices and reports
 #pragma once
 
@@ -21,7 +21,6 @@
 #include "src/greengpu/loss.h"
 #include "src/greengpu/model_dividers.h"
 #include "src/greengpu/multi_division.h"
-#include "src/greengpu/multi_runner.h"
 #include "src/greengpu/params.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/runner.h"

@@ -157,14 +157,12 @@ void MultiProfilingDivider::update(const std::vector<Seconds>& slot_times) {
   if (target[0] > params_.max_cpu_share) {
     const double excess = target[0] - params_.max_cpu_share;
     target[0] = params_.max_cpu_share;
-    const double gpu_total = 1.0 - params_.max_cpu_share;
     double gpu_sum = 0.0;
     for (std::size_t i = 1; i < target.size(); ++i) gpu_sum += target[i];
     for (std::size_t i = 1; i < target.size(); ++i) {
       target[i] += gpu_sum > 0.0 ? excess * target[i] / gpu_sum
                                  : excess / static_cast<double>(target.size() - 1);
     }
-    (void)gpu_total;
   }
   double max_move = 0.0;
   for (std::size_t i = 0; i < shares_.size(); ++i) {
@@ -220,14 +218,17 @@ void MultiProfilingDivider::load(common::SnapshotReader& r) {
   settle_streak_ = static_cast<int>(r.u64());
 }
 
-std::unique_ptr<MultiDivider> make_multi_divider(MultiDividerKind kind, std::size_t slots) {
+std::unique_ptr<MultiDivider> make_multi_divider(DividerKind kind, std::size_t slots) {
   switch (kind) {
-    case MultiDividerKind::kStep:
+    case DividerKind::kStep:
       return std::make_unique<MultiStepDivider>(slots);
-    case MultiDividerKind::kProfiling:
+    case DividerKind::kProfiling:
       return std::make_unique<MultiProfilingDivider>(slots);
+    case DividerKind::kEnergyModel:
+      break;
   }
-  throw std::invalid_argument("unknown multi-divider kind");
+  throw std::invalid_argument("the " + std::string(to_string(kind)) +
+                              " divider has no multi-GPU form");
 }
 
 }  // namespace gg::greengpu

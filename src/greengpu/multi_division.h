@@ -24,6 +24,7 @@
 #include "src/common/stats.h"
 #include "src/common/thread_checker.h"
 #include "src/common/units.h"
+#include "src/greengpu/model_dividers.h"
 #include "src/greengpu/params.h"
 
 namespace gg::common {
@@ -121,9 +122,10 @@ class MultiProfilingDivider final : public MultiDivider {
   common::ThreadChecker owner_;
 };
 
-enum class MultiDividerKind { kStep, kProfiling };
-
-[[nodiscard]] std::unique_ptr<MultiDivider> make_multi_divider(MultiDividerKind kind,
+/// The N-slot counterpart of `kind` with default parameters: kStep gives a
+/// MultiStepDivider, kProfiling a MultiProfilingDivider; kEnergyModel has
+/// no N-slot form and throws std::invalid_argument.
+[[nodiscard]] std::unique_ptr<MultiDivider> make_multi_divider(DividerKind kind,
                                                                std::size_t slots);
 
 /// Equal-finish shares for the given per-slot rates (used by tests and the

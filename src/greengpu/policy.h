@@ -27,14 +27,15 @@ struct Policy {
   std::string name;
   /// Enable the tier-1 dynamic division controller.
   bool division{false};
-  /// Division algorithm used when `division` is true (kStep is the paper's).
+  /// Division algorithm used when `division` is true (kStep is the paper's);
+  /// on N >= 2 GPUs, its N-slot form (multi_division.h).
   DividerKind divider{DividerKind::kStep};
   /// Enable the tier-2 WMA GPU frequency scaler.
   bool gpu_scaling{false};
   /// CPU frequency governor (kNone leaves the CPU at peak; the paper's
   /// GreenGPU uses ondemand, and Section IV invites swapping in others).
   CpuGovernorKind cpu_governor{CpuGovernorKind::kNone};
-  /// CPU share when `division` is false.
+  /// CPU share when `division` is false (GPU 0 runs the rest).
   double fixed_ratio{0.0};
   /// Fixed GPU (core, mem) levels when `gpu_scaling` is false; when unset,
   /// peak levels are enforced.

@@ -89,7 +89,9 @@ std::uint64_t CampaignJournal::fingerprint(const CampaignPlan& plan,
   w.u64(static_cast<std::uint64_t>(options.max_iterations));
   w.b(options.verify);
   w.b(options.sync_spin);
-  w.f64(options.emulation_guard_per_launch.get());
+  // The Fig. 6c guard window, once a RunOptions field and now fixed at 0.5 s:
+  // still written so existing journals resume and the layout is unchanged.
+  w.f64(0.5);
   // The fault-warm-up boundary changes where the injector joins and so the
   // fault schedule; the execution *engine* is deliberately excluded — both
   // engines produce byte-identical results, so a campaign journaled under

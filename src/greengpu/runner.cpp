@@ -53,8 +53,13 @@ Seconds tick_time(Seconds interval, std::uint64_t k) {
   return t;
 }
 
-}  // namespace
+/// Guard window excluded from the Fig. 6c emulation around every kernel
+/// launch (the paper's "cannot throttle while communicating" assumption).
+constexpr Seconds kEmulationGuardPerLaunch{0.5};
 
+/// True when an event logged at index `first` or later distorts the
+/// iteration's measurements: a reroute, forced completion, exhausted
+/// retries, watchdog trip or throttle onset.  Allocation-free.
 bool fault_events_degrade(const std::vector<sim::FaultEvent>& events, std::size_t first) {
   for (std::size_t i = first; i < events.size(); ++i) {
     switch (events[i].outcome) {
@@ -71,6 +76,7 @@ bool fault_events_degrade(const std::vector<sim::FaultEvent>& events, std::size_
   return false;
 }
 
+/// The tail of a run's fault-event log that `record` retains.
 std::vector<sim::FaultEvent> retained_fault_events(
     const std::vector<sim::FaultEvent>& events, const RecordOptions& record) {
   switch (record.mode) {
@@ -86,10 +92,14 @@ std::vector<sim::FaultEvent> retained_fault_events(
   return {};
 }
 
+}  // namespace
+
 ExperimentEngine::ExperimentEngine(workloads::Workload& workload, const Policy& policy,
-                                   const RunOptions& options)
-    : workload_(&workload), policy_(&policy), options_(options),
-      iteration_log_(options.record) {}
+                                   const RunOptions& options, std::size_t gpu_count)
+    : workload_(&workload), policy_(&policy), options_(options), gpu_count_(gpu_count),
+      iteration_log_(options.record) {
+  if (gpu_count == 0) throw std::invalid_argument("ExperimentEngine: gpu_count == 0");
+}
 
 ExperimentEngine::~ExperimentEngine() = default;
 
@@ -97,12 +107,19 @@ void ExperimentEngine::install_faults() {
   injector_ = &platform_->install_faults(options_.faults);
 }
 
+void ExperimentEngine::require_one_gpu(const char* what) const {
+  if (gpu_count_ != 1) {
+    throw common::SnapshotError(std::string("ExperimentEngine::") + what +
+                                ": multi-GPU runs have no snapshot format");
+  }
+}
+
 void ExperimentEngine::start() {
   if (started_) throw std::logic_error("ExperimentEngine: start() called twice");
   started_ = true;
 
-  platform_ = std::make_unique<sim::Platform>();  // testbed default: GPU at
-                                                  // lowest clocks, CPU at peak
+  // Testbed default: GPUs at lowest clocks, CPU at peak.
+  platform_ = std::make_unique<sim::Platform>(gpu_count_);
   rt_ = std::make_unique<cudalite::Runtime>(*platform_, options_.pool_workers,
                                             options_.sync_spin);
   if (options_.model_only) rt_->set_compute_mode(cudalite::ComputeMode::kModelOnly);
@@ -120,23 +137,26 @@ void ExperimentEngine::start() {
         cudalite::FaultTolerance{hard.max_launch_retries, hard.reroute_failed_side});
   }
 
-  // --- Frequency setup / tier 2 controllers --------------------------------
-  nvml_ = std::make_unique<cudalite::NvmlDevice>(*platform_);
-  settings_ = std::make_unique<cudalite::NvSettings>(*platform_);
-
-  if (policy_->gpu_scaling) {
-    // The paper's Fig. 5 runs start from the driver-default lowest clocks;
-    // the platform already starts there.
-    WmaParams wma = policy_->params.wma;
-    if (hard.enabled) wma.harden = true;
-    scaler_ = std::make_unique<GpuFrequencyScaler>(*nvml_, *settings_, wma);
-    scaler_->set_record(options_.record);
-    scaler_->attach(platform_->queue());
-  } else if (policy_->fixed_gpu_levels) {
-    settings_->set_clock_levels(policy_->fixed_gpu_levels->first,
-                                policy_->fixed_gpu_levels->second);
-  } else {
-    settings_->set_clock_levels(0, 0);  // best-performance: both domains at peak
+  // --- Frequency setup / tier 2 controllers, card by card ------------------
+  WmaParams wma = policy_->params.wma;
+  if (hard.enabled) wma.harden = true;
+  cards_.resize(gpu_count_);
+  for (std::size_t g = 0; g < gpu_count_; ++g) {
+    Card& card = cards_[g];
+    card.nvml = std::make_unique<cudalite::NvmlDevice>(*platform_, g);
+    card.settings = std::make_unique<cudalite::NvSettings>(*platform_, g);
+    if (policy_->gpu_scaling) {
+      // The paper's Fig. 5 runs start from the driver-default lowest clocks;
+      // the platform already starts there.
+      card.scaler = std::make_unique<GpuFrequencyScaler>(*card.nvml, *card.settings, wma);
+      card.scaler->set_record(options_.record);
+      card.scaler->attach(platform_->queue());
+    } else if (policy_->fixed_gpu_levels) {
+      card.settings->set_clock_levels(policy_->fixed_gpu_levels->first,
+                                      policy_->fixed_gpu_levels->second);
+    } else {
+      card.settings->set_clock_levels(0, 0);  // best-performance: both domains at peak
+    }
   }
   governor_ = make_cpu_governor(policy_->cpu_governor, *platform_,
                                 policy_->params.ondemand);
@@ -146,13 +166,23 @@ void ExperimentEngine::start() {
   }
 
   // --- Tier 1 --------------------------------------------------------------
-  ratio_ = policy_->fixed_ratio;
+  // Without division the CPU runs the fixed share and GPU 0 the rest.
+  const std::size_t slots = gpu_count_ + 1;
+  shares_.assign(slots, 0.0);
+  shares_[0] = workload_->divisible() ? policy_->fixed_ratio : 0.0;
   if (policy_->division && workload_->divisible()) {
-    divider_ = make_divider(policy_->divider, policy_->params.division);
-    divider_->set_record(options_.record);
-    ratio_ = divider_->ratio();
+    if (gpu_count_ == 1) {
+      divider_ = make_divider(policy_->divider, policy_->params.division);
+      divider_->set_record(options_.record);
+      shares_[0] = divider_->ratio();
+    } else {
+      multi_divider_ = make_multi_divider(policy_->divider, slots);
+      shares_ = multi_divider_->shares();
+    }
   }
-  if (!workload_->divisible()) ratio_ = 0.0;
+  if (!multi_divider_) shares_[1] = 1.0 - shares_[0];
+  slot_times_.assign(slots, Seconds{0.0});
+  slot_done_.assign(slots, false);
 
   if (options_.record_trace) {
     tracer_ = std::make_unique<sim::TraceRecorder>(*platform_, options_.trace_period);
@@ -161,16 +191,22 @@ void ExperimentEngine::start() {
   result_ = ExperimentResult{};
   result_.workload = std::string(workload_->name());
   result_.policy = policy_->name;
-  result_.gpu_idle_power =
-      platform_->gpu().idle_power(platform_->gpu().core_table().lowest_level(),
-                                  platform_->gpu().mem_table().lowest_level());
+  for (std::size_t g = 0; g < gpu_count_; ++g) {
+    const sim::GpuDevice& gpu = platform_->gpu(g);
+    result_.gpu_idle_power +=
+        gpu.idle_power(gpu.core_table().lowest_level(), gpu.mem_table().lowest_level());
+  }
   // In the emulated scenario the spin loops keep running, but at the lowest
   // P-state.
   result_.cpu_spin_power_lowest =
       platform_->cpu().power_at(platform_->cpu().table().lowest_level(), 1.0);
 
   workload_->setup(*rt_);
-  stream_ = rt_->create_stream();
+  for (std::size_t g = 0; g < gpu_count_; ++g) {
+    rt_->set_device(g);
+    streams_.push_back(rt_->create_stream());
+  }
+  rt_->set_device(0);
 
   n_iters_ = options_.max_iterations
                  ? std::min(options_.max_iterations, workload_->iterations())
@@ -186,11 +222,13 @@ void ExperimentEngine::start() {
 
 void ExperimentEngine::save_checkpoint(common::SnapshotWriter& w) const {
   if (!started_) throw std::logic_error("ExperimentEngine: save_checkpoint() before start()");
+  require_one_gpu("save_checkpoint");
+  const GpuFrequencyScaler* scaler = cards_[0].scaler.get();
   w.u64(iter_);
   w.f64(platform_->now().get());
-  w.b(scaler_ != nullptr);
+  w.b(scaler != nullptr);
   w.b(divider_ != nullptr);
-  if (scaler_) scaler_->save(w);
+  if (scaler) scaler->save(w);
   if (divider_) divider_->save(w);
 }
 
@@ -213,36 +251,39 @@ void ExperimentEngine::step_iteration() {
   const std::size_t iter = iter_;
 
   const sim::EnergySnapshot e0 = platform.snapshot();
+  // Only GPU 0's copy engine: ProfiledWorkload iterations move no data, and
+  // the pipeline workloads and merge steps run on GPU 0.
   const sim::CopyEngineCounters ce0 = platform.copy_engine().counters();
   const Seconds t0 = platform.now();
   const std::size_t ev0 = injector_ ? injector_->events().size() : 0;
-  const bool throttled_at_start = injector_ != nullptr && injector_->throttled(0);
+  bool throttled_at_start = false;
+  for (std::size_t g = 0; injector_ != nullptr && g < gpu_count_; ++g) {
+    throttled_at_start = throttled_at_start || injector_->throttled(g);
+  }
 
-  bool gpu_done = false;
-  bool cpu_done = false;
-  Seconds gpu_at = t0;
-  Seconds cpu_at = t0;
-  workload_->run_iteration(
-      rt, *stream_, iter, ratio_,
-      [&] {
-        gpu_done = true;
-        gpu_at = platform.now();
-      },
-      [&] {
-        cpu_done = true;
-        cpu_at = platform.now();
-      });
+  // slot_times_ holds each slot's completion instant until the join, then
+  // its time from the iteration start.
+  std::fill(slot_done_.begin(), slot_done_.end(), false);
+  std::fill(slot_times_.begin(), slot_times_.end(), t0);
+  slots_pending_ = slot_done_.size();
+  workload_->run_iteration(rt, streams_, iter, shares_, [this](std::size_t slot) {
+    if (!slot_done_[slot]) {
+      slot_done_[slot] = true;
+      slot_times_[slot] = platform_->now();
+      --slots_pending_;
+    }
+  });
   if (injector_ != nullptr && hard.watchdog_timeout > Seconds{0.0}) {
     // Watchdog: bound the simulated time spent waiting on the join.  A
-    // rejected un-rerouted side never signals, and with a scaler attached
+    // rejected un-rerouted slot never signals, and with a scaler attached
     // the queue never drains, so an un-watched wait would spin forever.
-    while (!(gpu_done && cpu_done)) {
+    while (slots_pending_ != 0) {
       bool fired = false;
       sim::EventHandle wd =
           platform.queue().schedule_in(hard.watchdog_timeout, [&] { fired = true; });
-      rt.wait_until([&] { return (gpu_done && cpu_done) || fired; });
+      rt.wait_until([&] { return slots_pending_ == 0 || fired; });
       wd.cancel();
-      if (gpu_done && cpu_done) break;
+      if (slots_pending_ == 0) break;
       injector_->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kWatchdogTrip);
       ++result_.watchdog_trips;
       if (!hard.enabled || --watchdog_trips_left_ < 0) {
@@ -253,7 +294,7 @@ void ExperimentEngine::step_iteration() {
       }
     }
   } else {
-    rt.wait_until([&] { return gpu_done && cpu_done; });
+    rt.wait_until([this] { return slots_pending_ == 0; });
   }
   workload_->finish_iteration(rt, iter);
 
@@ -261,11 +302,12 @@ void ExperimentEngine::step_iteration() {
   const sim::CopyEngineCounters ce1 = platform.copy_engine().counters();
   const sim::EnergyDelta d = sim::Platform::delta(e0, e1);
 
+  for (Seconds& t : slot_times_) t = t - t0;
   IterationRecord rec;
   rec.index = iter;
-  rec.cpu_ratio = ratio_;
-  rec.cpu_time = cpu_at - t0;
-  rec.gpu_time = gpu_at - t0;
+  rec.cpu_ratio = shares_[0];
+  rec.cpu_time = slot_times_[0];
+  rec.gpu_time = *std::max_element(slot_times_.begin() + 1, slot_times_.end());
   rec.duration = d.elapsed;
   rec.gpu_energy = d.gpu;
   rec.cpu_energy = d.cpu;
@@ -279,22 +321,44 @@ void ExperimentEngine::step_iteration() {
     if (rec.degraded) ++result_.degraded_iterations;
   }
 
-  if (divider_) {
-    IterationFeedback feedback{rec.cpu_time, rec.gpu_time, rec.total_energy()};
-    // Only a hardened policy knows to distrust a faulted iteration; the
-    // un-hardened baseline learns from the distorted times on purpose.
-    feedback.degraded = hard.enabled && rec.degraded;
-    const DivisionDecision decision = divider_->update(feedback);
-    rec.division_action = decision.action;
-    if (decision.action != DivisionAction::kHold) ++result_.division_moves;
-    ratio_ = decision.ratio;
-    if (divider_->converged() &&
-        result_.convergence_iteration == static_cast<std::size_t>(-1)) {
-      result_.convergence_iteration = iter;
-    }
-  }
+  rec.division_action = divide(rec);
   iteration_log_.push(rec);
   ++iter_;
+}
+
+DivisionAction ExperimentEngine::divide(const IterationRecord& rec) {
+  if (!divider_ && !multi_divider_) return DivisionAction::kHold;
+  // Only a hardened policy knows to distrust a faulted iteration; the
+  // un-hardened baseline learns from the distorted times on purpose.
+  const bool degraded = policy_->params.hardening.enabled && rec.degraded;
+  DivisionAction action = DivisionAction::kHoldDegraded;
+  bool converged = false;
+  if (divider_) {
+    IterationFeedback feedback{rec.cpu_time, rec.gpu_time, rec.total_energy()};
+    feedback.degraded = degraded;
+    const DivisionDecision decision = divider_->update(feedback);
+    action = decision.action;
+    shares_[0] = decision.ratio;
+    shares_[1] = 1.0 - decision.ratio;
+    converged = divider_->converged();
+  } else {
+    // N >= 2: the label follows the CPU share (a move between GPUs alone
+    // reads kHold).
+    if (!degraded) {
+      const double cpu_before = shares_[0];
+      multi_divider_->update(slot_times_);
+      shares_ = multi_divider_->shares();
+      action = shares_[0] > cpu_before   ? DivisionAction::kIncreaseCpu
+               : shares_[0] < cpu_before ? DivisionAction::kDecreaseCpu
+                                         : DivisionAction::kHold;
+    }
+    converged = multi_divider_->converged();
+  }
+  if (action != DivisionAction::kHold) ++result_.division_moves;
+  if (converged && result_.convergence_iteration == static_cast<std::size_t>(-1)) {
+    result_.convergence_iteration = rec.index;
+  }
+  return action;
 }
 
 ExperimentResult ExperimentEngine::finish() {
@@ -311,6 +375,12 @@ ExperimentResult ExperimentEngine::finish() {
   result_.exec_time = total.elapsed;
   result_.gpu_energy = total.gpu;
   result_.cpu_energy = total.cpu;
+  std::uint64_t kernels_completed = 0;
+  for (std::size_t g = 0; g < gpu_count_; ++g) {
+    result_.per_gpu_energy.push_back(run_end.per_gpu[g] - run_start_.per_gpu[g]);
+    kernels_completed += platform.gpu(g).kernels_completed();
+    result_.gpu_frequency_transitions += platform.gpu(g).frequency_transitions();
+  }
   // Spin accounting over the measured window only (setup transfers spin too
   // but are excluded from exec_time).
   result_.cpu_spin_energy = platform.cpu().spin_energy() - spin_energy_start_;
@@ -318,8 +388,7 @@ ExperimentResult ExperimentEngine::finish() {
       Seconds{platform.cpu().counters().spin_integral - spin_time_start_};
   // Conservative Fig. 6c accounting: one guard window per kernel launch is
   // treated as unthrottleable communication time.
-  const Seconds guard = options_.emulation_guard_per_launch *
-                        static_cast<double>(platform.gpu().kernels_completed());
+  const Seconds guard = kEmulationGuardPerLaunch * static_cast<double>(kernels_completed);
   result_.cpu_credited_spin_time =
       std::max(Seconds{0.0}, result_.cpu_spin_time - guard);
   result_.cpu_credited_spin_energy =
@@ -327,16 +396,19 @@ ExperimentResult ExperimentEngine::finish() {
           ? result_.cpu_spin_energy *
                 (result_.cpu_credited_spin_time / result_.cpu_spin_time)
           : Joules{0.0};
-  result_.final_ratio = ratio_;
-  result_.gpu_frequency_transitions = platform.gpu().frequency_transitions();
+  result_.final_ratio = shares_[0];
+  result_.final_shares = shares_;
 
   result_.iteration_count = static_cast<std::size_t>(iteration_log_.total());
   result_.iterations = iteration_log_.take();
 
-  if (scaler_) {
-    scaler_->detach();
-    result_.scaler_decision_count = scaler_->decision_count();
-    result_.scaler_decisions = scaler_->decisions_snapshot();
+  for (Card& card : cards_) {
+    if (!card.scaler) continue;
+    card.scaler->detach();
+    result_.scaler_decision_count += card.scaler->decision_count();
+    const std::vector<ScalerDecision> decisions = card.scaler->decisions_snapshot();
+    result_.scaler_decisions.insert(result_.scaler_decisions.end(), decisions.begin(),
+                                    decisions.end());
   }
   if (governor_) {
     governor_->detach();
@@ -366,8 +438,9 @@ ExperimentResult ExperimentEngine::finish() {
 }
 
 ExperimentResult ExperimentEngine::run() {
-  start();
   const std::size_t every = options_.checkpoint_dir.empty() ? 0 : options_.checkpoint_every;
+  if (every != 0) require_one_gpu("run (checkpoint_every)");
+  start();
   while (iter_ < n_iters_) {
     step_iteration();
     if (every != 0 && iter_ % every == 0) {
@@ -383,6 +456,7 @@ void ExperimentEngine::save_prefix(common::SnapshotWriter& w) {
   if (!started_ || finished_) {
     throw std::logic_error("ExperimentEngine: save_prefix() outside a run");
   }
+  require_one_gpu("save_prefix");
   if (injector_ != nullptr) {
     throw common::SnapshotError(
         "ExperimentEngine::save_prefix: fault injector already active "
@@ -392,16 +466,17 @@ void ExperimentEngine::save_prefix(common::SnapshotWriter& w) {
     throw common::SnapshotError(
         "ExperimentEngine::save_prefix: trace recorder not supported");
   }
+  const GpuFrequencyScaler* scaler = cards_[0].scaler.get();
   w.u64(iter_);
   platform_->save(w);
-  nvml_->save(w);
-  w.b(scaler_ != nullptr);
-  if (scaler_) scaler_->save(w);
+  cards_[0].nvml->save(w);
+  w.b(scaler != nullptr);
+  if (scaler) scaler->save(w);
   w.b(governor_ != nullptr);
   if (governor_) governor_->save(w);
   w.b(divider_ != nullptr);
   if (divider_) divider_->save(w);
-  w.f64(ratio_);
+  w.f64(shares_[0]);
   w.f64(run_start_.time.get());
   w.f64(run_start_.gpu.get());
   w.f64(run_start_.cpu.get());
@@ -421,6 +496,7 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
     throw std::logic_error(
         "ExperimentEngine: restore_prefix() requires a freshly started run");
   }
+  require_one_gpu("restore_prefix");
   if (injector_ != nullptr) {
     throw common::SnapshotError(
         "ExperimentEngine::restore_prefix: fault injector already active");
@@ -429,9 +505,10 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
     throw common::SnapshotError(
         "ExperimentEngine::restore_prefix: trace recorder not supported");
   }
+  GpuFrequencyScaler* scaler = cards_[0].scaler.get();
   // Cancel the ticks start() armed so the queue is drained for the clock
   // restore; they are re-armed below at the donor run's exact phase.
-  if (scaler_) scaler_->detach();
+  if (scaler) scaler->detach();
   if (governor_) governor_->detach();
 
   iter_ = static_cast<std::size_t>(r.u64());
@@ -439,11 +516,11 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: iteration beyond run");
   }
   platform_->load(r);
-  nvml_->load(r);
-  if (r.b() != (scaler_ != nullptr)) {
+  cards_[0].nvml->load(r);
+  if (r.b() != (scaler != nullptr)) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: scaler mismatch");
   }
-  if (scaler_) scaler_->load(r);
+  if (scaler) scaler->load(r);
   if (r.b() != (governor_ != nullptr)) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: governor mismatch");
   }
@@ -452,7 +529,8 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: divider mismatch");
   }
   if (divider_) divider_->load(r);
-  ratio_ = r.f64();
+  shares_[0] = r.f64();
+  shares_[1] = 1.0 - shares_[0];
   run_start_.time = Seconds{r.f64()};
   run_start_.gpu = Joules{r.f64()};
   run_start_.cpu = Joules{r.f64()};
@@ -472,18 +550,18 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
   // collide at the same instant; the one whose previous tick (re)scheduled
   // it earlier holds the smaller sequence number, with the scaler winning
   // ties (it attaches first and fires first at collisions).
-  const bool have_scaler = scaler_ != nullptr;
+  const bool have_scaler = scaler != nullptr;
   const bool have_governor = governor_ != nullptr;
   auto arm_scaler = [&] {
-    scaler_->attach_at(platform_->queue(),
-                       tick_time(scaler_->params().interval, scaler_->steps() + 1));
+    scaler->attach_at(platform_->queue(),
+                      tick_time(scaler->params().interval, scaler->steps() + 1));
   };
   auto arm_governor = [&] {
     governor_->attach_at(tick_time(governor_->interval(), governor_->steps() + 1));
   };
   if (have_scaler && have_governor) {
     const Seconds scaler_scheduled =
-        tick_time(scaler_->params().interval, scaler_->steps());
+        tick_time(scaler->params().interval, scaler->steps());
     const Seconds governor_scheduled =
         tick_time(governor_->interval(), governor_->steps());
     if (governor_scheduled < scaler_scheduled) {
@@ -501,15 +579,15 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
 }
 
 ExperimentResult run_experiment(workloads::Workload& workload, const Policy& policy,
-                                const RunOptions& options) {
-  ExperimentEngine engine(workload, policy, options);
+                                const RunOptions& options, std::size_t gpu_count) {
+  ExperimentEngine engine(workload, policy, options, gpu_count);
   return engine.run();
 }
 
 ExperimentResult run_experiment(const std::string& workload_name, const Policy& policy,
-                                const RunOptions& options) {
+                                const RunOptions& options, std::size_t gpu_count) {
   auto wl = workloads::make_workload(workload_name);
-  return run_experiment(*wl, policy, options);
+  return run_experiment(*wl, policy, options, gpu_count);
 }
 
 }  // namespace gg::greengpu

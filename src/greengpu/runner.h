@@ -1,9 +1,11 @@
 // Experiment runner: executes a workload on the simulated testbed under a
-// policy and records everything the paper's figures report.
+// policy and records everything the paper's figures report.  The testbed
+// has one GPU, as the paper's does, or N identical cards: the application
+// structure of Section VI ("one pthread for one GPU") with one stream per
+// card, a share vector (the CPU first) and one WMA daemon per card.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "src/cudalite/api.h"
 #include "src/greengpu/division.h"
 #include "src/greengpu/cpu_governor.h"
+#include "src/greengpu/multi_division.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/wma_scaler.h"
 #include "src/sim/fault.h"
@@ -24,7 +27,8 @@ struct IterationRecord {
   std::size_t index{0};
   /// CPU share this iteration executed with.
   double cpu_ratio{0.0};
-  /// Per-side chunk completion times, measured from iteration start.
+  /// Per-side chunk completion times, measured from iteration start; with
+  /// several GPUs, gpu_time is the slowest GPU slot's.
   Seconds cpu_time{0.0};
   Seconds gpu_time{0.0};
   /// Wall time of the whole iteration (including the merge step).
@@ -52,11 +56,14 @@ struct ExperimentResult {
   std::string workload;
   std::string policy;
   Seconds exec_time{0.0};
-  Joules gpu_energy{0.0};  // meter 2
+  Joules gpu_energy{0.0};  // meter 2, all cards
   Joules cpu_energy{0.0};  // meter 1
   [[nodiscard]] Joules total_energy() const { return gpu_energy + cpu_energy; }
+  /// GPU energy of each card.
+  std::vector<Joules> per_gpu_energy;
 
-  /// GPU card idle power at the driver-default (lowest) clocks; the "idle
+  /// GPU idle power at the driver-default (lowest) clocks, summed over the
+  /// cards; the "idle
   /// energy" term of the paper's dynamic-energy accounting is
   /// gpu_idle_power * exec_time.
   Watts gpu_idle_power{0.0};
@@ -81,8 +88,11 @@ struct ExperimentResult {
            cpu_spin_power_lowest * cpu_credited_spin_time;
   }
 
-  /// Division ratio after the final iteration.
+  /// Division ratio (the CPU share) after the final iteration.
   double final_ratio{0.0};
+  /// Share vector after the final iteration: the CPU first, then one entry
+  /// per GPU.
+  std::vector<double> final_shares;
   /// Iteration index after which the division controller first held its
   /// ratio twice in a row (size_t(-1) if it never converged).
   std::size_t convergence_iteration{static_cast<std::size_t>(-1)};
@@ -97,7 +107,8 @@ struct ExperimentResult {
   std::vector<sim::TraceSample> trace;
   std::vector<ScalerDecision> scaler_decisions;
   std::vector<GovernorDecision> governor_decisions;
-  /// Exact totals, independent of the retention mode.
+  /// Exact totals, independent of the retention mode; per-card counts are
+  /// summed over the cards (scaler_decisions concatenates them card by card).
   std::size_t iteration_count{0};
   std::uint64_t scaler_decision_count{0};
   std::uint64_t governor_decision_count{0};
@@ -142,9 +153,6 @@ struct RunOptions {
   /// Model the synchronous (spinning) CUDA stack; false models the
   /// asynchronous hypothetical of Section VII-A.
   bool sync_spin{true};
-  /// Guard window excluded from the Fig. 6c emulation around every kernel
-  /// launch (the paper's "cannot throttle while communicating" assumption).
-  Seconds emulation_guard_per_launch{0.5};
   /// Fault-injection configuration.  The injector is installed only when at
   /// least one rate/mtbf is non-zero, so the default is a strict no-op:
   /// joules and traces stay bit-identical to the fault-free build.
@@ -177,35 +185,36 @@ class ExperimentAborted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Fault bookkeeping shared by the single- and multi-GPU experiment loops.
-/// True when an event logged at index `first` or later distorts the
-/// iteration's measurements: a reroute, forced completion, exhausted
-/// retries, watchdog trip or throttle onset.  Allocation-free.
-[[nodiscard]] bool fault_events_degrade(const std::vector<sim::FaultEvent>& events,
-                                        std::size_t first);
-/// The tail of a run's fault-event log that `record` retains.
-[[nodiscard]] std::vector<sim::FaultEvent> retained_fault_events(
-    const std::vector<sim::FaultEvent>& events, const RecordOptions& record);
-
-/// Run `workload` under `policy` on a fresh simulated testbed.
+/// Run `workload` under `policy` on a fresh simulated testbed with
+/// `gpu_count` identical GPUs.
 [[nodiscard]] ExperimentResult run_experiment(workloads::Workload& workload,
                                               const Policy& policy,
-                                              const RunOptions& options = {});
+                                              const RunOptions& options = {},
+                                              std::size_t gpu_count = 1);
 
 /// Convenience: construct-by-name, run, return.
 [[nodiscard]] ExperimentResult run_experiment(const std::string& workload_name,
                                               const Policy& policy,
-                                              const RunOptions& options = {});
+                                              const RunOptions& options = {},
+                                              std::size_t gpu_count = 1);
 
 /// Resumable form of run_experiment: the identical run decomposed into
 /// start() / step_iteration() / finish() so callers can observe, snapshot
 /// and fork a run at iteration boundaries.  run_experiment() is a thin
 /// wrapper around run(); the batch campaign engine drives the pieces
 /// directly (model-only cells, warm-up prefix forking).
+///
+/// With one GPU the division tier is `Policy::divider`'s `Divider`.  With
+/// N >= 2 it is the matching `MultiDivider` (kStep or kProfiling, default
+/// parameters; kEnergyModel throws std::invalid_argument), and without
+/// division the CPU runs `fixed_ratio` and GPU 0 the rest.  Multi-GPU runs
+/// have no snapshot format: save_prefix, restore_prefix and save_checkpoint
+/// throw common::SnapshotError.
 class ExperimentEngine {
  public:
+  /// Throws std::invalid_argument when `gpu_count` is 0.
   ExperimentEngine(workloads::Workload& workload, const Policy& policy,
-                   const RunOptions& options = {});
+                   const RunOptions& options = {}, std::size_t gpu_count = 1);
   ~ExperimentEngine();
   ExperimentEngine(const ExperimentEngine&) = delete;
   ExperimentEngine& operator=(const ExperimentEngine&) = delete;
@@ -250,28 +259,45 @@ class ExperimentEngine {
   [[nodiscard]] const cudalite::Runtime& runtime() const { return *rt_; }
 
  private:
+  /// One card's monitoring/actuation handles and its scaling daemon.
+  struct Card {
+    std::unique_ptr<cudalite::NvmlDevice> nvml;
+    std::unique_ptr<cudalite::NvSettings> settings;
+    std::unique_ptr<GpuFrequencyScaler> scaler;  // null without gpu_scaling
+  };
+
   void install_faults();
+  /// Throws common::SnapshotError naming `what` on a multi-GPU engine.
+  void require_one_gpu(const char* what) const;
+  /// Feed the iteration's slot times to the division tier; returns the
+  /// decision label recorded with the iteration.
+  DivisionAction divide(const IterationRecord& rec);
 
   workloads::Workload* workload_;
   const Policy* policy_;
   RunOptions options_;
+  std::size_t gpu_count_;
 
   std::unique_ptr<sim::Platform> platform_;
   std::unique_ptr<cudalite::Runtime> rt_;
   sim::FaultInjector* injector_{nullptr};
-  std::unique_ptr<cudalite::NvmlDevice> nvml_;
-  std::unique_ptr<cudalite::NvSettings> settings_;
-  std::unique_ptr<GpuFrequencyScaler> scaler_;
+  std::vector<Card> cards_;
   std::unique_ptr<CpuGovernor> governor_;
-  std::unique_ptr<Divider> divider_;
+  std::unique_ptr<Divider> divider_;             // one GPU
+  std::unique_ptr<MultiDivider> multi_divider_;  // N >= 2 GPUs
   std::unique_ptr<sim::TraceRecorder> tracer_;
-  std::optional<cudalite::Stream> stream_;
+  std::vector<cudalite::Stream> streams_;  // one per card
 
   ExperimentResult result_;
   DecisionRecorder<IterationRecord> iteration_log_;
   std::size_t iter_{0};
   std::size_t n_iters_{0};
-  double ratio_{0.0};
+  /// Work shares of the next iteration: the CPU, then one per card.
+  workloads::ShareVector shares_;
+  /// Per-slot completion state of the iteration in flight.
+  std::vector<Seconds> slot_times_;
+  std::vector<bool> slot_done_;
+  std::size_t slots_pending_{0};
   int watchdog_trips_left_{0};
   sim::EnergySnapshot run_start_;
   double spin_time_start_{0.0};

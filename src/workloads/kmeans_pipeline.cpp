@@ -126,15 +126,15 @@ void KmeansPipeline::reduce_chunk(std::size_t c) {
 }
 
 void KmeansPipeline::submit_reduce(cudalite::Runtime& rt, std::size_t c,
-                                   const std::function<void()>& on_cpu_done) {
+                                   const std::function<void(std::size_t)>& on_done) {
   IntensityProfile rp = config_.profile;
   rp.unit_time_s = config_.reduce_seconds;
   rp.cpu_slowdown = 1.0;
   auto& platform = rt.platform();
   const sim::CpuWork work =
       make_cpu_work(platform.cpu().spec(), platform.cpu().table().peak(), rp, 1.0);
-  auto signal = [this, on_cpu_done] {
-    if (--pending_reduce_ == 0 && on_cpu_done) on_cpu_done();
+  auto signal = [this, on_done] {
+    if (--pending_reduce_ == 0 && on_done) on_done(0);
   };
   if (!rt.host_submit(work, [this, c] { reduce_chunk(c); }, signal)) {
     // Rejected host chunk: compute inline (zero simulated cost) so the
@@ -148,12 +148,15 @@ void KmeansPipeline::submit_reduce(cudalite::Runtime& rt, std::size_t c,
   }
 }
 
-void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*stream*/,
-                                   std::size_t iter, double /*cpu_ratio*/,
-                                   std::function<void()> on_gpu_done,
-                                   std::function<void()> on_cpu_done) {
+void KmeansPipeline::run_iteration(cudalite::Runtime& rt,
+                                   std::vector<cudalite::Stream>& streams,
+                                   std::size_t iter, const ShareVector& /*shares*/,
+                                   std::function<void(std::size_t)> on_done) {
   if (iter >= config_.iterations) {
     throw std::out_of_range("KmeansPipeline: iteration index");
+  }
+  for (std::size_t slot = 2; slot <= streams.size(); ++slot) {
+    if (on_done) on_done(slot);
   }
   auto& platform = rt.platform();
   const cudalite::WorkEstimate est =
@@ -204,9 +207,9 @@ void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*st
     rt.memcpy_d2h_async(
         ks, real ? chunk_assign_.data() + begin : nullptr, dev_assign_[slot], count,
         config_.sim_d2h_bytes,
-        [this, &rt, c, on_gpu_done, on_cpu_done] GG_PIPELINE_STAGE {
-          submit_reduce(rt, c, on_cpu_done);
-          if (--pending_d2h_ == 0 && on_gpu_done) on_gpu_done();
+        [this, &rt, c, on_done] GG_PIPELINE_STAGE {
+          submit_reduce(rt, c, on_done);
+          if (--pending_d2h_ == 0 && on_done) on_done(1);
         });
 
     if (config_.pipelined) {
@@ -220,20 +223,6 @@ void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*st
       rt.synchronize(ks);
     }
   }
-}
-
-void KmeansPipeline::run_iteration_multi(cudalite::Runtime& rt,
-                                         std::vector<cudalite::Stream>& streams,
-                                         std::size_t iter, const ShareVector& /*shares*/,
-                                         std::function<void(std::size_t)> on_done) {
-  // Non-divisible: the pipeline owns its streams and runs on GPU 0; extra
-  // slots signal immediately.
-  for (std::size_t k = 1; k < streams.size(); ++k) {
-    if (on_done) on_done(k + 1);
-  }
-  run_iteration(
-      rt, streams[0], iter, 0.0, [on_done] { if (on_done) on_done(1); },
-      [on_done] { if (on_done) on_done(0); });
 }
 
 void KmeansPipeline::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*/) {

@@ -64,12 +64,11 @@ class KmeansPipeline final : public Workload {
   [[nodiscard]] IntensityProfile profile(std::size_t iter) const override;
 
   void setup(cudalite::Runtime& rt) override;
-  void run_iteration(cudalite::Runtime& rt, cudalite::Stream& stream, std::size_t iter,
-                     double cpu_ratio, std::function<void()> on_gpu_done,
-                     std::function<void()> on_cpu_done) override;
-  void run_iteration_multi(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
-                           std::size_t iter, const ShareVector& shares,
-                           std::function<void(std::size_t)> on_done) override;
+  /// Ignores `shares` and runs on GPU 0 on the pipeline's own streams;
+  /// every GPU slot past the first signals immediately.
+  void run_iteration(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
+                     std::size_t iter, const ShareVector& shares,
+                     std::function<void(std::size_t)> on_done) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
   [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
@@ -88,7 +87,7 @@ class KmeansPipeline final : public Workload {
   void assign_chunk(std::size_t slot, std::size_t b, std::size_t e);
   void reduce_chunk(std::size_t c);
   void submit_reduce(cudalite::Runtime& rt, std::size_t c,
-                     const std::function<void()>& on_cpu_done);
+                     const std::function<void(std::size_t)>& on_done);
 
   KmeansPipelineConfig config_;
   std::vector<double> host_points_;        // N x D row-major

@@ -70,11 +70,13 @@ void SradStream::setup(cudalite::Runtime& rt) {
   ran_ = false;
 }
 
-void SradStream::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*stream*/,
-                               std::size_t iter, double /*cpu_ratio*/,
-                               std::function<void()> on_gpu_done,
-                               std::function<void()> on_cpu_done) {
+void SradStream::run_iteration(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
+                               std::size_t iter, const ShareVector& /*shares*/,
+                               std::function<void(std::size_t)> on_done) {
   if (iter >= config_.iterations) throw std::out_of_range("SradStream: iteration index");
+  for (std::size_t slot = 2; slot <= streams.size(); ++slot) {
+    if (on_done) on_done(slot);
+  }
   auto& platform = rt.platform();
   const cudalite::WorkEstimate est =
       make_gpu_estimate(platform.gpu().spec(), platform.gpu().core_table().peak(),
@@ -126,10 +128,10 @@ void SradStream::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*stream
     double* frame_out = real ? host_out_.data() + f * frame_elems() : nullptr;
     rt.memcpy_d2h_async(
         s, frame_out, dev_out_[slot], frame_elems(), config_.sim_d2h_bytes,
-        [this, &rt, f, frame_out, checksum_work, on_gpu_done, on_cpu_done]
+        [this, &rt, f, frame_out, checksum_work, on_done]
         GG_PIPELINE_STAGE {
-          auto signal = [this, on_cpu_done] {
-            if (--pending_checksums_ == 0 && on_cpu_done) on_cpu_done();
+          auto signal = [this, on_done] {
+            if (--pending_checksums_ == 0 && on_done) on_done(0);
           };
           const bool ok = rt.host_submit(
               checksum_work,
@@ -152,23 +154,11 @@ void SradStream::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*stream
             }
             signal();
           }
-          if (--pending_d2h_ == 0 && on_gpu_done) on_gpu_done();
+          if (--pending_d2h_ == 0 && on_done) on_done(1);
         });
 
     if (!config_.pipelined) rt.synchronize(s);
   }
-}
-
-void SradStream::run_iteration_multi(cudalite::Runtime& rt,
-                                     std::vector<cudalite::Stream>& streams,
-                                     std::size_t iter, const ShareVector& /*shares*/,
-                                     std::function<void(std::size_t)> on_done) {
-  for (std::size_t k = 1; k < streams.size(); ++k) {
-    if (on_done) on_done(k + 1);
-  }
-  run_iteration(
-      rt, streams[0], iter, 0.0, [on_done] { if (on_done) on_done(1); },
-      [on_done] { if (on_done) on_done(0); });
 }
 
 void SradStream::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*/) {

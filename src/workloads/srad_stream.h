@@ -54,12 +54,11 @@ class SradStream final : public Workload {
   [[nodiscard]] IntensityProfile profile(std::size_t iter) const override;
 
   void setup(cudalite::Runtime& rt) override;
-  void run_iteration(cudalite::Runtime& rt, cudalite::Stream& stream, std::size_t iter,
-                     double cpu_ratio, std::function<void()> on_gpu_done,
-                     std::function<void()> on_cpu_done) override;
-  void run_iteration_multi(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
-                           std::size_t iter, const ShareVector& shares,
-                           std::function<void(std::size_t)> on_done) override;
+  /// Ignores `shares` and runs on GPU 0 on the pipeline's own streams;
+  /// every GPU slot past the first signals immediately.
+  void run_iteration(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
+                     std::size_t iter, const ShareVector& shares,
+                     std::function<void(std::size_t)> on_done) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
   [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;

@@ -8,132 +8,29 @@
 
 namespace gg::workloads {
 
-void ProfiledWorkload::run_iteration(cudalite::Runtime& rt, cudalite::Stream& stream,
-                                     std::size_t iter, double cpu_ratio,
-                                     std::function<void()> on_gpu_done,
-                                     std::function<void()> on_cpu_done) {
+void ProfiledWorkload::run_iteration(cudalite::Runtime& rt,
+                                     std::vector<cudalite::Stream>& streams,
+                                     std::size_t iter, const ShareVector& shares,
+                                     std::function<void(std::size_t)> on_done) {
   if (iter >= iterations()) throw std::out_of_range("run_iteration: iteration index");
-  if (cpu_ratio < 0.0 || cpu_ratio > 1.0) {
-    throw std::invalid_argument("run_iteration: cpu_ratio out of [0,1]");
-  }
-  if (!divisible()) cpu_ratio = 0.0;
-
-  const IntensityProfile prof = profile(iter);
-  const double total_units = prof.units_per_iteration;
-  const double cpu_units = cpu_ratio * total_units;
-  const double gpu_units = total_units - cpu_units;
-
-  const std::size_t items = real_items();
-  const auto split = static_cast<std::size_t>(
-      std::llround(cpu_ratio * static_cast<double>(items)));
-
-  auto& platform = rt.platform();
-  const auto& gpu_spec = platform.gpu().spec();
-  const auto& cpu_spec = platform.cpu().spec();
-
-  sim::FaultInjector* faults = platform.faults();
-
-  if (gpu_units > 0.0 && split < items) {
-    const cudalite::WorkEstimate est =
-        make_gpu_estimate(gpu_spec, platform.gpu().core_table().peak(),
-                          platform.gpu().mem_table().peak(), prof, gpu_units);
-    const bool accepted = rt.launch_range(
-        stream, items - split,
-        est,
-        [this, split, iter](std::size_t begin, std::size_t end) {
-          gpu_chunk(split + begin, split + end, iter);
-        },
-        on_gpu_done);
-    if (!accepted && rt.fault_tolerance().reroute_failed_side) {
-      // Route the GPU share to the CPU for this iteration: the surviving
-      // side does the work (slower, recorded as degradation), results stay
-      // correct.
-      if (faults != nullptr) {
-        faults->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kRerouted,
-                     stream.device());
-      }
-      const sim::CpuWork work =
-          make_cpu_work(cpu_spec, platform.cpu().table().peak(), prof, gpu_units);
-      const bool routed = rt.host_submit(
-          work, [this, split, items, iter] { cpu_chunk(split, items, iter); },
-          on_gpu_done);
-      if (!routed) {
-        // Last resort: compute inline (zero simulated cost) so verify()
-        // still holds; the harness owns the correctness of the output.
-        if (faults != nullptr) {
-          faults->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kForcedCompletion,
-                       stream.device());
-        }
-        if (rt.compute_enabled()) cpu_chunk(split, items, iter);
-        if (on_gpu_done) on_gpu_done();
-      }
-    }
-    // Without rerouting, a rejected side never signals completion — the
-    // un-hardened pthread blocking on a CUDA error; the runner's watchdog
-    // decides what happens next.
-  } else if (on_gpu_done) {
-    // No GPU share this iteration.
-    on_gpu_done();
-  }
-
-  if (cpu_units > 0.0 && split > 0) {
-    const sim::CpuWork work =
-        make_cpu_work(cpu_spec, platform.cpu().table().peak(), prof, cpu_units);
-    const bool accepted = rt.host_submit(
-        work, [this, split, iter] { cpu_chunk(0, split, iter); }, on_cpu_done);
-    if (!accepted && rt.fault_tolerance().reroute_failed_side) {
-      if (faults != nullptr) {
-        faults->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kRerouted,
-                     stream.device());
-      }
-      const cudalite::WorkEstimate est =
-          make_gpu_estimate(gpu_spec, platform.gpu().core_table().peak(),
-                            platform.gpu().mem_table().peak(), prof, cpu_units);
-      const bool routed = rt.launch_range(
-          stream, split, est,
-          [this, iter](std::size_t begin, std::size_t end) {
-            gpu_chunk(begin, end, iter);
-          },
-          on_cpu_done);
-      if (!routed) {
-        if (faults != nullptr) {
-          faults->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kForcedCompletion,
-                       stream.device());
-        }
-        if (rt.compute_enabled()) cpu_chunk(0, split, iter);
-        if (on_cpu_done) on_cpu_done();
-      }
-    }
-  } else if (on_cpu_done) {
-    on_cpu_done();
-  }
-}
-
-void ProfiledWorkload::run_iteration_multi(cudalite::Runtime& rt,
-                                           std::vector<cudalite::Stream>& streams,
-                                           std::size_t iter, const ShareVector& shares,
-                                           std::function<void(std::size_t)> on_done) {
-  if (iter >= iterations()) throw std::out_of_range("run_iteration_multi: iteration index");
   if (streams.empty() || shares.size() != streams.size() + 1) {
     throw std::invalid_argument(
-        "run_iteration_multi: need shares for the CPU plus one per stream");
+        "run_iteration: need shares for the CPU plus one per stream");
   }
   double sum = 0.0;
   for (double s : shares) {
-    if (s < 0.0) throw std::invalid_argument("run_iteration_multi: negative share");
+    if (s < 0.0) throw std::invalid_argument("run_iteration: negative share");
     sum += s;
   }
   if (std::fabs(sum - 1.0) > 1e-9) {
-    throw std::invalid_argument("run_iteration_multi: shares must sum to 1");
+    throw std::invalid_argument("run_iteration: shares must sum to 1");
   }
-
-  ShareVector effective = shares;
-  if (!divisible()) {
-    // Everything on GPU 0 (the single-device default of the paper's
-    // GPU-only experiments).
-    std::fill(effective.begin(), effective.end(), 0.0);
-    effective[1] = 1.0;
-  }
+  // Non-divisible workloads run everything on GPU 0 (the paper's GPU-only
+  // default).
+  const bool divide = divisible();
+  const auto share = [&](std::size_t slot) {
+    return divide ? shares[slot] : (slot == 1 ? 1.0 : 0.0);
+  };
 
   const IntensityProfile prof = profile(iter);
   const double total_units = prof.units_per_iteration;
@@ -141,98 +38,90 @@ void ProfiledWorkload::run_iteration_multi(cudalite::Runtime& rt,
   auto& platform = rt.platform();
   const auto& gpu_spec = platform.gpu().spec();
   const auto& cpu_spec = platform.cpu().spec();
-
-  // Partition the real item range proportionally to the shares; slot k owns
-  // [bounds[k], bounds[k+1]).
-  std::vector<std::size_t> bounds(effective.size() + 1, 0);
-  double acc = 0.0;
-  for (std::size_t slot = 0; slot < effective.size(); ++slot) {
-    acc += effective[slot];
-    bounds[slot + 1] =
-        std::min(items, static_cast<std::size_t>(std::llround(acc * items)));
-  }
-  bounds.back() = items;
-
   sim::FaultInjector* faults = platform.faults();
 
-  // CPU slot.
-  {
-    const double units = effective[0] * total_units;
-    const std::size_t begin = bounds[0];
-    const std::size_t end = bounds[1];
+  // Submitters for one slot's item range [begin, end); false = rejected.
+  const auto submit_gpu = [&](cudalite::Stream& stream, std::size_t begin, std::size_t end,
+                              double units, const auto& signal) {
+    const auto& gpu = platform.gpu(stream.device());
+    const cudalite::WorkEstimate est = make_gpu_estimate(
+        gpu_spec, gpu.core_table().peak(), gpu.mem_table().peak(), prof, units);
+    return rt.launch_range(
+        stream, end - begin, est,
+        [this, begin, iter](std::size_t b, std::size_t e) {
+          gpu_chunk(begin + b, begin + e, iter);
+        },
+        signal);
+  };
+  const auto submit_cpu = [&](std::size_t begin, std::size_t end, double units,
+                              const auto& signal) {
+    const sim::CpuWork work =
+        make_cpu_work(cpu_spec, platform.cpu().table().peak(), prof, units);
+    return rt.host_submit(
+        work, [this, begin, end, iter] { cpu_chunk(begin, end, iter); }, signal);
+  };
+  // A rejected slot is rerouted to the other kind of device (a GPU slot to
+  // the CPU, the CPU slot to GPU 0) when the runtime allows it: the surviving
+  // device does the work (slower, recorded as degradation) and the results
+  // stay correct.  Without rerouting a rejected slot never signals — the
+  // un-hardened pthread blocking on a CUDA error; the runner's watchdog
+  // decides what happens next.
+  const auto note = [&](sim::FaultOutcome outcome, const cudalite::Stream& stream) {
+    if (faults != nullptr) faults->note(sim::FaultChannel::kHarness, outcome, stream.device());
+  };
+  // Last resort: compute inline (zero simulated cost) so verify() still
+  // holds; the harness owns the correctness of the output.
+  const auto force = [&](const cudalite::Stream& stream, std::size_t begin, std::size_t end,
+                         const auto& signal) {
+    note(sim::FaultOutcome::kForcedCompletion, stream);
+    if (rt.compute_enabled()) cpu_chunk(begin, end, iter);
+    signal();
+  };
+  const bool reroute = rt.fault_tolerance().reroute_failed_side;
+
+  // Slot k owns the items between its cumulative shares rounded to the item
+  // grid; the last GPU slot ends at `items` and takes whatever work units the
+  // other slots left.
+  const double cpu_units = share(0) * total_units;
+  const std::size_t cpu_end =
+      std::min(items, static_cast<std::size_t>(std::llround(share(0) * items)));
+  double acc = share(0);
+  double rest_units = total_units - cpu_units;
+  std::size_t begin = cpu_end;
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    const std::size_t slot = k + 1;
+    const bool last = slot == streams.size();
+    acc += share(slot);
+    const std::size_t end =
+        last ? items : std::min(items, static_cast<std::size_t>(std::llround(acc * items)));
+    const double units = last ? rest_units : share(slot) * total_units;
+    rest_units -= units;
+    auto signal = [on_done, slot] {
+      if (on_done) on_done(slot);
+    };
     if (units > 0.0 && end > begin) {
-      const sim::CpuWork work =
-          make_cpu_work(cpu_spec, platform.cpu().table().peak(), prof, units);
-      auto signal = [on_done] { if (on_done) on_done(0); };
-      const bool accepted = rt.host_submit(
-          work, [this, begin, end, iter] { cpu_chunk(begin, end, iter); }, signal);
-      if (!accepted && rt.fault_tolerance().reroute_failed_side) {
-        // Route the CPU slot's range to GPU 0.
-        if (faults != nullptr) {
-          faults->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kRerouted,
-                       streams[0].device());
-        }
-        const cudalite::WorkEstimate est = make_gpu_estimate(
-            gpu_spec, platform.gpu(streams[0].device()).core_table().peak(),
-            platform.gpu(streams[0].device()).mem_table().peak(), prof, units);
-        const bool routed = rt.launch_range(
-            streams[0], end - begin, est,
-            [this, begin, iter](std::size_t b, std::size_t e) {
-              gpu_chunk(begin + b, begin + e, iter);
-            },
-            signal);
-        if (!routed) {
-          if (faults != nullptr) {
-            faults->note(sim::FaultChannel::kHarness,
-                         sim::FaultOutcome::kForcedCompletion, streams[0].device());
-          }
-          if (rt.compute_enabled()) cpu_chunk(begin, end, iter);
-          signal();
-        }
+      if (!submit_gpu(streams[k], begin, end, units, signal) && reroute) {
+        note(sim::FaultOutcome::kRerouted, streams[k]);
+        if (!submit_cpu(begin, end, units, signal)) force(streams[k], begin, end, signal);
       }
-    } else if (on_done) {
-      on_done(0);
+    } else {
+      signal();
     }
+    begin = end;
   }
 
-  // GPU slots.
-  for (std::size_t k = 0; k < streams.size(); ++k) {
-    const double units = effective[k + 1] * total_units;
-    const std::size_t begin = bounds[k + 1];
-    const std::size_t end = bounds[k + 2];
-    if (units > 0.0 && end > begin) {
-      const cudalite::WorkEstimate est = make_gpu_estimate(
-          gpu_spec, platform.gpu(streams[k].device()).core_table().peak(),
-          platform.gpu(streams[k].device()).mem_table().peak(), prof, units);
-      auto signal = [on_done, k] { if (on_done) on_done(k + 1); };
-      const bool accepted = rt.launch_range(
-          streams[k], end - begin, est,
-          [this, begin, iter](std::size_t b, std::size_t e) {
-            gpu_chunk(begin + b, begin + e, iter);
-          },
-          signal);
-      if (!accepted && rt.fault_tolerance().reroute_failed_side) {
-        // Route the failed GPU slot's range to the CPU.
-        if (faults != nullptr) {
-          faults->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kRerouted,
-                       streams[k].device());
-        }
-        const sim::CpuWork work =
-            make_cpu_work(cpu_spec, platform.cpu().table().peak(), prof, units);
-        const bool routed = rt.host_submit(
-            work, [this, begin, end, iter] { cpu_chunk(begin, end, iter); }, signal);
-        if (!routed) {
-          if (faults != nullptr) {
-            faults->note(sim::FaultChannel::kHarness,
-                         sim::FaultOutcome::kForcedCompletion, streams[k].device());
-          }
-          if (rt.compute_enabled()) cpu_chunk(begin, end, iter);
-          signal();
-        }
+  auto signal = [on_done] {
+    if (on_done) on_done(0);
+  };
+  if (cpu_units > 0.0 && cpu_end > 0) {
+    if (!submit_cpu(0, cpu_end, cpu_units, signal) && reroute) {
+      note(sim::FaultOutcome::kRerouted, streams[0]);
+      if (!submit_gpu(streams[0], 0, cpu_end, cpu_units, signal)) {
+        force(streams[0], 0, cpu_end, signal);
       }
-    } else if (on_done) {
-      on_done(k + 1);
     }
+  } else {
+    signal();
   }
 }
 

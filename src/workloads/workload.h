@@ -3,9 +3,10 @@
 // Every workload is a sequence of *iterations* (the paper's division
 // granularity: a reduction point in kmeans, a barrier step in hotspot, a
 // chunk for embarrassingly parallel codes).  Each iteration's work can be
-// split r/(1-r) between CPU and GPU; the CPU and GPU chunks are launched
-// concurrently (the pthreads + CUDA structure of [16], [23]) and the caller
-// measures per-side completion times.
+// split between the CPU and the GPUs by a share vector (r/(1-r) on the
+// paper's one-GPU testbed); the chunks are launched concurrently (the
+// pthreads + CUDA structure of [16], [23]) and the caller measures per-slot
+// completion times.
 //
 // Workloads REALLY compute: the per-iteration chunk functions run actual
 // kernels on the cudalite pool, and `verify` checks the final output against
@@ -67,26 +68,17 @@ class Workload {
   /// builds the real inputs first under kFull only.
   virtual void setup(cudalite::Runtime& rt) = 0;
 
-  /// Launch iteration `iter` with CPU share `cpu_ratio` (clamped to 0 when
-  /// !divisible()).  Does not synchronize: `on_gpu_done` / `on_cpu_done`
-  /// fire at each side's simulated completion; a side with no work signals
-  /// completion immediately.
-  virtual void run_iteration(cudalite::Runtime& rt, cudalite::Stream& stream,
-                             std::size_t iter, double cpu_ratio,
-                             std::function<void()> on_gpu_done,
-                             std::function<void()> on_cpu_done) = 0;
+  /// Launch iteration `iter` split across the CPU (shares[0]) and one
+  /// stream per GPU (shares[1 + k] on streams[k]) — "one pthread for one
+  /// GPU", Section VI.  Shares are fractions of the iteration's work and
+  /// must sum to 1; non-divisible workloads put everything on GPU 0.  Does
+  /// not synchronize: `on_done(slot)` fires at each slot's simulated
+  /// completion; a slot with no work signals completion immediately.
+  virtual void run_iteration(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
+                             std::size_t iter, const ShareVector& shares,
+                             std::function<void(std::size_t)> on_done) = 0;
 
-  /// Multi-device variant ("one pthread for one GPU", Section VI): launch
-  /// iteration `iter` split across the CPU (shares[0]) and one stream per
-  /// GPU (shares[1 + k] on streams[k]).  `on_done(slot)` fires at each
-  /// slot's simulated completion; a slot with no work signals immediately.
-  /// Non-divisible workloads put everything on GPU 0.
-  virtual void run_iteration_multi(cudalite::Runtime& rt,
-                                   std::vector<cudalite::Stream>& streams,
-                                   std::size_t iter, const ShareVector& shares,
-                                   std::function<void(std::size_t)> on_done) = 0;
-
-  /// Called after both sides of iteration `iter` completed: merge step
+  /// Called after every slot of iteration `iter` completed: merge step
   /// (e.g. kmeans centroid update, hotspot buffer swap).
   virtual void finish_iteration(cudalite::Runtime& rt, std::size_t iter) = 0;
 
@@ -101,17 +93,16 @@ class Workload {
 
 /// Base class implementing the generic split-launch plumbing.  Subclasses
 /// provide the real chunk kernels over item ranges plus per-iteration
-/// profiles; the base converts the CPU ratio into simulated work estimates
-/// and real index ranges.
+/// profiles; the base converts the share vector into simulated work
+/// estimates and real index ranges.
 class ProfiledWorkload : public Workload {
  public:
-  void run_iteration(cudalite::Runtime& rt, cudalite::Stream& stream, std::size_t iter,
-                     double cpu_ratio, std::function<void()> on_gpu_done,
-                     std::function<void()> on_cpu_done) override;
-
-  void run_iteration_multi(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
-                           std::size_t iter, const ShareVector& shares,
-                           std::function<void(std::size_t)> on_done) override;
+  /// Launches the GPU slots first and the CPU slot last; the last GPU
+  /// slot's work is the total minus every other slot's, so the units always
+  /// add up to the iteration's.
+  void run_iteration(cudalite::Runtime& rt, std::vector<cudalite::Stream>& streams,
+                     std::size_t iter, const ShareVector& shares,
+                     std::function<void(std::size_t)> on_done) override;
 
   /// Default: nothing to merge.
   void finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*/) override {}

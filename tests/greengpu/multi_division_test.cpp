@@ -139,9 +139,10 @@ TEST(MultiProfilingDivider, RatesExposed) {
 }
 
 TEST(MultiDividerFactory, ProducesBothKinds) {
-  EXPECT_EQ(make_multi_divider(MultiDividerKind::kStep, 3)->name(), "multi-step");
-  EXPECT_EQ(make_multi_divider(MultiDividerKind::kProfiling, 3)->name(),
-            "multi-profiling");
+  EXPECT_EQ(make_multi_divider(DividerKind::kStep, 3)->name(), "multi-step");
+  EXPECT_EQ(make_multi_divider(DividerKind::kProfiling, 3)->name(), "multi-profiling");
+  EXPECT_THROW((void)make_multi_divider(DividerKind::kEnergyModel, 3),
+               std::invalid_argument);
 }
 
 }  // namespace

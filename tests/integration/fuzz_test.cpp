@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/greengpu/multi_runner.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/runner.h"
 #include "src/workloads/hotspot.h"
@@ -93,14 +92,14 @@ TEST_P(FuzzTest, RandomMultiGpuHotspot) {
 
   workloads::Hotspot wl(cfg);
   const std::size_t gpus = 1 + rng.uniform_int(4);
-  greengpu::MultiPolicy policy =
-      rng.uniform() < 0.5
-          ? greengpu::MultiPolicy::green_gpu(static_cast<greengpu::MultiDividerKind>(
-                rng.uniform_int(2)))
-          : greengpu::MultiPolicy::division_only();
-  greengpu::MultiRunOptions options;
+  greengpu::Policy policy = greengpu::Policy::division_only();
+  if (rng.uniform() < 0.5) {
+    policy = greengpu::Policy::green_gpu();
+    policy.divider = static_cast<greengpu::DividerKind>(rng.uniform_int(2));
+  }
+  greengpu::RunOptions options;
   options.pool_workers = 2;
-  const auto r = greengpu::run_multi_experiment(wl, gpus, policy, options);
+  const auto r = greengpu::run_experiment(wl, policy, options, gpus);
   EXPECT_TRUE(r.verified) << "gpus " << gpus << " seed " << GetParam();
   double share_sum = 0.0;
   for (double s : r.final_shares) {

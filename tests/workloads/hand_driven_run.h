@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "src/cudalite/api.h"
 #include "src/sim/platform.h"
@@ -11,19 +12,18 @@
 
 namespace gg::workloads {
 
-/// Run every iteration of `wl` (setup, run_iteration at a fixed split,
+/// Run every iteration of `wl` (setup, run_iteration at a fixed 30/70 split,
 /// finish_iteration, teardown) on a `kernel_workers`-worker pool, skipping
 /// finish_iteration at iteration `skip` (none when `skip` is past the end).
 inline void run_by_hand(Workload& wl, std::size_t kernel_workers, std::size_t skip) {
   sim::Platform platform;
   cudalite::Runtime rt(platform, kernel_workers);
   wl.setup(rt);
-  cudalite::Stream stream = rt.create_stream();
+  std::vector<cudalite::Stream> streams{rt.create_stream()};
   for (std::size_t iter = 0; iter < wl.iterations(); ++iter) {
-    bool gpu_done = false, cpu_done = false;
-    wl.run_iteration(rt, stream, iter, 0.3, [&] { gpu_done = true; },
-                     [&] { cpu_done = true; });
-    rt.wait_until([&] { return gpu_done && cpu_done; });
+    std::size_t pending = 2;
+    wl.run_iteration(rt, streams, iter, {0.3, 0.7}, [&](std::size_t) { --pending; });
+    rt.wait_until([&] { return pending == 0; });
     if (iter != skip) wl.finish_iteration(rt, iter);
   }
   wl.teardown(rt);

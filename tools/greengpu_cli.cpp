@@ -32,7 +32,10 @@
 //   --trace FILE.csv            write a 1 Hz platform trace
 //   --csv                       machine-readable one-line-per-run output
 //   --no-verify                 skip result verification
-//   --gpus N                    run on N simulated cards (multi-GPU runner)
+//   --gpus N                    run on N identical simulated cards, in
+//                               [1, 64] (default 1); with N >= 2 the
+//                               division policies use the N-GPU form of
+//                               --divider (step | qilin)
 //   --replay FILE.csv           replay a utilization trace (time,core,mem)
 //                               as the workload instead of a Table II name
 //   --campaign                  run the full (workload x policy) matrix;
@@ -102,7 +105,6 @@
 #include "src/common/flags.h"
 #include "src/common/job_pool.h"
 #include "src/greengpu/campaign.h"
-#include "src/greengpu/multi_runner.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/recovery.h"
 #include "src/greengpu/runner.h"
@@ -184,6 +186,10 @@ void validate_flag_ranges(const Flags& flags) {
     const long long v = flags.get_int("chunks", 8);
     if (v < 1 || v > 8192) reject("--chunks must be in [1, 8192]");
   }
+  if (flags.has("gpus")) {
+    const long long v = flags.get_int("gpus", 1);
+    if (v < 1 || v > 64) reject("--gpus must be in [1, 64]");
+  }
 }
 
 greengpu::CheckpointOptions checkpoint_options_from_flags(const Flags& flags) {
@@ -257,8 +263,12 @@ void print_human(const greengpu::ExperimentResult& r) {
   std::printf("%-14s %-22s exec %9.1f s   GPU %9.0f J   CPU %9.0f J   total %9.0f J",
               r.workload.c_str(), r.policy.c_str(), r.exec_time.get(),
               r.gpu_energy.get(), r.cpu_energy.get(), r.total_energy().get());
-  if (r.final_ratio > 0.0) std::printf("   split %2.0f/%2.0f", r.final_ratio * 100.0,
-                                       (1.0 - r.final_ratio) * 100.0);
+  if (r.final_shares.size() > 2) {
+    std::printf("   shares");
+    for (double s : r.final_shares) std::printf(" %.3f", s);
+  } else if (r.final_ratio > 0.0) {
+    std::printf("   split %2.0f/%2.0f", r.final_ratio * 100.0, (1.0 - r.final_ratio) * 100.0);
+  }
   if (r.fault_event_count > 0) {
     std::printf("   faults %zu (degraded iters %zu)", r.fault_event_count,
                 r.degraded_iterations);
@@ -425,40 +435,8 @@ int run(const Flags& flags) {
                          "the header of tools/greengpu_cli.cpp for usage\n");
     return 2;
   }
-  const std::size_t gpus = static_cast<std::size_t>(flags.get_int("gpus", 1));
-  if (gpus > 1) {
-    // Multi-GPU path uses the MultiPolicy mapping of the requested policy.
-    const std::string pol = flags.get_string("policy", "greengpu");
-    greengpu::MultiPolicy mpolicy;
-    if (pol == "best-performance" || pol == "baseline") {
-      mpolicy = greengpu::MultiPolicy::baseline();
-    } else if (pol == "division") {
-      mpolicy = greengpu::MultiPolicy::division_only(greengpu::MultiDividerKind::kProfiling);
-    } else if (pol == "greengpu") {
-      mpolicy = greengpu::MultiPolicy::green_gpu(greengpu::MultiDividerKind::kProfiling);
-    } else {
-      std::fprintf(stderr, "policy '%s' is not available with --gpus > 1\n", pol.c_str());
-      return 2;
-    }
-    mpolicy.params.hardening.enabled = flags.get_bool("hardened", false);
-    greengpu::MultiRunOptions moptions;
-    moptions.faults = fault_config_from_flags(flags);
-    moptions.record = record_options_from_flags(flags, greengpu::RecordMode::kFull);
-    const auto unknown_flags = flags.unconsumed();
-    if (!unknown_flags.empty()) {
-      for (const auto& key : unknown_flags) {
-        std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      }
-      return 2;
-    }
-    const auto r = greengpu::run_multi_experiment(workload, gpus, mpolicy, moptions);
-    std::printf("%-14s %-20s gpus=%zu exec %9.1f s  total %9.0f J  shares",
-                r.workload.c_str(), r.policy.c_str(), gpus, r.exec_time.get(),
-                r.total_energy().get());
-    for (double s : r.final_shares) std::printf(" %.3f", s);
-    std::printf("  %s\n", r.verified ? "verified" : "VERIFY FAILED");
-    return r.verified ? 0 : 1;
-  }
+  // Validated in validate_flag_ranges.
+  const auto gpus = static_cast<std::size_t>(flags.get_int("gpus", 1));
   const greengpu::Policy policy = policy_from_flags(flags);
 
   greengpu::RunOptions options;
@@ -505,7 +483,7 @@ int run(const Flags& flags) {
   pool.run(names.size(), [&](std::size_t i) {
     greengpu::RunOptions cell = options;
     if (cell.checkpoint_every != 0) cell.checkpoint_tag = names[i];
-    results[i] = greengpu::run_experiment(names[i], policy, cell);
+    results[i] = greengpu::run_experiment(names[i], policy, cell, gpus);
   });
 
   int failures = 0;
