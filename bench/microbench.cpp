@@ -20,6 +20,7 @@
 #include "src/sim/gpu_device.h"
 #include "src/sim/platform.h"
 #include "src/workloads/sobol.h"
+#include "tests/greengpu/wma_oracle.h"
 
 namespace {
 
@@ -35,8 +36,9 @@ std::vector<double> losses(double u, double alpha) {
   return out;
 }
 
+/// The straight-line Eq. 3/4 update plus argmax rescan (the oracle).
 void BM_WmaUpdate(benchmark::State& state) {
-  greengpu::WeightTable table(6, 6);
+  greengpu::oracle::Weights table(6, 6);
   const auto cl = losses(0.63, 0.15);
   const auto ml = losses(0.41, 0.02);
   for (auto _ : state) {
@@ -74,27 +76,15 @@ void BM_WmaUpdateFused(benchmark::State& state) {
 }
 BENCHMARK(BM_WmaUpdateFused);
 
-void BM_FixedWmaUpdateFused(benchmark::State& state) {
-  greengpu::FixedWeightTable table(6, 6);
-  const auto cl = scaled_losses(0.63, 0.15, 0.3);
-  const auto ml = scaled_losses(0.41, 0.02, 0.7);
-  const std::uint32_t one_minus_beta_raw = UQ08::from_double(0.8).raw();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.update_fused(cl.data(), ml.data(), one_minus_beta_raw));
-  }
-}
-BENCHMARK(BM_FixedWmaUpdateFused);
-
 /// Full Algorithm 1 step (NVML read + loss rows + weight update + argmax +
-/// actuation) through the fused fast path vs the straight-line reference.
-/// Ring retention on both so neither pays unbounded log growth.
-void scaler_step_bench(benchmark::State& state, bool reference) {
+/// actuation) through the scaler's fused path, and the same work through the
+/// straight-line oracle.  Ring retention so the scaler pays no unbounded log
+/// growth.
+void BM_ScalerStepFast(benchmark::State& state) {
   sim::Platform platform;
   cudalite::NvmlDevice nvml(platform);
   cudalite::NvSettings settings(platform);
-  greengpu::WmaParams params;
-  params.reference_impl = reference;
-  greengpu::GpuFrequencyScaler scaler(nvml, settings, params);
+  greengpu::GpuFrequencyScaler scaler(nvml, settings, greengpu::WmaParams{});
   scaler.set_record(greengpu::RecordOptions{greengpu::RecordMode::kRing, 64});
   double t = 0.0;
   for (auto _ : state) {
@@ -103,11 +93,25 @@ void scaler_step_bench(benchmark::State& state, bool reference) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_ScalerStepFast(benchmark::State& state) { scaler_step_bench(state, false); }
 BENCHMARK(BM_ScalerStepFast);
 
-void BM_ScalerStepReference(benchmark::State& state) { scaler_step_bench(state, true); }
+void BM_ScalerStepReference(benchmark::State& state) {
+  sim::Platform platform;
+  cudalite::NvmlDevice nvml(platform);
+  cudalite::NvSettings settings(platform);
+  greengpu::oracle::WmaOracle oracle(greengpu::WmaParams{},
+                                     greengpu::umean_table(settings.core_table()),
+                                     greengpu::umean_table(settings.mem_table()));
+  for (auto _ : state) {
+    const cudalite::UtilizationSample sample = nvml.try_utilization_rates();
+    const greengpu::PairIndex pair =
+        oracle.step(static_cast<double>(sample.rates.gpu) / 100.0,
+                    static_cast<double>(sample.rates.memory) / 100.0, true);
+    settings.set_clock_levels(pair.core, pair.mem);
+    benchmark::DoNotOptimize(pair);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
 BENCHMARK(BM_ScalerStepReference);
 
 void BM_LossComputation(benchmark::State& state) {

@@ -44,7 +44,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E534747u;
 /// dropped from ScalerDecision.
 /// v5: the controller checkpoint becomes ExperimentEngine::save_checkpoint,
 /// and campaign rows write it per cell inside one row frame.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// v6: the GPU scaler's EWMA pre-filter state and the filtered utilizations
+/// of every ScalerDecision dropped.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) of `size` bytes.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);

@@ -111,12 +111,15 @@ std::size_t ConservativeGovernor::decide(double util) {
   return level;
 }
 
-WmaCpuGovernor::WmaCpuGovernor(sim::Platform& platform, Seconds interval, double alpha,
-                               double beta, double weight_floor)
+namespace {
+/// WmaCpuGovernor's learning constants: the GPU scaler's alpha_core and
+/// 1 - beta defaults (WmaParams).
+constexpr double kWmaCpuAlpha = 0.15;
+constexpr double kWmaCpuOneMinusBeta = 1.0 - 0.2;
+}  // namespace
+
+WmaCpuGovernor::WmaCpuGovernor(sim::Platform& platform, Seconds interval)
     : CpuGovernor(platform, interval),
-      alpha_(alpha),
-      one_minus_beta_(1.0 - beta),
-      weight_floor_(weight_floor),
       umean_(umean_table(platform.cpu().table())),
       table_(platform.cpu().table().levels(), 1),
       scratch_losses_(umean_.size(), 0.0) {}
@@ -127,11 +130,12 @@ std::size_t WmaCpuGovernor::decide(double util) {
   // (1.0 * loss is the loss bit-exactly, and the single pre-blended memory
   // entry is 0.0).  Fused update: allocation-free, argmax tracked inline.
   for (std::size_t i = 0; i < umean_.size(); ++i) {
-    scratch_losses_[i] = component_loss(util, umean_[i], alpha_);
+    scratch_losses_[i] = component_loss(util, umean_[i], kWmaCpuAlpha);
   }
   static constexpr double kZeroMemLoss[1] = {0.0};
   return table_
-      .update_fused(scratch_losses_.data(), kZeroMemLoss, one_minus_beta_, weight_floor_)
+      .update_fused(scratch_losses_.data(), kZeroMemLoss, kWmaCpuOneMinusBeta,
+                    kWeightFloor)
       .core;
 }
 

@@ -159,13 +159,12 @@ class ConservativeGovernor final : public CpuGovernor {
 /// The paper's own WMA learner (Section V-A) applied to the CPU P-states:
 /// a 1-D weight table over levels with the Table I loss and the linear
 /// umean mapping.  This is the "more sophisticated strategy" integration
-/// the paper gestures at.
+/// the paper gestures at.  It learns with the GPU scaler's default
+/// constants: alpha 0.15 (Table I's energy-vs-performance blend), beta 0.2
+/// and kWeightFloor.
 class WmaCpuGovernor final : public CpuGovernor {
  public:
-  /// `alpha` blends energy vs performance loss (Table I); `beta` and
-  /// `weight_floor` as in WmaParams.
-  WmaCpuGovernor(sim::Platform& platform, Seconds interval = Seconds{0.1},
-                 double alpha = 0.15, double beta = 0.2, double weight_floor = 1e-2);
+  explicit WmaCpuGovernor(sim::Platform& platform, Seconds interval = Seconds{0.1});
   [[nodiscard]] std::string_view name() const override { return "wma"; }
   [[nodiscard]] const WeightTable& weights() const { return table_; }
 
@@ -176,9 +175,6 @@ class WmaCpuGovernor final : public CpuGovernor {
   std::size_t decide(double util) override;
 
  private:
-  double alpha_;
-  double one_minus_beta_;
-  double weight_floor_;
   std::vector<double> umean_;
   WeightTable table_;  // levels x 1
   /// Preallocated per-level loss row for the fused allocation-free update

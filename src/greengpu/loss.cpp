@@ -49,8 +49,8 @@ QuantizedLossTable::QuantizedLossTable(const std::vector<double>& umean, double 
     : levels_(umean.size()), rows_(101 * umean.size()) {
   for (unsigned pct = 0; pct <= 100; ++pct) {
     for (std::size_t i = 0; i < levels_; ++i) {
-      // The exact expression the reference path evaluates per step: the
-      // runtime utilization is static_cast<double>(integer percent) / 100.0.
+      // The exact expression the straight-line equations evaluate per step:
+      // the runtime utilization is static_cast<double>(integer percent) / 100.0.
       rows_[pct * levels_ + i] =
           scale * component_loss(static_cast<double>(pct) / 100.0, umean[i], alpha);
     }

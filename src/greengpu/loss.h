@@ -44,14 +44,15 @@ struct LevelLoss {
 /// Quantized per-level loss lookup for the scaler fast path.
 ///
 /// NVML-style utilization samples are *integer percent* (nvml.h mirrors
-/// nvmlUtilization_t), so with the measurement filter off the utilization a
-/// scaler step feeds into Eq. 1/2 can only take 101 distinct values — and
+/// nvmlUtilization_t), so the utilization a scaler step feeds into Eq. 1/2
+/// can only take 101 distinct values — and
 /// `component_loss` is a pure function of (u, umean_i, alpha).  Tabulating
 /// all 101 rows at construction therefore makes the per-step loss
 /// evaluation an exact lookup: row `pct` holds literally the doubles
 /// `scale * component_loss(pct / 100.0, umean[i], alpha)` that the
-/// straight-line code would compute, because `pct / 100.0` here and the
-/// runtime's `rates.gpu / 100.0` are the same double.
+/// straight-line equations (tests/greengpu/wma_oracle.h) compute, because
+/// `pct / 100.0` here and the runtime's `rates.gpu / 100.0` are the same
+/// double.
 ///
 /// `scale` pre-folds the Eq. 3 blend weight (phi for the core table,
 /// 1 - phi for the memory table): the pair loss of (i, j) then reduces to

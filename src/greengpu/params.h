@@ -19,38 +19,20 @@ struct WmaParams {
   double beta{0.2};
   /// Scaling invocation period; the Fig. 5 experiment uses 3 s.
   Seconds interval{3.0};
-  /// Relative floor applied to weights after renormalization so a pair
-  /// that lost for a long stretch can regain the argmax in bounded time.
-  /// (Implementation detail; the paper does not specify underflow handling.
-  /// 1e-2 keeps the learner responsive to phase changes — a previously
-  /// losing pair can win back the argmax within a few intervals, matching
-  /// the "quick workload change response" the paper tunes beta for.)
-  double weight_floor{1e-2};
-  /// Optional EWMA pre-filter on the measured utilizations (weight of the
-  /// newest sample; 1.0 disables filtering).  The paper folds all noise
-  /// handling into beta; a measurement-side filter is the natural extension
-  /// when nvidia-smi readings are jittery.
-  double util_filter_alpha{1.0};
   /// Harden the scaler against a flaky platform (sim/fault.h): hold
   /// weights on failed/stale samples, retry rejected clock writes with
   /// bounded backoff, fall back to the last applied pair.  Off by default
   /// so the perfect-platform behaviour is bit-identical.
   bool harden{false};
-  /// A sample whose averaging window is shorter than this fraction of the
-  /// scaling interval is treated as stale (non-informative) when hardened.
-  double min_window_frac{0.5};
-  /// Use the straight-line reference implementation of the Algorithm 1 step
-  /// (per-step loss vectors, separate argmax scan) instead of the fused
-  /// allocation-free fast path with quantized loss tables.  The two produce
-  /// bit-identical decision streams (asserted by the equivalence suite);
-  /// the flag exists for that suite and for benchmarking the speedup.
-  bool reference_impl{false};
-  /// Immediate re-tries of a rejected/clamped clock write per step.
-  int actuation_retries{2};
-  /// Base delay of the asynchronous retry after immediate retries failed
-  /// (doubles per attempt, capped at the scaling interval).
-  Seconds actuation_backoff{0.25};
 };
+
+/// Relative floor applied to every weight after renormalization, so a pair
+/// that lost for a long stretch can regain the argmax in bounded time.
+/// (Implementation detail; the paper does not specify underflow handling.
+/// 1e-2 keeps the learner responsive to phase changes — a previously losing
+/// pair can win back the argmax within a few intervals, matching the "quick
+/// workload change response" the paper tunes beta for.)
+inline constexpr double kWeightFloor = 1e-2;
 
 /// Parameters of the ondemand CPU governor (Section IV; linux-2.6.9 policy).
 struct OndemandParams {
@@ -81,18 +63,9 @@ struct DivisionParams {
 /// the fault-rate ablation compares against.
 struct HardeningParams {
   /// Master switch; also propagates `WmaParams::harden` semantics to the
-  /// runner (degraded-iteration bookkeeping, division hold).
+  /// runner (degraded-iteration bookkeeping, division hold, launch retries,
+  /// rerouting and the watchdog budget; see runner.cpp).
   bool enabled{false};
-  /// Bounded immediate re-tries of failed kernel launches / host chunks
-  /// (cudalite::FaultTolerance::max_launch_retries).
-  int max_launch_retries{3};
-  /// Route a permanently failed side's item range to the surviving side.
-  bool reroute_failed_side{true};
-  /// Simulated-time budget for one iteration; 0 disables the watchdog.
-  /// Only armed while a fault injector is installed.
-  Seconds watchdog_timeout{300.0};
-  /// Give up (throw) after this many watchdog trips in one experiment.
-  int max_watchdog_trips{8};
 };
 
 /// Top-level GreenGPU configuration: both tiers plus their decoupling rule

@@ -18,6 +18,39 @@ namespace {
 constexpr common::Journal::Format kJournalFormat{/*magic=*/0x4C4A4747u,
                                                 /*version=*/1};
 
+/// Every setting of a plan policy a cell's results depend on (the name
+/// alone would let a resume with --hardened, or another WMA parameter, mix
+/// its cells with the journaled ones).
+void write_policy(common::SnapshotWriter& w, const Policy& p) {
+  w.str(p.name);
+  w.b(p.division);
+  w.u64(static_cast<std::uint64_t>(p.divider));
+  w.b(p.gpu_scaling);
+  w.u64(static_cast<std::uint64_t>(p.cpu_governor));
+  w.f64(p.fixed_ratio);
+  w.b(p.fixed_gpu_levels.has_value());
+  if (p.fixed_gpu_levels) {
+    w.u64(p.fixed_gpu_levels->first);
+    w.u64(p.fixed_gpu_levels->second);
+  }
+  const GreenGpuParams& g = p.params;
+  w.f64(g.wma.alpha_core);
+  w.f64(g.wma.alpha_mem);
+  w.f64(g.wma.phi);
+  w.f64(g.wma.beta);
+  w.f64(g.wma.interval.get());
+  w.b(g.wma.harden);
+  w.f64(g.ondemand.up_threshold);
+  w.f64(g.ondemand.down_threshold);
+  w.f64(g.ondemand.interval.get());
+  w.f64(g.division.step);
+  w.f64(g.division.initial_ratio);
+  w.f64(g.division.min_ratio);
+  w.f64(g.division.max_ratio);
+  w.b(g.division.safeguard);
+  w.b(g.hardening.enabled);
+}
+
 /// The scalar fields of an ExperimentResult — everything the campaign
 /// reports consume.  Per-record vectors (iterations, traces, decision logs)
 /// are intentionally NOT journaled: campaigns run in counters-only
@@ -81,7 +114,7 @@ std::uint64_t CampaignJournal::fingerprint(const CampaignPlan& plan,
                                            const RunOptions& options) {
   common::SnapshotWriter w;
   for (const auto& name : plan.workloads) w.str(name);
-  for (const auto& policy : plan.policies) w.str(policy.name);
+  for (const auto& policy : plan.policies) write_policy(w, policy);
   // Every option a cell's results depend on.  Host-side knobs that cannot
   // change simulated outcomes (pool_workers, retention mode, checkpoint
   // cadence) are deliberately excluded so resuming with different host

@@ -60,8 +60,9 @@ class CampaignJournal {
   };
 
   /// Configuration fingerprint stored in the header: covers the resolved
-  /// plan (workload and policy names) and every option that affects cell
-  /// results, so a journal can only resume the campaign that wrote it.
+  /// plan (workload names, and each policy's name and settings) and every
+  /// option that affects cell results, so a journal can only resume the
+  /// campaign that wrote it.
   [[nodiscard]] static std::uint64_t fingerprint(const CampaignPlan& plan,
                                                  const RunOptions& options);
 

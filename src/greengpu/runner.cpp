@@ -57,6 +57,18 @@ Seconds tick_time(Seconds interval, std::uint64_t k) {
 /// launch (the paper's "cannot throttle while communicating" assumption).
 constexpr Seconds kEmulationGuardPerLaunch{0.5};
 
+/// Hardened-run fault tolerance (HardeningParams::enabled): bounded
+/// immediate re-tries of a failed kernel launch or host chunk
+/// (cudalite::FaultTolerance), and rerouting a permanently failed slot's
+/// item range to a surviving slot.
+constexpr int kMaxLaunchRetries = 3;
+constexpr bool kRerouteFailedSide = true;
+/// The watchdog's simulated-time budget for one iteration while a fault
+/// injector is installed, and the trips after which a hardened run gives
+/// up (throws).
+constexpr Seconds kWatchdogTimeout{300.0};
+constexpr int kMaxWatchdogTrips = 8;
+
 /// True when an event logged at index `first` or later distorts the
 /// iteration's measurements: a reroute, forced completion, exhausted
 /// retries, watchdog trip or throttle onset.  Allocation-free.
@@ -134,7 +146,7 @@ void ExperimentEngine::start() {
   const HardeningParams& hard = policy_->params.hardening;
   if (hard.enabled) {
     rt_->set_fault_tolerance(
-        cudalite::FaultTolerance{hard.max_launch_retries, hard.reroute_failed_side});
+        cudalite::FaultTolerance{kMaxLaunchRetries, kRerouteFailedSide});
   }
 
   // --- Frequency setup / tier 2 controllers, card by card ------------------
@@ -216,7 +228,7 @@ void ExperimentEngine::start() {
   spin_time_start_ = platform_->cpu().counters().spin_integral;
   spin_energy_start_ = platform_->cpu().spin_energy();
 
-  watchdog_trips_left_ = hard.max_watchdog_trips;
+  watchdog_trips_left_ = kMaxWatchdogTrips;
   iter_ = 0;
 }
 
@@ -273,14 +285,14 @@ void ExperimentEngine::step_iteration() {
       --slots_pending_;
     }
   });
-  if (injector_ != nullptr && hard.watchdog_timeout > Seconds{0.0}) {
+  if (injector_ != nullptr) {
     // Watchdog: bound the simulated time spent waiting on the join.  A
     // rejected un-rerouted slot never signals, and with a scaler attached
     // the queue never drains, so an un-watched wait would spin forever.
     while (slots_pending_ != 0) {
       bool fired = false;
       sim::EventHandle wd =
-          platform.queue().schedule_in(hard.watchdog_timeout, [&] { fired = true; });
+          platform.queue().schedule_in(kWatchdogTimeout, [&] { fired = true; });
       rt.wait_until([&] { return slots_pending_ == 0 || fired; });
       wd.cancel();
       if (slots_pending_ == 0) break;
@@ -289,7 +301,7 @@ void ExperimentEngine::step_iteration() {
       if (!hard.enabled || --watchdog_trips_left_ < 0) {
         throw ExperimentAborted("run_experiment: iteration " + std::to_string(iter) +
                                 " stuck for " +
-                                std::to_string(hard.watchdog_timeout.get()) +
+                                std::to_string(kWatchdogTimeout.get()) +
                                 " s (simulated) — watchdog abort");
       }
     }

@@ -122,7 +122,7 @@ struct ExperimentResult {
   /// Iterations whose measurements were distorted by faults.
   std::size_t degraded_iterations{0};
   /// Times the per-iteration watchdog fired (hardened runs keep waiting up
-  /// to `HardeningParams::max_watchdog_trips`; un-hardened runs throw).
+  /// to eight trips, runner.cpp's kMaxWatchdogTrips; un-hardened runs throw).
   std::uint64_t watchdog_trips{0};
 };
 

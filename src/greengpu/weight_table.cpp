@@ -13,12 +13,6 @@ namespace {
 void check_dims(std::size_t n, std::size_t m) {
   if (n == 0 || m == 0) throw std::invalid_argument("WeightTable: zero levels");
 }
-void check_losses(const std::vector<double>& core, const std::vector<double>& mem,
-                  std::size_t n, std::size_t m) {
-  if (core.size() != n || mem.size() != m) {
-    throw std::invalid_argument("WeightTable: loss vector size mismatch");
-  }
-}
 }  // namespace
 
 WeightTable::WeightTable(std::size_t core_levels, std::size_t mem_levels)
@@ -31,35 +25,14 @@ double WeightTable::weight(std::size_t core, std::size_t mem) const {
   return w_[idx(core, mem)];
 }
 
-void WeightTable::update(const std::vector<double>& core_losses,
-                         const std::vector<double>& mem_losses, double phi, double beta,
-                         double weight_floor) {
-  check_losses(core_losses, mem_losses, n_, m_);
-  double max_w = 0.0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < m_; ++j) {
-      const double loss = total_loss(core_losses[i], mem_losses[j], phi);
-      double& w = w_[idx(i, j)];
-      w = updated_weight(w, loss, beta);
-      max_w = std::max(max_w, w);
-    }
-  }
-  // Renormalize so the maximum is 1 (pure rescaling: argmax unaffected) and
-  // floor tiny weights so losers can recover in bounded time.
-  if (max_w > 0.0) {
-    for (double& w : w_) w = std::max(w / max_w, weight_floor);
-  } else {
-    reset();
-  }
-}
-
 GG_HOT PairIndex WeightTable::update_fused(const double* scaled_core_losses,
                                            const double* scaled_mem_losses,
                                            double one_minus_beta, double weight_floor) {
   // Pass 1 — decay.  Per cell this is the exact arithmetic of
   // updated_weight(w, total_loss(lc, lm, phi), beta): the pre-blended rows
   // supply phi*lc and (1-phi)*lm already rounded the way total_loss rounds
-  // them, so loss is the same add and the decay the same multiply chain.
+  // them, so loss is the same add and the decay the same multiply chain
+  // (tests/greengpu/wma_oracle.h spells the per-cell calls out).
   double* w = w_.data();
   double max_w = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
@@ -76,10 +49,11 @@ GG_HOT PairIndex WeightTable::update_fused(const double* scaled_core_losses,
     reset();
     return PairIndex{0, 0};
   }
-  // Pass 2 — renormalize + floor (identical expression to update()), with
-  // the argmax tracked over the *post*-renorm values in the same i-major
-  // scan order and with the same strict-> comparison as argmax(), so the
-  // selected pair (ties toward higher frequencies) cannot differ.
+  // Pass 2 — renormalize so the maximum is 1 (pure rescaling: the argmax is
+  // unaffected) and floor tiny weights so losers can recover in bounded
+  // time.  The argmax is tracked over the *post*-renorm values in i-major
+  // scan order with a strict-> comparison, so ties go to the first pair
+  // (toward higher frequencies).
   PairIndex best{0, 0};
   double best_w = 0.0;
   const std::size_t total = n_ * m_;
@@ -91,21 +65,6 @@ GG_HOT PairIndex WeightTable::update_fused(const double* scaled_core_losses,
     } else if (nw > best_w) {
       best_w = nw;
       best = PairIndex{k / m_, k % m_};
-    }
-  }
-  return best;
-}
-
-PairIndex WeightTable::argmax() const {
-  PairIndex best{0, 0};
-  double best_w = w_[0];
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < m_; ++j) {
-      const double w = w_[idx(i, j)];
-      if (w > best_w) {
-        best_w = w;
-        best = PairIndex{i, j};
-      }
     }
   }
   return best;
@@ -126,7 +85,9 @@ UQ08 FixedWeightTable::weight(std::size_t core, std::size_t mem) const {
 void FixedWeightTable::update(const std::vector<double>& core_losses,
                               const std::vector<double>& mem_losses, double phi,
                               double beta) {
-  check_losses(core_losses, mem_losses, n_, m_);
+  if (core_losses.size() != n_ || mem_losses.size() != m_) {
+    throw std::invalid_argument("FixedWeightTable: loss vector size mismatch");
+  }
   // Section VI datapath: quantize the per-pair loss to Q0.8 and apply the
   // update subtractively, w' = w - round(w * (1-beta) * loss), which a
   // shift-add unit computes exactly.  The subtractive form keeps pairs with
@@ -162,58 +123,6 @@ void FixedWeightTable::update(const std::vector<double>& core_losses,
       w = UQ08::from_raw(static_cast<std::uint8_t>(w.raw() * 2));
     }
   }
-}
-
-GG_HOT PairIndex FixedWeightTable::update_fused(const double* scaled_core_losses,
-                                                const double* scaled_mem_losses,
-                                                std::uint32_t one_minus_beta_raw) {
-  // Same quantize-subtract datapath as update(), with the pair loss formed
-  // from the pre-blended rows (one add, identical to total_loss) and the
-  // running maximum / argmax tracked inline.
-  std::uint8_t max_raw = 0;
-  PairIndex best{0, 0};
-  std::uint8_t best_raw = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double ci = scaled_core_losses[i];
-    for (std::size_t j = 0; j < m_; ++j) {
-      const double loss = ci + scaled_mem_losses[j];
-      // GG_LINT_ALLOW(hot-alloc-transitive): UQ08::raw() is a bit accessor;
-      // its basename collides with Flags::raw() and the temporary/auto
-      // receivers here defeat gg-analyze's type binding.
-      const std::uint32_t loss_raw = UQ08::from_double(loss).raw();
-      auto& w = w_[idx(i, j)];
-      const std::uint32_t prod = w.raw() * one_minus_beta_raw * loss_raw;  // <= 2^24
-      constexpr std::uint32_t kDenom = 255u * 255u;
-      const std::uint32_t decrement = prod / kDenom;
-      const std::uint32_t raw = w.raw();
-      const auto nw = static_cast<std::uint8_t>(raw > decrement ? raw - decrement : 0);
-      w = UQ08::from_raw(nw);
-      max_raw = std::max(max_raw, nw);
-      if (idx(i, j) == 0) {
-        best_raw = nw;
-      } else if (nw > best_raw) {
-        best_raw = nw;
-        best = PairIndex{i, j};
-      }
-    }
-  }
-  if (max_raw == 0) {
-    reset();
-    return PairIndex{0, 0};
-  }
-  // Renormalization: update() doubles every entry while the maximum stays
-  // below half scale, one full pass per doubling.  The shift count only
-  // depends on the maximum, so fold all doublings into a single pass.  A
-  // uniform left shift preserves order and ties exactly (max <= 254 after
-  // it, so nothing saturates), hence the argmax tracked above still holds.
-  unsigned shift = 0;
-  while ((static_cast<std::uint32_t>(max_raw) << shift) <= 127u) ++shift;
-  if (shift > 0) {
-    for (auto& w : w_) {
-      w = UQ08::from_raw(static_cast<std::uint8_t>(w.raw() << shift));
-    }
-  }
-  return best;
 }
 
 PairIndex FixedWeightTable::argmax() const {

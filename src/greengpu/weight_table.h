@@ -1,10 +1,15 @@
 // Core-memory frequency-pair weight tables for the WMA scaler.
 //
 // Two implementations share one concept:
-//  * `WeightTable` — double precision, used by the software daemon;
+//  * `WeightTable` — double precision, used by the software daemon (and the
+//    WMA CPU governor);
 //  * `FixedWeightTable` — 8-bit Q0.8 entries, validating the Section VI
 //    claim that a 36-byte table with shift-add update logic is "accurate
 //    enough for the purpose of picking up the largest weight".
+//
+// Each has one update path.  The straight-line Eq. 3/4 transcription the
+// double table's fused update is checked against lives in
+// tests/greengpu/wma_oracle.h.
 #pragma once
 
 #include <cstddef>
@@ -37,31 +42,19 @@ class WeightTable {
   [[nodiscard]] std::size_t mem_levels() const { return m_; }
   [[nodiscard]] double weight(std::size_t core, std::size_t mem) const;
 
-  /// Apply Eq. 4 to every entry given per-level core and memory losses
-  /// (vectors of length core_levels / mem_levels), then renormalize so the
-  /// maximum weight is 1 and apply the relative floor.
-  void update(const std::vector<double>& core_losses,
-              const std::vector<double>& mem_losses, double phi, double beta,
-              double weight_floor);
-
-  /// Fused fast path: one decay pass plus one renormalize/floor pass that
-  /// tracks the running argmax in place of update() + a third argmax()
-  /// scan.  Takes *pre-blended* per-level losses — `scaled_core_losses[i]`
-  /// must equal `phi * core_loss_i` and `scaled_mem_losses[j]` must equal
-  /// `(1 - phi) * mem_loss_j` (exactly what QuantizedLossTable rows built
-  /// with those scales hold) — and the precomputed `1 - beta`.  Produces
-  /// bit-identical weights and the identical argmax (same scan order, same
-  /// strict-> tie-break toward higher frequencies) as
-  /// `update(...); argmax();`, with zero allocations and no per-cell
-  /// argument validation.  Pointers must cover core_levels()/mem_levels()
-  /// entries; no bounds are checked.
+  /// Apply Eq. 3 + Eq. 4 to every entry, renormalize so the maximum weight
+  /// is 1, apply the relative floor, and return the pair with the highest
+  /// weight (ties break toward higher frequencies — lower indices — the
+  /// performance-safe choice).  One decay pass plus one renormalize/floor
+  /// pass that tracks the argmax.  Takes *pre-blended* per-level losses —
+  /// `scaled_core_losses[i]` must equal `phi * core_loss_i` and
+  /// `scaled_mem_losses[j]` must equal `(1 - phi) * mem_loss_j` (exactly
+  /// what QuantizedLossTable rows built with those scales hold) — and the
+  /// precomputed `1 - beta`.  Zero allocations and no per-cell argument
+  /// validation: pointers must cover core_levels()/mem_levels() entries.
   PairIndex update_fused(const double* scaled_core_losses,
                          const double* scaled_mem_losses, double one_minus_beta,
                          double weight_floor);
-
-  /// Pair with the highest weight; ties break toward higher frequencies
-  /// (lower indices), the performance-safe choice.
-  [[nodiscard]] PairIndex argmax() const;
 
   void reset();
 
@@ -99,18 +92,7 @@ class FixedWeightTable {
   void update(const std::vector<double>& core_losses,
               const std::vector<double>& mem_losses, double phi, double beta);
 
-  /// Fused twin of WeightTable::update_fused for the Q0.8 datapath: the
-  /// per-pair loss is the sum of pre-blended rows, the subtractive update
-  /// tracks the running maximum, and the doubling renormalization is folded
-  /// into a single left-shift pass (shift count derived from the maximum —
-  /// doubling preserves order and ties exactly, so the argmax tracked
-  /// before the shift is the argmax after it).  `one_minus_beta_raw` is
-  /// `UQ08::from_double(1 - beta).raw()`.  Bit-identical to
-  /// `update(...); argmax();`.
-  PairIndex update_fused(const double* scaled_core_losses,
-                         const double* scaled_mem_losses,
-                         std::uint32_t one_minus_beta_raw);
-
+  /// Pair with the highest weight; ties break toward lower indices.
   [[nodiscard]] PairIndex argmax() const;
 
   void reset();

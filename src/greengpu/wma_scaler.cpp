@@ -9,35 +9,29 @@
 
 namespace gg::greengpu {
 
+namespace {
+/// A hardened step treats a sample whose averaging window is shorter than
+/// this fraction of the scaling interval as stale (non-informative).
+constexpr double kMinWindowFrac = 0.5;
+/// Immediate re-tries of a rejected/clamped clock write per hardened step.
+constexpr int kActuationRetries = 2;
+/// Base delay of the asynchronous retry after the immediate re-tries failed
+/// (doubles per attempt, capped at the scaling interval).
+constexpr Seconds kActuationBackoff{0.25};
+}  // namespace
+
 GpuFrequencyScaler::GpuFrequencyScaler(cudalite::NvmlDevice& nvml,
                                        cudalite::NvSettings& settings, WmaParams params)
     : nvml_(&nvml),
       settings_(&settings),
       params_(params),
-      core_umean_(umean_table(settings.core_table())),
-      mem_umean_(umean_table(settings.mem_table())),
-      core_filter_(params.util_filter_alpha),
-      mem_filter_(params.util_filter_alpha),
       table_(settings.core_table().levels(), settings.mem_table().levels()),
-      core_loss_q_(core_umean_, params.alpha_core, params.phi),
-      mem_loss_q_(mem_umean_, params.alpha_mem, 1.0 - params.phi),
-      one_minus_beta_(1.0 - params.beta),
-      quantized_applies_(params.util_filter_alpha == 1.0),
-      scratch_core_(core_umean_.size(), 0.0),
-      scratch_mem_(mem_umean_.size(), 0.0) {
-  if (params_.util_filter_alpha <= 0.0 || params_.util_filter_alpha > 1.0) {
-    throw std::invalid_argument("WmaParams: util_filter_alpha must be in (0,1]");
-  }
-  if (params_.min_window_frac < 0.0 || params_.min_window_frac > 1.0) {
-    throw std::invalid_argument("WmaParams: min_window_frac must be in [0,1]");
-  }
-  if (params_.actuation_retries < 0) {
-    throw std::invalid_argument("WmaParams: actuation_retries must be >= 0");
-  }
-  // The reference path surfaces these through total_loss/updated_weight on
-  // the first step; the fast path pre-folds both constants, so reject bad
-  // values up front.  (alpha_core/alpha_mem are validated by the
-  // QuantizedLossTable constructors via component_loss.)
+      core_loss_q_(umean_table(settings.core_table()), params.alpha_core, params.phi),
+      mem_loss_q_(umean_table(settings.mem_table()), params.alpha_mem, 1.0 - params.phi),
+      one_minus_beta_(1.0 - params.beta) {
+  // Both constants are pre-folded into the loss rows and the decay factor,
+  // so reject bad values up front.  (alpha_core/alpha_mem are validated by
+  // the QuantizedLossTable constructors via component_loss.)
   if (params_.phi < 0.0 || params_.phi > 1.0) {
     throw std::invalid_argument("WmaParams: phi must be in [0,1]");
   }
@@ -48,8 +42,7 @@ GpuFrequencyScaler::GpuFrequencyScaler(cudalite::NvmlDevice& nvml,
 
 ScalerDecision GpuFrequencyScaler::step(Seconds now) {
   common::killpoint(common::KillPoint::kPreScalerStep);
-  const ScalerDecision decision =
-      params_.reference_impl ? step_reference(now) : step_fast(now);
+  const ScalerDecision decision = step_fast(now);
   common::killpoint(common::KillPoint::kPostScalerStep);
   return decision;
 }
@@ -61,116 +54,33 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
   // 1. Read GPU core and memory utilizations (integer percent, like the
   //    nvidia-smi tool the paper polls).
   const cudalite::UtilizationSample sample = nvml_->try_utilization_rates();
-  const double uc_raw = static_cast<double>(sample.rates.gpu) / 100.0;
-  const double um_raw = static_cast<double>(sample.rates.memory) / 100.0;
-
-  const bool stale =
-      !sample.ok() || sample.window.get() < params_.interval.get() * params_.min_window_frac;
-  if (params_.harden && stale) {
-    ++steps_;
-    ++held_steps_;
-    // The table is unchanged since the last update, so the cached argmax is
-    // exactly what the reference path's rescan would return.
-    ScalerDecision d{now, uc_raw, um_raw, core_filter_.value(), mem_filter_.value(),
-                     argmax_};
-    d.sample_ok = false;
-    decisions_.push(d);
-    return d;
-  }
-
-  // Optional measurement-side noise filter (alpha = 1 passes through).
-  const double uc = core_filter_.update(uc_raw);
-  const double um = mem_filter_.update(um_raw);
-
-  // 2.+3. Eq. 1-4 as one fused pass.  With the filter off, the filtered
-  // utilization IS the integer-percent sample (Ewma with alpha = 1 returns
-  // its input bit-exactly), so the pre-blended quantized rows are the exact
-  // per-level losses; with the filter on, fill the preallocated scratch
-  // rows from the continuous utilization instead.  Either way: no
-  // allocations, one decay pass, one renormalize pass that carries the
-  // argmax.
-  const double* core_row;
-  const double* mem_row;
-  if (quantized_applies_) {
-    core_row = core_loss_q_.row(sample.rates.gpu);
-    mem_row = mem_loss_q_.row(sample.rates.memory);
-  } else {
-    for (std::size_t i = 0; i < scratch_core_.size(); ++i) {
-      scratch_core_[i] = params_.phi * component_loss(uc, core_umean_[i], params_.alpha_core);
-    }
-    for (std::size_t j = 0; j < scratch_mem_.size(); ++j) {
-      scratch_mem_[j] =
-          (1.0 - params_.phi) * component_loss(um, mem_umean_[j], params_.alpha_mem);
-    }
-    core_row = scratch_core_.data();
-    mem_row = scratch_mem_.data();
-  }
-  const PairIndex chosen =
-      table_.update_fused(core_row, mem_row, one_minus_beta_, params_.weight_floor);
-  argmax_ = chosen;
-
-  bool applied = true;
-  if (params_.harden) {
-    applied = actuate(chosen);
-    if (!applied) ++actuation_failures_;
-  } else {
-    settings_->set_clock_levels(chosen.core, chosen.mem);
-  }
-
-  ++steps_;
-  ScalerDecision d{now, uc_raw, um_raw, uc, um, chosen};
-  d.actuation_ok = applied;
-  decisions_.push(d);
-  return d;
-}
-
-// The straight-line transcription of Algorithm 1 (the seed implementation):
-// per-step loss vectors, checked per-cell Eq. 3/4 calls, a full argmax
-// rescan.  Kept verbatim as the oracle for the equivalence suite and the
-// baseline for the scaler-step microbenchmarks.
-ScalerDecision GpuFrequencyScaler::step_reference(Seconds now) {
-  // A fresh step supersedes any asynchronous actuation retry in flight.
-  retry_.cancel();
-
-  // 1. Read GPU core and memory utilizations (integer percent, like the
-  //    nvidia-smi tool the paper polls).
-  const cudalite::UtilizationSample sample = nvml_->try_utilization_rates();
-  const double uc_raw = static_cast<double>(sample.rates.gpu) / 100.0;
-  const double um_raw = static_cast<double>(sample.rates.memory) / 100.0;
+  const double uc = static_cast<double>(sample.rates.gpu) / 100.0;
+  const double um = static_cast<double>(sample.rates.memory) / 100.0;
 
   // Hardened stale-sample detection: a failed read or a window much shorter
   // than the scaling interval carries no new information — hold the weights
-  // and keep the current pair instead of learning from noise.
+  // and re-enforce the current argmax (the table is unchanged since the last
+  // update, so the cached argmax is what a rescan would return).
   const bool stale =
-      !sample.ok() || sample.window.get() < params_.interval.get() * params_.min_window_frac;
+      !sample.ok() || sample.window.get() < params_.interval.get() * kMinWindowFrac;
   if (params_.harden && stale) {
     ++steps_;
     ++held_steps_;
-    ScalerDecision d{now, uc_raw, um_raw, core_filter_.value(), mem_filter_.value(),
-                     table_.argmax()};
+    ScalerDecision d{now, uc, um, argmax_};
     d.sample_ok = false;
     decisions_.push(d);
     return d;
   }
 
-  // Optional measurement-side noise filter (alpha = 1 passes through).
-  const double uc = core_filter_.update(uc_raw);
-  const double um = mem_filter_.update(um_raw);
-
-  // 2. Per-level core and memory loss factors (Eq. 1 and Eq. 2).
-  std::vector<double> core_losses(core_umean_.size());
-  for (std::size_t i = 0; i < core_umean_.size(); ++i) {
-    core_losses[i] = component_loss(uc, core_umean_[i], params_.alpha_core);
-  }
-  std::vector<double> mem_losses(mem_umean_.size());
-  for (std::size_t j = 0; j < mem_umean_.size(); ++j) {
-    mem_losses[j] = component_loss(um, mem_umean_[j], params_.alpha_mem);
-  }
-
-  // 3. Update weight[N][M] (Eq. 3 + Eq. 4) and enforce the argmax pair.
-  table_.update(core_losses, mem_losses, params_.phi, params_.beta, params_.weight_floor);
-  const PairIndex chosen = table_.argmax();
+  // 2.+3. Eq. 1-4 as one fused pass: the pre-blended quantized rows are the
+  // exact per-level losses of the integer-percent sample, so there are no
+  // allocations, one decay pass and one renormalize pass that carries the
+  // argmax.
+  const PairIndex chosen = table_.update_fused(core_loss_q_.row(sample.rates.gpu),
+                                               mem_loss_q_.row(sample.rates.memory),
+                                               one_minus_beta_, kWeightFloor);
   argmax_ = chosen;
+
   bool applied = true;
   if (params_.harden) {
     applied = actuate(chosen);
@@ -180,14 +90,14 @@ ScalerDecision GpuFrequencyScaler::step_reference(Seconds now) {
   }
 
   ++steps_;
-  ScalerDecision d{now, uc_raw, um_raw, uc, um, chosen};
+  ScalerDecision d{now, uc, um, chosen};
   d.actuation_ok = applied;
   decisions_.push(d);
   return d;
 }
 
 bool GpuFrequencyScaler::actuate(PairIndex pair) {
-  for (int attempt = 0; attempt <= params_.actuation_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kActuationRetries; ++attempt) {
     const cudalite::ClockWriteResult r =
         settings_->set_clock_levels_checked(pair.core, pair.mem);
     switch (r.status) {
@@ -215,7 +125,7 @@ bool GpuFrequencyScaler::actuate(PairIndex pair) {
 
 void GpuFrequencyScaler::schedule_retry(PairIndex pair, int attempt) {
   if (attached_queue_ == nullptr) return;
-  double delay = params_.actuation_backoff.get();
+  double delay = kActuationBackoff.get();
   for (int i = 0; i < attempt; ++i) delay *= 2.0;
   delay = std::min(delay, params_.interval.get());
   retry_.cancel();
@@ -259,8 +169,6 @@ void GpuFrequencyScaler::detach() {
 
 void GpuFrequencyScaler::reset() {
   table_.reset();
-  core_filter_ = Ewma(params_.util_filter_alpha);
-  mem_filter_ = Ewma(params_.util_filter_alpha);
   argmax_ = PairIndex{0, 0};
   decisions_.clear();
   steps_ = 0;
@@ -274,8 +182,6 @@ void save_decision(common::SnapshotWriter& w, const ScalerDecision& d) {
   w.f64(d.time.get());
   w.f64(d.core_util);
   w.f64(d.mem_util);
-  w.f64(d.filtered_core_util);
-  w.f64(d.filtered_mem_util);
   w.u64(d.chosen.core);
   w.u64(d.chosen.mem);
   w.b(d.sample_ok);
@@ -287,8 +193,6 @@ ScalerDecision load_decision(common::SnapshotReader& r) {
   d.time = Seconds{r.f64()};
   d.core_util = r.f64();
   d.mem_util = r.f64();
-  d.filtered_core_util = r.f64();
-  d.filtered_mem_util = r.f64();
   d.chosen.core = static_cast<std::size_t>(r.u64());
   d.chosen.mem = static_cast<std::size_t>(r.u64());
   d.sample_ok = r.b();
@@ -299,10 +203,6 @@ ScalerDecision load_decision(common::SnapshotReader& r) {
 
 void GpuFrequencyScaler::save(common::SnapshotWriter& w) const {
   table_.save(w);
-  w.f64(core_filter_.value());
-  w.b(core_filter_.seeded());
-  w.f64(mem_filter_.value());
-  w.b(mem_filter_.seeded());
   w.u64(argmax_.core);
   w.u64(argmax_.mem);
   w.u64(steps_);
@@ -313,12 +213,6 @@ void GpuFrequencyScaler::save(common::SnapshotWriter& w) const {
 
 void GpuFrequencyScaler::load(common::SnapshotReader& r) {
   table_.load(r);
-  const double core_value = r.f64();
-  const bool core_seeded = r.b();
-  core_filter_.restore(core_value, core_seeded);
-  const double mem_value = r.f64();
-  const bool mem_seeded = r.b();
-  mem_filter_.restore(mem_value, mem_seeded);
   argmax_.core = static_cast<std::size_t>(r.u64());
   argmax_.mem = static_cast<std::size_t>(r.u64());
   steps_ = r.u64();

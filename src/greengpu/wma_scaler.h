@@ -5,26 +5,19 @@
 // and enforces the argmax pair through the nvidia-settings-style actuator —
 // exactly the role of the paper's background Python daemon.
 //
-// Two step implementations share every observable behaviour:
-//
-//  * the fused fast path (default) — utilization arrives as integer
-//    percent, so the Eq. 1/2 losses per level are 101-row lookups built at
-//    construction (loss.h: QuantizedLossTable, rows pre-blended by the
-//    Eq. 3 weights); the Eq. 4 decay, renormalization and argmax run as one
-//    fused table pass with preallocated scratch and zero heap allocations
-//    per step;
-//  * the reference path (`WmaParams::reference_impl`) — the straight-line
-//    transcription of the equations, kept as the oracle the equivalence
-//    suite and the microbenchmarks compare against.
-//
-// The decision stream is bit-identical between the two, faults included
-// (tests/greengpu/scaler_fastpath_test.cpp).
+// One step implementation, allocation-free: utilization arrives as integer
+// percent, so the Eq. 1/2 losses per level are 101-row lookups built at
+// construction (loss.h: QuantizedLossTable, rows pre-blended by the Eq. 3
+// weights), and the Eq. 4 decay, renormalization and argmax run as one
+// fused table pass (WeightTable::update_fused).  The straight-line
+// transcription of the equations lives in tests/greengpu/wma_oracle.h; the
+// equivalence suite replays every decision of full runs, faults included,
+// through it (tests/greengpu/scaler_fastpath_test.cpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/cudalite/nvml.h"
 #include "src/cudalite/nvsettings.h"
 #include "src/greengpu/loss.h"
@@ -38,10 +31,8 @@ namespace gg::greengpu {
 /// One record of what the scaler saw and decided (for traces and tests).
 struct ScalerDecision {
   Seconds time{0.0};
-  double core_util{0.0};  // raw measurements, as fractions in [0, 1]
+  double core_util{0.0};  // measurements, as fractions (integer percent / 100)
   double mem_util{0.0};
-  double filtered_core_util{0.0};  // after the optional EWMA pre-filter
-  double filtered_mem_util{0.0};
   PairIndex chosen{};
   /// False when a hardened step held the weights because the sample was
   /// missing or stale (fault layer active).
@@ -95,8 +86,8 @@ class GpuFrequencyScaler {
   /// Forget all learned state (weights back to uniform).
   void reset();
 
-  /// Serialize every piece of learned/derived state (weights, EWMA
-  /// filters, running argmax, counters, retained decisions).  A scaler
+  /// Serialize every piece of learned/derived state (weights, running
+  /// argmax, counters, retained decisions).  A scaler
   /// restored from this snapshot continues the exact decision stream the
   /// saved one would have produced.
   void save(common::SnapshotWriter& w) const;
@@ -108,7 +99,6 @@ class GpuFrequencyScaler {
  private:
   void arm(sim::EventQueue& queue);
   ScalerDecision step_fast(Seconds now);
-  ScalerDecision step_reference(Seconds now);
   /// Enforce `pair` through the actuator, with bounded immediate re-tries
   /// and (when attached + hardened) asynchronous backoff re-tries.  Returns
   /// true when the pair is applied or in flight (delayed write).
@@ -118,27 +108,15 @@ class GpuFrequencyScaler {
   cudalite::NvmlDevice* nvml_;
   cudalite::NvSettings* settings_;
   WmaParams params_;
-  std::vector<double> core_umean_;
-  std::vector<double> mem_umean_;
-  Ewma core_filter_;
-  Ewma mem_filter_;
   WeightTable table_;
-  // --- fast-path state -------------------------------------------------
   /// Pre-blended 101-row loss tables (phi * core loss, (1-phi) * mem loss).
   QuantizedLossTable core_loss_q_;
   QuantizedLossTable mem_loss_q_;
   /// Precomputed Eq. 4 constant.
   double one_minus_beta_;
-  /// The quantized rows apply only when the EWMA pre-filter passes samples
-  /// through unchanged (alpha == 1, the default); otherwise the fast path
-  /// fills the preallocated scratch rows instead.
-  bool quantized_applies_;
-  std::vector<double> scratch_core_;
-  std::vector<double> scratch_mem_;
   /// Running argmax maintained by the fused update (what a hold step
   /// re-enforces without rescanning the table).
   PairIndex argmax_{0, 0};
-  // ---------------------------------------------------------------------
   DecisionRecorder<ScalerDecision> decisions_;
   std::uint64_t steps_{0};
   std::uint64_t held_steps_{0};

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <sstream>
@@ -352,6 +353,29 @@ TEST(Recovery, JournalFingerprintMismatchRefusesResume) {
   cfg.options.max_iterations = 7;
   ckpt.resume = true;
   EXPECT_THROW((void)run_campaign_checkpointed(cfg, ckpt), SnapshotError);
+}
+
+TEST(Recovery, PolicySettingsChangeRefusesResume) {
+  // Policy names alone do not pin a cell's results: hardening and every WMA
+  // parameter change them under the same name, so the fingerprint covers
+  // each plan policy's settings.
+  const auto resume_with = [](const std::function<void(Policy&)>& edit) {
+    const std::filesystem::path dir = test_dir();
+    CampaignConfig cfg = small_config(false);
+    CheckpointOptions ckpt;
+    ckpt.dir = dir.string();
+    (void)run_campaign_checkpointed(cfg, ckpt);
+    edit(cfg.policies[1]);
+    ckpt.resume = true;
+    (void)run_campaign_checkpointed(cfg, ckpt);
+  };
+  EXPECT_THROW(resume_with([](Policy& p) { p.params.hardening.enabled = true; }),
+               SnapshotError);
+  EXPECT_THROW(resume_with([](Policy& p) { p.params.wma.phi = 0.5; }), SnapshotError);
+  EXPECT_THROW(resume_with([](Policy& p) { p.params.wma.interval = Seconds{2.0}; }),
+               SnapshotError);
+  // An unchanged plan still resumes.
+  EXPECT_NO_THROW(resume_with([](Policy&) {}));
 }
 
 TEST(Recovery, ForeignOrTruncatedJournalIsRejected) {

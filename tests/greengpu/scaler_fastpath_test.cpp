@@ -1,22 +1,27 @@
 // Equivalence suite for the scaler fast path: the quantized loss tables,
-// the fused weight updates (both table variants) and the full Algorithm 1
-// step must be *bit-identical* to the straight-line reference — with the
+// the fused weight update and the full Algorithm 1 step must be
+// *bit-identical* to the straight-line oracle (wma_oracle.h) — with the
 // fault layer off and on.
 #include "src/greengpu/wma_scaler.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/stats.h"
+#include "src/cudalite/api.h"
 #include "src/greengpu/loss.h"
 #include "src/greengpu/runner.h"
 #include "src/greengpu/weight_table.h"
 #include "src/sim/dvfs.h"
+#include "src/sim/fault.h"
+#include "tests/greengpu/wma_oracle.h"
 
 namespace gg::greengpu {
 namespace {
+
+using namespace gg::literals;
 
 // --- quantized loss tables -------------------------------------------------
 
@@ -77,23 +82,12 @@ TEST(QuantizedLossTable, CorruptPercentagesClampToHundredRow) {
   }
 }
 
-TEST(EwmaFilter, AlphaOnePassesSamplesThroughBitExactly) {
-  // The fast path uses the quantized rows only when the EWMA pre-filter is
-  // off (alpha == 1); this is the identity that makes that exact.
-  Ewma f(1.0);
-  Rng rng(3);
-  for (int k = 0; k < 200; ++k) {
-    const double x = static_cast<double>(rng.uniform_int(101)) / 100.0;
-    EXPECT_EQ(f.update(x), x);
-  }
-}
-
-// --- fused weight updates --------------------------------------------------
+// --- fused weight update ---------------------------------------------------
 
 TEST(WeightTableFused, BitIdenticalToUpdateThenArgmaxOverRandomSequences) {
   Rng rng(7);
   const double phi = 0.3, beta = 0.2, floor = 1e-2;
-  WeightTable ref(6, 5);
+  oracle::Weights ref(6, 5);
   WeightTable fast(6, 5);
   std::vector<double> cl(6), ml(5), scl(6), sml(5);
   for (int step = 0; step < 500; ++step) {
@@ -123,42 +117,28 @@ TEST(WeightTableFused, TieBreaksTowardLowerIndicesLikeArgmax) {
   const std::vector<double> zeros(4, 0.0);
   const PairIndex got = fast.update_fused(zeros.data(), zeros.data(), 0.8, 1e-2);
   EXPECT_EQ(got, (PairIndex{0, 0}));
+  EXPECT_EQ(oracle::Weights(4, 4).argmax(), (PairIndex{0, 0}));
 }
 
-TEST(FixedWeightTableFused, BitIdenticalToUpdateThenArgmaxOverRandomSequences) {
-  Rng rng(11);
-  const double phi = 0.3, beta = 0.2;
-  const std::uint32_t one_minus_beta_raw = UQ08::from_double(1.0 - beta).raw();
-  FixedWeightTable ref(6, 6);
-  FixedWeightTable fast(6, 6);
-  std::vector<double> cl(6), ml(6), scl(6), sml(6);
-  for (int step = 0; step < 500; ++step) {
-    for (auto& x : cl) x = rng.uniform();
-    for (auto& x : ml) x = rng.uniform();
-    for (std::size_t i = 0; i < cl.size(); ++i) scl[i] = phi * cl[i];
-    for (std::size_t j = 0; j < ml.size(); ++j) sml[j] = (1.0 - phi) * ml[j];
+// --- decision streams replayed through the oracle ----------------------------
 
-    ref.update(cl, ml, phi, beta);
-    const PairIndex want = ref.argmax();
-    const PairIndex got = fast.update_fused(scl.data(), sml.data(), one_minus_beta_raw);
-
-    ASSERT_EQ(got, want) << "step " << step;
-    for (std::size_t i = 0; i < 6; ++i) {
-      for (std::size_t j = 0; j < 6; ++j) {
-        ASSERT_EQ(fast.weight(i, j).raw(), ref.weight(i, j).raw())
-            << "step " << step << " cell (" << i << "," << j << ")";
-      }
-    }
+std::vector<oracle::Sample> samples_of(const std::vector<ScalerDecision>& decisions) {
+  std::vector<oracle::Sample> out;
+  out.reserve(decisions.size());
+  for (const ScalerDecision& d : decisions) {
+    out.push_back(oracle::Sample{d.core_util, d.mem_util, d.sample_ok});
   }
+  return out;
 }
 
-// --- full-stack decision-stream equivalence --------------------------------
+std::vector<oracle::Step> replay(const WmaParams& params,
+                                 const std::vector<ScalerDecision>& decisions) {
+  return oracle::replay(params, umean_table(sim::geforce8800_core_table()),
+                        umean_table(sim::geforce8800_memory_table()), samples_of(decisions));
+}
 
-ExperimentResult run_with(bool reference, bool faults, double filter_alpha,
-                          const std::string& workload) {
+ExperimentResult run_with(bool faults, const std::string& workload) {
   GreenGpuParams params;
-  params.wma.reference_impl = reference;
-  params.wma.util_filter_alpha = filter_alpha;
   params.hardening.enabled = faults;  // exercise hold/retry paths under faults
   RunOptions options;
   if (faults) {
@@ -171,55 +151,110 @@ ExperimentResult run_with(bool reference, bool faults, double filter_alpha,
   return run_experiment(workload, Policy::scaling_only(params), options);
 }
 
-void expect_identical_streams(const ExperimentResult& fast, const ExperimentResult& ref) {
-  // The decision stream drives the clocks, so stream identity implies the
-  // whole simulation replayed identically — assert both layers bit-exactly.
-  EXPECT_EQ(fast.exec_time.get(), ref.exec_time.get());
-  EXPECT_EQ(fast.gpu_energy.get(), ref.gpu_energy.get());
-  EXPECT_EQ(fast.cpu_energy.get(), ref.cpu_energy.get());
-  ASSERT_EQ(fast.scaler_decisions.size(), ref.scaler_decisions.size());
-  ASSERT_GT(fast.scaler_decisions.size(), 0u);
-  for (std::size_t i = 0; i < fast.scaler_decisions.size(); ++i) {
-    const ScalerDecision& a = fast.scaler_decisions[i];
-    const ScalerDecision& b = ref.scaler_decisions[i];
-    ASSERT_EQ(a.time.get(), b.time.get()) << "decision " << i;
-    ASSERT_EQ(a.core_util, b.core_util) << "decision " << i;
-    ASSERT_EQ(a.mem_util, b.mem_util) << "decision " << i;
-    ASSERT_EQ(a.filtered_core_util, b.filtered_core_util) << "decision " << i;
-    ASSERT_EQ(a.filtered_mem_util, b.filtered_mem_util) << "decision " << i;
-    ASSERT_EQ(a.chosen, b.chosen) << "decision " << i;
-    ASSERT_EQ(a.sample_ok, b.sample_ok) << "decision " << i;
-    ASSERT_EQ(a.actuation_ok, b.actuation_ok) << "decision " << i;
+/// Replays every decision of one fast-path run through the oracle and
+/// checks each chosen pair.  The decision stream drives the clocks, so
+/// stream identity means the whole simulation follows the equations.
+void expect_oracle_stream(const ExperimentResult& run, const WmaParams& params) {
+  ASSERT_GT(run.scaler_decisions.size(), 0u);
+  ASSERT_EQ(run.scaler_decisions.size(), run.scaler_decision_count);
+  const std::vector<oracle::Step> want = replay(params, run.scaler_decisions);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(run.scaler_decisions[i].chosen, want[i].chosen) << "decision " << i;
   }
 }
 
 TEST(ScalerFastPath, DecisionStreamMatchesReferenceFaultFree) {
-  expect_identical_streams(run_with(false, false, 1.0, "pathfinder"),
-                           run_with(true, false, 1.0, "pathfinder"));
+  expect_oracle_stream(run_with(false, "pathfinder"), WmaParams{});
 }
 
 TEST(ScalerFastPath, DecisionStreamMatchesReferenceOnSecondWorkload) {
-  expect_identical_streams(run_with(false, false, 1.0, "lud"),
-                           run_with(true, false, 1.0, "lud"));
+  expect_oracle_stream(run_with(false, "lud"), WmaParams{});
 }
 
 TEST(ScalerFastPath, DecisionStreamMatchesReferenceUnderFaultInjection) {
-  const ExperimentResult fast = run_with(false, true, 1.0, "pathfinder");
-  const ExperimentResult ref = run_with(true, true, 1.0, "pathfinder");
-  // The fault channels must actually fire for this test to mean anything.
-  EXPECT_GT(fast.fault_event_count, 0u);
-  expect_identical_streams(fast, ref);
+  const ExperimentResult run = run_with(true, "pathfinder");
+  // The fault channels must actually fire, and the hold path must be taken,
+  // for this test to mean anything.
+  EXPECT_GT(run.fault_event_count, 0u);
+  std::size_t held = 0;
+  for (const ScalerDecision& d : run.scaler_decisions) held += d.sample_ok ? 0 : 1;
+  EXPECT_GT(held, 0u);
+  WmaParams params;
+  params.harden = true;
+  expect_oracle_stream(run, params);
 }
 
-TEST(ScalerFastPath, DecisionStreamMatchesReferenceWithUtilFilterOn) {
-  // alpha < 1 disables the quantized rows; the scratch-row path must still
-  // be bit-identical to the reference.
-  expect_identical_streams(run_with(false, false, 0.5, "pathfinder"),
-                           run_with(true, false, 0.5, "pathfinder"));
+/// Steps a scaler by hand over `steps` intervals of random utilization and
+/// compares every weight with the oracle's after each step.
+void expect_weights_match_oracle(const WmaParams& params, const sim::FaultConfig& faults,
+                                 int steps) {
+  sim::Platform platform;
+  if (faults.any_faults()) platform.install_faults(faults);
+  cudalite::Runtime rt(platform, 1);
+  cudalite::NvmlDevice nvml(platform);
+  cudalite::NvSettings settings(platform);
+  GpuFrequencyScaler scaler(nvml, settings, params);
+  oracle::WmaOracle ref(params, umean_table(settings.core_table()),
+                        umean_table(settings.mem_table()));
+  Rng rng(21);
+  const auto& spec = platform.gpu().spec();
+  std::size_t held = 0;
+  for (int k = 1; k <= steps; ++k) {
+    // One kernel busy for the whole interval at a random core/memory mix.
+    cudalite::WorkEstimate est;
+    est.units = 3.0 / 1e-3;
+    est.core_cycles_per_unit = rng.uniform() * 1e-3 * spec.core_throughput(576_MHz);
+    est.mem_bytes_per_unit = rng.uniform() * 1e-3 * spec.mem_bandwidth(900_MHz);
+    est.overhead_per_unit_s = 1e-3;
+    auto stream = rt.create_stream();
+    rt.launch_range(stream, 1, est, [](std::size_t, std::size_t) {});
+    platform.queue().run_until(Seconds{3.0 * k});
+    const ScalerDecision d = scaler.step(platform.now());
+    held += d.sample_ok ? 0 : 1;
+    ASSERT_EQ(d.chosen, ref.step(d.core_util, d.mem_util, d.sample_ok)) << "step " << k;
+    const WeightTable& table = scaler.table();
+    for (std::size_t i = 0; i < table.core_levels(); ++i) {
+      for (std::size_t j = 0; j < table.mem_levels(); ++j) {
+        ASSERT_EQ(table.weight(i, j), ref.weights().weight(i, j))
+            << "step " << k << " cell (" << i << "," << j << ")";
+      }
+    }
+  }
+  if (params.harden && faults.any_faults()) {
+    EXPECT_GT(held, 0u);
+  }
 }
 
-TEST(ScalerFastPath, FastPathIsTheDefault) {
-  EXPECT_FALSE(WmaParams{}.reference_impl);
+TEST(ScalerFastPath, WeightsMatchOracleAfterEveryStep) {
+  expect_weights_match_oracle(WmaParams{}, sim::FaultConfig{}, 200);
+  // Non-default parameters fold into different pre-blended rows.
+  WmaParams tuned;
+  tuned.alpha_core = 0.4;
+  tuned.alpha_mem = 0.1;
+  tuned.phi = 0.6;
+  tuned.beta = 0.35;
+  expect_weights_match_oracle(tuned, sim::FaultConfig{}, 200);
+  // phi = 1 drops the memory loss, so every memory level ties with the
+  // best one: the tie-break alone picks the (peak) memory clock.
+  WmaParams core_only;
+  core_only.phi = 1.0;
+  expect_weights_match_oracle(core_only, sim::FaultConfig{}, 50);
+}
+
+TEST(ScalerFastPath, WeightsMatchOracleAfterEveryHardenedFaultyStep) {
+  // Dropped, stale and corrupt (above 100 %) samples, plus rejected clock
+  // writes: held steps keep the weights, corrupt ones clamp to the 100 row.
+  sim::FaultConfig faults;
+  faults.seed = 5;
+  faults.util_drop_rate = 0.1;
+  faults.util_stale_rate = 0.1;
+  faults.util_corrupt_rate = 0.1;
+  faults.clock_reject_rate = 0.1;
+  WmaParams params;
+  params.harden = true;
+  expect_weights_match_oracle(params, faults, 200);
+  // Un-hardened, the same samples are all learned from.
+  expect_weights_match_oracle(WmaParams{}, faults, 200);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "src/common/snapshot.h"
 #include "src/greengpu/loss.h"
+#include "tests/greengpu/wma_oracle.h"
 
 namespace gg::greengpu {
 namespace {
@@ -17,6 +18,17 @@ std::vector<double> losses_for(double u, const std::vector<double>& umeans, doub
 }
 
 const std::vector<double> kUmeans{1.0, 0.8, 0.6, 0.4, 0.2, 0.0};
+
+/// One Eq. 3/4 update of `t` from unblended per-level losses: pre-blend the
+/// rows the way QuantizedLossTable does and run the fused update.
+PairIndex update(WeightTable& t, const std::vector<double>& core_losses,
+                 const std::vector<double>& mem_losses, double phi, double beta,
+                 double weight_floor) {
+  std::vector<double> scl(core_losses.size()), sml(mem_losses.size());
+  for (std::size_t i = 0; i < scl.size(); ++i) scl[i] = phi * core_losses[i];
+  for (std::size_t j = 0; j < sml.size(); ++j) sml[j] = (1.0 - phi) * mem_losses[j];
+  return t.update_fused(scl.data(), sml.data(), 1.0 - beta, weight_floor);
+}
 
 TEST(WeightTable, StartsUniform) {
   WeightTable t(6, 6);
@@ -37,17 +49,25 @@ TEST(WeightTable, IndexOutOfRangeThrows) {
 }
 
 TEST(WeightTable, LossSizeMismatchThrows) {
-  WeightTable t(6, 6);
+  // The fused update takes unchecked row pointers; the vector-taking
+  // updates — the straight-line oracle's and the Q0.8 table's — check sizes.
+  oracle::Weights t(6, 6);
   EXPECT_THROW(t.update({0.1}, std::vector<double>(6, 0.1), 0.3, 0.2, 1e-9),
+               std::invalid_argument);
+  FixedWeightTable q(6, 6);
+  EXPECT_THROW(q.update(std::vector<double>(6, 0.1), {0.1}, 0.3, 0.2),
                std::invalid_argument);
 }
 
 TEST(WeightTable, InitialArgmaxIsPeakPair) {
-  // Uniform weights tie-break toward the performance-safe peak pair.
+  // Zero losses keep the weights uniform, and uniform weights tie-break
+  // toward the performance-safe peak pair.
   WeightTable t(6, 6);
-  const PairIndex p = t.argmax();
+  const PairIndex p =
+      update(t, std::vector<double>(6, 0.0), std::vector<double>(6, 0.0), 0.3, 0.2, 1e-9);
   EXPECT_EQ(p.core, 0u);
   EXPECT_EQ(p.mem, 0u);
+  EXPECT_DOUBLE_EQ(t.weight(5, 5), 1.0);
 }
 
 TEST(WeightTable, ArgmaxSelectsMinimalLossPair) {
@@ -55,8 +75,7 @@ TEST(WeightTable, ArgmaxSelectsMinimalLossPair) {
   // Utilizations 0.6 core / 0.4 mem: the zero-loss pair is (2, 3).
   const auto cl = losses_for(0.6, kUmeans, 0.15);
   const auto ml = losses_for(0.4, kUmeans, 0.02);
-  t.update(cl, ml, 0.3, 0.2, 1e-9);
-  const PairIndex p = t.argmax();
+  const PairIndex p = update(t, cl, ml, 0.3, 0.2, 1e-9);
   EXPECT_EQ(p.core, 2u);
   EXPECT_EQ(p.mem, 3u);
 }
@@ -64,8 +83,8 @@ TEST(WeightTable, ArgmaxSelectsMinimalLossPair) {
 TEST(WeightTable, MaxWeightRenormalizedToOne) {
   WeightTable t(6, 6);
   for (int k = 0; k < 50; ++k) {
-    t.update(losses_for(0.6, kUmeans, 0.15), losses_for(0.4, kUmeans, 0.02), 0.3, 0.2,
-             1e-9);
+    update(t, losses_for(0.6, kUmeans, 0.15), losses_for(0.4, kUmeans, 0.02), 0.3, 0.2,
+           1e-9);
   }
   EXPECT_DOUBLE_EQ(t.weight(2, 3), 1.0);  // zero-loss pair stays at 1
 }
@@ -73,8 +92,8 @@ TEST(WeightTable, MaxWeightRenormalizedToOne) {
 TEST(WeightTable, FloorBoundsWorstWeight) {
   WeightTable t(6, 6);
   for (int k = 0; k < 500; ++k) {
-    t.update(losses_for(1.0, kUmeans, 0.15), losses_for(1.0, kUmeans, 0.02), 0.3, 0.2,
-             1e-2);
+    update(t, losses_for(1.0, kUmeans, 0.15), losses_for(1.0, kUmeans, 0.02), 0.3, 0.2,
+           1e-2);
   }
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = 0; j < 6; ++j) EXPECT_GE(t.weight(i, j), 1e-2);
@@ -84,24 +103,25 @@ TEST(WeightTable, FloorBoundsWorstWeight) {
 TEST(WeightTable, AdaptsWhenUtilizationChanges) {
   WeightTable t(6, 6);
   // Learn a low-utilization phase...
+  PairIndex p;
   for (int k = 0; k < 20; ++k) {
-    t.update(losses_for(0.2, kUmeans, 0.15), losses_for(0.2, kUmeans, 0.02), 0.3, 0.2,
-             1e-2);
+    p = update(t, losses_for(0.2, kUmeans, 0.15), losses_for(0.2, kUmeans, 0.02), 0.3,
+               0.2, 1e-2);
   }
-  EXPECT_EQ(t.argmax().core, 4u);
+  EXPECT_EQ(p.core, 4u);
   // ...then a high-utilization phase takes over quickly because performance
   // losses are weighted heavily.
   for (int k = 0; k < 10; ++k) {
-    t.update(losses_for(1.0, kUmeans, 0.15), losses_for(1.0, kUmeans, 0.02), 0.3, 0.2,
-             1e-2);
+    p = update(t, losses_for(1.0, kUmeans, 0.15), losses_for(1.0, kUmeans, 0.02), 0.3,
+               0.2, 1e-2);
   }
-  EXPECT_EQ(t.argmax().core, 0u);
-  EXPECT_EQ(t.argmax().mem, 0u);
+  EXPECT_EQ(p.core, 0u);
+  EXPECT_EQ(p.mem, 0u);
 }
 
 TEST(WeightTable, ResetRestoresUniform) {
   WeightTable t(3, 3);
-  t.update({0.5, 0.1, 0.9}, {0.2, 0.3, 0.4}, 0.3, 0.2, 1e-9);
+  update(t, {0.5, 0.1, 0.9}, {0.2, 0.3, 0.4}, 0.3, 0.2, 1e-9);
   t.reset();
   EXPECT_DOUBLE_EQ(t.weight(2, 2), 1.0);
 }
@@ -134,11 +154,11 @@ TEST(FixedWeightTable, TracksDoubleTableWithinQuantizationLimits) {
     FixedWeightTable fix(6, 6);
     const auto cl = losses_for(u[0], kUmeans, 0.15);
     const auto ml = losses_for(u[1], kUmeans, 0.02);
+    PairIndex a;
     for (int k = 0; k < 8; ++k) {
-      dbl.update(cl, ml, 0.3, 0.2, 1e-2);
+      a = update(dbl, cl, ml, 0.3, 0.2, 1e-2);
       fix.update(cl, ml, 0.3, 0.2);
     }
-    const PairIndex a = dbl.argmax();
     const PairIndex b = fix.argmax();
     EXPECT_EQ(a.core, b.core) << "u_core=" << u[0] << " u_mem=" << u[1];
     // Memory: never over-throttled, and within two levels of the double
@@ -165,8 +185,8 @@ TEST(FixedWeightTable, RenormalizationPreservesOrder) {
 TEST(WeightTable, SnapshotRoundTripIsBitIdentical) {
   WeightTable t(6, 6);
   for (int k = 0; k < 5; ++k) {
-    t.update(losses_for(0.55, kUmeans, 0.15), losses_for(0.3, kUmeans, 0.02), 0.3,
-             0.2, 1e-9);
+    update(t, losses_for(0.55, kUmeans, 0.15), losses_for(0.3, kUmeans, 0.02), 0.3, 0.2,
+           1e-9);
   }
   common::SnapshotWriter w;
   t.save(w);
@@ -178,10 +198,11 @@ TEST(WeightTable, SnapshotRoundTripIsBitIdentical) {
       EXPECT_EQ(t.weight(i, j), restored.weight(i, j));
     }
   }
-  const PairIndex a = t.argmax();
-  const PairIndex b = restored.argmax();
-  EXPECT_EQ(a.core, b.core);
-  EXPECT_EQ(a.mem, b.mem);
+  // The restored table continues the same learning.
+  const auto cl = losses_for(0.7, kUmeans, 0.15);
+  const auto ml = losses_for(0.2, kUmeans, 0.02);
+  EXPECT_EQ(update(t, cl, ml, 0.3, 0.2, 1e-9), update(restored, cl, ml, 0.3, 0.2, 1e-9));
+  EXPECT_EQ(t.weight(3, 4), restored.weight(3, 4));
 }
 
 TEST(WeightTable, SnapshotDimensionMismatchThrows) {

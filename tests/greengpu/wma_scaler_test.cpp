@@ -120,28 +120,15 @@ TEST_F(WmaScalerTest, ResetForgetsHistory) {
   EXPECT_DOUBLE_EQ(scaler_.table().weight(5, 5), 1.0);
 }
 
-TEST_F(WmaScalerTest, UtilFilterSmoothsMeasurements) {
+TEST_F(WmaScalerTest, BadWmaParamsRejected) {
   WmaParams params;
-  params.util_filter_alpha = 0.5;
-  GpuFrequencyScaler filtered(nvml_, settings_, params);
-  settings_.set_clock_levels(0, 0);
-  // Alternate a busy and an idle window; the filtered utilization must sit
-  // between the raw extremes after the second step.
-  submit_busy(1.0, 1.0, 3.0);
-  platform_.queue().run_until(platform_.now() + 3_s);
-  const ScalerDecision d1 = filtered.step(platform_.now());
-  EXPECT_NEAR(d1.filtered_core_util, d1.core_util, 1e-12);  // first sample seeds
-  platform_.queue().run_until(platform_.now() + 3_s);  // idle window
-  const ScalerDecision d2 = filtered.step(platform_.now());
-  EXPECT_EQ(d2.core_util, 0.0);
-  EXPECT_NEAR(d2.filtered_core_util, 0.5 * d1.core_util, 1e-9);
-}
-
-TEST_F(WmaScalerTest, BadFilterAlphaRejected) {
-  WmaParams params;
-  params.util_filter_alpha = 0.0;
+  params.phi = 1.5;
   EXPECT_THROW(GpuFrequencyScaler(nvml_, settings_, params), std::invalid_argument);
-  params.util_filter_alpha = 1.5;
+  params = WmaParams{};
+  params.beta = 1.0;
+  EXPECT_THROW(GpuFrequencyScaler(nvml_, settings_, params), std::invalid_argument);
+  params = WmaParams{};
+  params.alpha_mem = -0.1;
   EXPECT_THROW(GpuFrequencyScaler(nvml_, settings_, params), std::invalid_argument);
 }
 

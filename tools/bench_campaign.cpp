@@ -17,8 +17,10 @@
 //     value (first customize hook to last on_done hook) and the longest row,
 //   * times the sim::EventQueue hot paths (schedule/fire, cancelled-entry
 //     ride-along, DVFS-style cancel churn) in ns per event,
-//   * times one Algorithm 1 scaler step through the fused fast path and the
-//     straight-line reference (ns/op + speedup) and asserts their decision
+//   * times one Algorithm 1 scaler step through the fused fast path and
+//     through the straight-line oracle of tests/greengpu/wma_oracle.h doing
+//     the same per-step work (NVML read, loss vectors, update, argmax
+//     rescan, clock write) (ns/op + speedup), and asserts their decision
 //     streams match over the timed runs,
 //   * times the campaign's two hottest real kernels on one thread: nbody's
 //     all-pairs step in ns per interaction, and QG's Sobol generation in ns
@@ -73,6 +75,7 @@
 #include "src/workloads/nbody.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/sobol.h"
+#include "tests/greengpu/wma_oracle.h"
 #include "tests/workloads/hand_driven_run.h"
 
 namespace {
@@ -254,15 +257,25 @@ double time_scaler_steps(bool reference, std::uint64_t steps,
   sim::Platform platform;
   cudalite::NvmlDevice nvml(platform);
   cudalite::NvSettings settings(platform);
-  greengpu::WmaParams params;
-  params.reference_impl = reference;
+  const greengpu::WmaParams params;
   greengpu::GpuFrequencyScaler scaler(nvml, settings, params);
   scaler.set_record(greengpu::RecordOptions{greengpu::RecordMode::kCounters, 0});
+  greengpu::oracle::WmaOracle oracle(params, greengpu::umean_table(settings.core_table()),
+                                     greengpu::umean_table(settings.mem_table()));
   chosen.reserve(chosen.size() + steps);
   const auto start = Clock::now();
   double t = 0.0;
   for (std::uint64_t i = 0; i < steps; ++i) {
-    chosen.push_back(scaler.step(Seconds{t}).chosen);
+    if (reference) {
+      const cudalite::UtilizationSample sample = nvml.try_utilization_rates();
+      const greengpu::PairIndex pair =
+          oracle.step(static_cast<double>(sample.rates.gpu) / 100.0,
+                      static_cast<double>(sample.rates.memory) / 100.0, true);
+      settings.set_clock_levels(pair.core, pair.mem);
+      chosen.push_back(pair);
+    } else {
+      chosen.push_back(scaler.step(Seconds{t}).chosen);
+    }
     t += 3.0;
   }
   return seconds_since(start) * 1e9 / static_cast<double>(steps);
@@ -781,7 +794,7 @@ int main(int argc, char** argv) {
   std::printf("  cancel churn:         %.1f ns/op (%llu compactions)\n", q.cancel_churn_ns,
               static_cast<unsigned long long>(q.compactions));
 
-  std::printf("timing scaler step (fast vs reference)...\n");
+  std::printf("timing scaler step (fast path vs straight-line oracle)...\n");
   const ScalerTimings s = time_scaler_step();
   std::printf("  fast path:  %.1f ns/step\n", s.fast_ns);
   std::printf("  reference:  %.1f ns/step\n", s.reference_ns);

@@ -88,9 +88,6 @@ REQUIRED_HOT = [
     ("src/greengpu/weight_table.cpp",
      re.compile(r"PairIndex\s+WeightTable::update_fused\s*\("),
      "WeightTable::update_fused"),
-    ("src/greengpu/weight_table.cpp",
-     re.compile(r"PairIndex\s+FixedWeightTable::update_fused\s*\("),
-     "FixedWeightTable::update_fused"),
     ("src/greengpu/wma_scaler.cpp",
      re.compile(r"ScalerDecision\s+GpuFrequencyScaler::step_fast\s*\("),
      "GpuFrequencyScaler::step_fast"),

@@ -35,11 +35,15 @@
 //   --gpus N                    run on N identical simulated cards, in
 //                               [1, 64] (default 1); with N >= 2 the
 //                               division policies use the N-GPU form of
-//                               --divider (step | qilin)
+//                               --divider (step | qilin); single runs only
+//                               (rejected with --campaign and --replay)
 //   --replay FILE.csv           replay a utilization trace (time,core,mem)
 //                               as the workload instead of a Table II name
 //   --campaign                  run the full (workload x policy) matrix;
-//                               with --json FILE, write a structured report
+//                               with --json FILE, write a structured report.
+//                               The matrix fixes its own policies, so the
+//                               single-run policy flags (--policy through
+//                               --interval above) are rejected with it
 //   --engine scalar|batch       campaign execution engine (default scalar).
 //                               The batch engine steps a workload row's cells
 //                               in lockstep, memoizes one real verification
@@ -186,9 +190,25 @@ void validate_flag_ranges(const Flags& flags) {
     const long long v = flags.get_int("chunks", 8);
     if (v < 1 || v > 8192) reject("--chunks must be in [1, 8192]");
   }
+  // Campaigns run their own one-card policy matrix and replays run one
+  // card: a flag either mode would silently drop is an error instead.
+  const bool campaign = flags.get_bool("campaign", false);
   if (flags.has("gpus")) {
     const long long v = flags.get_int("gpus", 1);
     if (v < 1 || v > 64) reject("--gpus must be in [1, 64]");
+    if (campaign) reject("--gpus cannot be combined with --campaign");
+    if (!flags.get_string("replay", "").empty()) {
+      reject("--gpus cannot be combined with --replay");
+    }
+  }
+  if (campaign) {
+    for (const char* name :
+         {"policy", "ratio", "core-level", "mem-level", "divider", "governor", "step",
+          "init-ratio", "safeguard", "alpha-c", "alpha-m", "phi", "beta", "interval"}) {
+      if (flags.has(name)) {
+        reject(std::string("--") + name + " cannot be combined with --campaign");
+      }
+    }
   }
 }
 
