@@ -46,7 +46,11 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E534747u;
 /// and campaign rows write it per cell inside one row frame.
 /// v6: the GPU scaler's EWMA pre-filter state and the filtered utilizations
 /// of every ScalerDecision dropped.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// v7: one divider record (share vector, streak, then its kind's state; no
+/// decision log) at any card count; engine snapshots hold one NVML + scaler
+/// record per card, the checkpoint a card count, and save_prefix the
+/// division-move count instead of the CPU share.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) of `size` bytes.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);

@@ -9,8 +9,8 @@
 //   - params.h / loss.h / weight_table.h  — the paper's Section V machinery
 //   - wma_scaler.h                        — Algorithm 1 as a daemon
 //   - cpu_governor.h                      — ondemand and friends
-//   - division.h / model_dividers.h       — tier 1 and its alternatives
-//   - multi_division.h                    — tier 1 across CPU + N GPUs
+//   - division.h                          — tier 1 and its alternatives,
+//                                           over the CPU and N GPUs
 //   - policy.h / runner.h                 — experiments on 1 or N GPUs
 //   - campaign.h                          — result matrices and reports
 #pragma once
@@ -19,8 +19,6 @@
 #include "src/greengpu/cpu_governor.h"
 #include "src/greengpu/division.h"
 #include "src/greengpu/loss.h"
-#include "src/greengpu/model_dividers.h"
-#include "src/greengpu/multi_division.h"
 #include "src/greengpu/params.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/runner.h"

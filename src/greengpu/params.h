@@ -44,18 +44,24 @@ struct OndemandParams {
   Seconds interval{0.1};
 };
 
-/// Parameters of the workload-division tier (Section V-B).
+/// Parameters of the workload-division tier (Section V-B), at any GPU
+/// count (division.h).
 struct DivisionParams {
   /// Division step; the paper uses 5 % as the hardware-dependent step.
+  /// With N >= 2 GPUs, the most work one move shifts between two slots.
   double step{0.05};
-  /// Initial CPU share; Fig. 7a starts at 30 % (any value converges).
+  /// Initial CPU share with one GPU; Fig. 7a starts at 30 % (any value
+  /// converges).  The Qilin divider probes at it.  With N >= 2 GPUs the CPU
+  /// starts at 10 % instead.
   double initial_ratio{0.30};
-  /// Bounds on the CPU share.
-  double min_ratio{0.0};
-  double max_ratio{0.95};
-  /// Enable the oscillation-safeguard prediction (Section V-B).
+  /// Enable the oscillation-safeguard prediction (Section V-B): a veto with
+  /// one GPU, a never-overshoot limiter with N >= 2.
   bool safeguard{true};
 };
+
+/// Bounds on the CPU share, for every divider and GPU count.
+inline constexpr double kMinCpuShare = 0.0;
+inline constexpr double kMaxCpuShare = 0.95;
 
 /// Fault-tolerance behaviour of the experiment harness (runner + launch
 /// paths) when a `sim::FaultInjector` is active.  Disabled by default: the

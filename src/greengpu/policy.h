@@ -18,7 +18,7 @@
 #include <utility>
 
 #include "src/greengpu/cpu_governor.h"
-#include "src/greengpu/model_dividers.h"
+#include "src/greengpu/division.h"
 #include "src/greengpu/params.h"
 
 namespace gg::greengpu {
@@ -27,8 +27,8 @@ struct Policy {
   std::string name;
   /// Enable the tier-1 dynamic division controller.
   bool division{false};
-  /// Division algorithm used when `division` is true (kStep is the paper's);
-  /// on N >= 2 GPUs, its N-slot form (multi_division.h).
+  /// Division algorithm used when `division` is true (kStep is the paper's),
+  /// at any GPU count (division.h).
   DividerKind divider{DividerKind::kStep};
   /// Enable the tier-2 WMA GPU frequency scaler.
   bool gpu_scaling{false};

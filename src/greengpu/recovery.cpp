@@ -45,8 +45,10 @@ void write_policy(common::SnapshotWriter& w, const Policy& p) {
   w.f64(g.ondemand.interval.get());
   w.f64(g.division.step);
   w.f64(g.division.initial_ratio);
-  w.f64(g.division.min_ratio);
-  w.f64(g.division.max_ratio);
+  // The CPU-share bounds are constants now; the fingerprint keeps writing
+  // them so its bytes do not move.
+  w.f64(kMinCpuShare);
+  w.f64(kMaxCpuShare);
   w.b(g.division.safeguard);
   w.b(g.hardening.enabled);
 }

@@ -119,13 +119,6 @@ void ExperimentEngine::install_faults() {
   injector_ = &platform_->install_faults(options_.faults);
 }
 
-void ExperimentEngine::require_one_gpu(const char* what) const {
-  if (gpu_count_ != 1) {
-    throw common::SnapshotError(std::string("ExperimentEngine::") + what +
-                                ": multi-GPU runs have no snapshot format");
-  }
-}
-
 void ExperimentEngine::start() {
   if (started_) throw std::logic_error("ExperimentEngine: start() called twice");
   started_ = true;
@@ -180,19 +173,14 @@ void ExperimentEngine::start() {
   // --- Tier 1 --------------------------------------------------------------
   // Without division the CPU runs the fixed share and GPU 0 the rest.
   const std::size_t slots = gpu_count_ + 1;
-  shares_.assign(slots, 0.0);
-  shares_[0] = workload_->divisible() ? policy_->fixed_ratio : 0.0;
   if (policy_->division && workload_->divisible()) {
-    if (gpu_count_ == 1) {
-      divider_ = make_divider(policy_->divider, policy_->params.division);
-      divider_->set_record(options_.record);
-      shares_[0] = divider_->ratio();
-    } else {
-      multi_divider_ = make_multi_divider(policy_->divider, slots);
-      shares_ = multi_divider_->shares();
-    }
+    divider_ = make_divider(policy_->divider, slots, policy_->params.division);
+    shares_ = divider_->shares();
+  } else {
+    shares_.assign(slots, 0.0);
+    shares_[0] = workload_->divisible() ? policy_->fixed_ratio : 0.0;
+    shares_[1] = 1.0 - shares_[0];
   }
-  if (!multi_divider_) shares_[1] = 1.0 - shares_[0];
   slot_times_.assign(slots, Seconds{0.0});
   slot_done_.assign(slots, false);
 
@@ -234,13 +222,14 @@ void ExperimentEngine::start() {
 
 void ExperimentEngine::save_checkpoint(common::SnapshotWriter& w) const {
   if (!started_) throw std::logic_error("ExperimentEngine: save_checkpoint() before start()");
-  require_one_gpu("save_checkpoint");
-  const GpuFrequencyScaler* scaler = cards_[0].scaler.get();
   w.u64(iter_);
   w.f64(platform_->now().get());
-  w.b(scaler != nullptr);
+  w.u64(cards_.size());
+  w.b(policy_->gpu_scaling);
   w.b(divider_ != nullptr);
-  if (scaler) scaler->save(w);
+  for (const Card& card : cards_) {
+    if (card.scaler) card.scaler->save(w);
+  }
   if (divider_) divider_->save(w);
 }
 
@@ -339,35 +328,15 @@ void ExperimentEngine::step_iteration() {
 }
 
 DivisionAction ExperimentEngine::divide(const IterationRecord& rec) {
-  if (!divider_ && !multi_divider_) return DivisionAction::kHold;
+  if (!divider_) return DivisionAction::kHold;
   // Only a hardened policy knows to distrust a faulted iteration; the
   // un-hardened baseline learns from the distorted times on purpose.
   const bool degraded = policy_->params.hardening.enabled && rec.degraded;
-  DivisionAction action = DivisionAction::kHoldDegraded;
-  bool converged = false;
-  if (divider_) {
-    IterationFeedback feedback{rec.cpu_time, rec.gpu_time, rec.total_energy()};
-    feedback.degraded = degraded;
-    const DivisionDecision decision = divider_->update(feedback);
-    action = decision.action;
-    shares_[0] = decision.ratio;
-    shares_[1] = 1.0 - decision.ratio;
-    converged = divider_->converged();
-  } else {
-    // N >= 2: the label follows the CPU share (a move between GPUs alone
-    // reads kHold).
-    if (!degraded) {
-      const double cpu_before = shares_[0];
-      multi_divider_->update(slot_times_);
-      shares_ = multi_divider_->shares();
-      action = shares_[0] > cpu_before   ? DivisionAction::kIncreaseCpu
-               : shares_[0] < cpu_before ? DivisionAction::kDecreaseCpu
-                                         : DivisionAction::kHold;
-    }
-    converged = multi_divider_->converged();
-  }
+  const DivisionAction action = divider_->update(slot_times_, rec.total_energy(), degraded);
+  shares_ = divider_->shares();  // same size: no allocation
   if (action != DivisionAction::kHold) ++result_.division_moves;
-  if (converged && result_.convergence_iteration == static_cast<std::size_t>(-1)) {
+  if (divider_->converged() &&
+      result_.convergence_iteration == static_cast<std::size_t>(-1)) {
     result_.convergence_iteration = rec.index;
   }
   return action;
@@ -451,7 +420,6 @@ ExperimentResult ExperimentEngine::finish() {
 
 ExperimentResult ExperimentEngine::run() {
   const std::size_t every = options_.checkpoint_dir.empty() ? 0 : options_.checkpoint_every;
-  if (every != 0) require_one_gpu("run (checkpoint_every)");
   start();
   while (iter_ < n_iters_) {
     step_iteration();
@@ -468,7 +436,6 @@ void ExperimentEngine::save_prefix(common::SnapshotWriter& w) {
   if (!started_ || finished_) {
     throw std::logic_error("ExperimentEngine: save_prefix() outside a run");
   }
-  require_one_gpu("save_prefix");
   if (injector_ != nullptr) {
     throw common::SnapshotError(
         "ExperimentEngine::save_prefix: fault injector already active "
@@ -478,17 +445,17 @@ void ExperimentEngine::save_prefix(common::SnapshotWriter& w) {
     throw common::SnapshotError(
         "ExperimentEngine::save_prefix: trace recorder not supported");
   }
-  const GpuFrequencyScaler* scaler = cards_[0].scaler.get();
   w.u64(iter_);
   platform_->save(w);
-  cards_[0].nvml->save(w);
-  w.b(scaler != nullptr);
-  if (scaler) scaler->save(w);
+  w.b(policy_->gpu_scaling);
+  for (const Card& card : cards_) {
+    card.nvml->save(w);
+    if (card.scaler) card.scaler->save(w);
+  }
   w.b(governor_ != nullptr);
   if (governor_) governor_->save(w);
   w.b(divider_ != nullptr);
   if (divider_) divider_->save(w);
-  w.f64(shares_[0]);
   w.f64(run_start_.time.get());
   w.f64(run_start_.gpu.get());
   w.f64(run_start_.cpu.get());
@@ -497,6 +464,7 @@ void ExperimentEngine::save_prefix(common::SnapshotWriter& w) {
   w.f64(spin_time_start_);
   w.f64(spin_energy_start_.get());
   w.u64(result_.convergence_iteration);
+  w.u64(result_.division_moves);
   w.u64(result_.degraded_iterations);
   w.u64(result_.watchdog_trips);
   w.u64(static_cast<std::uint64_t>(watchdog_trips_left_));
@@ -508,7 +476,6 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
     throw std::logic_error(
         "ExperimentEngine: restore_prefix() requires a freshly started run");
   }
-  require_one_gpu("restore_prefix");
   if (injector_ != nullptr) {
     throw common::SnapshotError(
         "ExperimentEngine::restore_prefix: fault injector already active");
@@ -517,22 +484,25 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
     throw common::SnapshotError(
         "ExperimentEngine::restore_prefix: trace recorder not supported");
   }
-  GpuFrequencyScaler* scaler = cards_[0].scaler.get();
   // Cancel the ticks start() armed so the queue is drained for the clock
   // restore; they are re-armed below at the donor run's exact phase.
-  if (scaler) scaler->detach();
+  for (Card& card : cards_) {
+    if (card.scaler) card.scaler->detach();
+  }
   if (governor_) governor_->detach();
 
   iter_ = static_cast<std::size_t>(r.u64());
   if (iter_ > n_iters_) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: iteration beyond run");
   }
-  platform_->load(r);
-  cards_[0].nvml->load(r);
-  if (r.b() != (scaler != nullptr)) {
+  platform_->load(r);  // throws on a card-count mismatch
+  if (r.b() != policy_->gpu_scaling) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: scaler mismatch");
   }
-  if (scaler) scaler->load(r);
+  for (Card& card : cards_) {
+    card.nvml->load(r);
+    if (card.scaler) card.scaler->load(r);
+  }
   if (r.b() != (governor_ != nullptr)) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: governor mismatch");
   }
@@ -540,9 +510,10 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
   if (r.b() != (divider_ != nullptr)) {
     throw common::SnapshotError("ExperimentEngine::restore_prefix: divider mismatch");
   }
-  if (divider_) divider_->load(r);
-  shares_[0] = r.f64();
-  shares_[1] = 1.0 - shares_[0];
+  if (divider_) {
+    divider_->load(r);
+    shares_ = divider_->shares();
+  }
   run_start_.time = Seconds{r.f64()};
   run_start_.gpu = Joules{r.f64()};
   run_start_.cpu = Joules{r.f64()};
@@ -552,41 +523,42 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
   spin_time_start_ = r.f64();
   spin_energy_start_ = Joules{r.f64()};
   result_.convergence_iteration = static_cast<std::size_t>(r.u64());
+  result_.division_moves = r.u64();
   result_.degraded_iterations = static_cast<std::size_t>(r.u64());
   result_.watchdog_trips = r.u64();
   watchdog_trips_left_ = static_cast<int>(r.u64());
   iteration_log_.load(r, load_iteration_record);
 
   // Re-arm the periodic tick trains at the exact next fire instants the
-  // donor run had pending.  Relative order matters only when both ticks
-  // collide at the same instant; the one whose previous tick (re)scheduled
-  // it earlier holds the smaller sequence number, with the scaler winning
-  // ties (it attaches first and fires first at collisions).
-  const bool have_scaler = scaler != nullptr;
-  const bool have_governor = governor_ != nullptr;
-  auto arm_scaler = [&] {
-    scaler->attach_at(platform_->queue(),
-                      tick_time(scaler->params().interval, scaler->steps() + 1));
+  // donor run had pending, in the donor's sequence order.  That order
+  // matters only when ticks collide at the same instant: the train whose
+  // previous tick (re)scheduled it earlier holds the smaller sequence
+  // number, and trains scheduled at the same instant keep attach order
+  // (the cards' scalers, then the governor), as start() armed them.
+  struct Train {
+    Seconds scheduled;
+    GpuFrequencyScaler* scaler;  // null: the governor
   };
-  auto arm_governor = [&] {
-    governor_->attach_at(tick_time(governor_->interval(), governor_->steps() + 1));
-  };
-  if (have_scaler && have_governor) {
-    const Seconds scaler_scheduled =
-        tick_time(scaler->params().interval, scaler->steps());
-    const Seconds governor_scheduled =
-        tick_time(governor_->interval(), governor_->steps());
-    if (governor_scheduled < scaler_scheduled) {
-      arm_governor();
-      arm_scaler();
-    } else {
-      arm_scaler();
-      arm_governor();
+  std::vector<Train> trains;
+  for (Card& card : cards_) {
+    if (card.scaler) {
+      trains.push_back({tick_time(card.scaler->params().interval, card.scaler->steps()),
+                        card.scaler.get()});
     }
-  } else if (have_scaler) {
-    arm_scaler();
-  } else if (have_governor) {
-    arm_governor();
+  }
+  if (governor_) {
+    trains.push_back({tick_time(governor_->interval(), governor_->steps()), nullptr});
+  }
+  std::stable_sort(trains.begin(), trains.end(), [](const Train& a, const Train& b) {
+    return a.scheduled < b.scheduled;
+  });
+  for (const Train& train : trains) {
+    if (train.scaler) {
+      train.scaler->attach_at(platform_->queue(), tick_time(train.scaler->params().interval,
+                                                            train.scaler->steps() + 1));
+    } else {
+      governor_->attach_at(tick_time(governor_->interval(), governor_->steps() + 1));
+    }
   }
 }
 

@@ -13,7 +13,6 @@
 #include "src/cudalite/api.h"
 #include "src/greengpu/division.h"
 #include "src/greengpu/cpu_governor.h"
-#include "src/greengpu/multi_division.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/wma_scaler.h"
 #include "src/sim/fault.h"
@@ -158,7 +157,7 @@ struct RunOptions {
   /// joules and traces stay bit-identical to the fault-free build.
   sim::FaultConfig faults{};
   /// Retention policy for the per-record logs (iterations, scaler/governor
-  /// decisions, divider history, fault events).  Pure telemetry — never
+  /// decisions, fault events).  Pure telemetry — never
   /// feeds control, so joules/decisions are bit-identical across modes.
   /// Campaigns override this to counters-only (see campaign.h).
   RecordOptions record{};
@@ -204,12 +203,14 @@ class ExperimentAborted : public std::runtime_error {
 /// wrapper around run(); the batch campaign engine drives the pieces
 /// directly (model-only cells, warm-up prefix forking).
 ///
-/// With one GPU the division tier is `Policy::divider`'s `Divider`.  With
-/// N >= 2 it is the matching `MultiDivider` (kStep or kProfiling, default
-/// parameters; kEnergyModel throws std::invalid_argument), and without
-/// division the CPU runs `fixed_ratio` and GPU 0 the rest.  Multi-GPU runs
-/// have no snapshot format: save_prefix, restore_prefix and save_checkpoint
-/// throw common::SnapshotError.
+/// The division tier is one `Divider` (division.h) of `Policy::divider`'s
+/// kind over gpu_count + 1 shares, the CPU first, configured by
+/// `params.division` (kEnergyModel with N >= 2 GPUs throws
+/// std::invalid_argument); without division the CPU runs `fixed_ratio` and
+/// GPU 0 the rest.  Snapshots (save_prefix, restore_prefix,
+/// save_checkpoint) hold one record per card, so runs fork and resume at
+/// any card count; a snapshot only restores into an engine with as many
+/// cards.
 class ExperimentEngine {
  public:
   /// Throws std::invalid_argument when `gpu_count` is 0.
@@ -249,8 +250,9 @@ class ExperimentEngine {
   void restore_prefix(common::SnapshotReader& r);
 
   /// Append the controller checkpoint at the current iteration boundary:
-  /// iterations completed, virtual time, has-scaler/has-divider flags, then
-  /// the scaler and divider state.  Observation only; requires start().
+  /// iterations completed, virtual time, card count, has-scaler/has-divider
+  /// flags, then each card's scaler state and the divider state.
+  /// Observation only; requires start().
   void save_checkpoint(common::SnapshotWriter& w) const;
 
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
@@ -267,8 +269,6 @@ class ExperimentEngine {
   };
 
   void install_faults();
-  /// Throws common::SnapshotError naming `what` on a multi-GPU engine.
-  void require_one_gpu(const char* what) const;
   /// Feed the iteration's slot times to the division tier; returns the
   /// decision label recorded with the iteration.
   DivisionAction divide(const IterationRecord& rec);
@@ -283,8 +283,7 @@ class ExperimentEngine {
   sim::FaultInjector* injector_{nullptr};
   std::vector<Card> cards_;
   std::unique_ptr<CpuGovernor> governor_;
-  std::unique_ptr<Divider> divider_;             // one GPU
-  std::unique_ptr<MultiDivider> multi_divider_;  // N >= 2 GPUs
+  std::unique_ptr<Divider> divider_;  // null without division
   std::unique_ptr<sim::TraceRecorder> tracer_;
   std::vector<cudalite::Stream> streams_;  // one per card
 

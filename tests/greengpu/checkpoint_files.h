@@ -29,6 +29,7 @@ namespace gg::greengpu::test {
 struct CheckpointRecord {
   std::uint64_t iteration{0};
   double sim_time{0.0};
+  std::uint64_t cards{0};
   bool has_scaler{false};
   bool has_divider{false};
   /// The raw record bytes, for byte-equality against save_checkpoint.
@@ -41,6 +42,7 @@ inline CheckpointRecord decode_checkpoint_record(std::vector<std::uint8_t> paylo
   common::SnapshotReader r = common::SnapshotReader::from_payload(payload);
   rec.iteration = r.u64();
   rec.sim_time = r.f64();
+  rec.cards = r.u64();
   rec.has_scaler = r.b();
   rec.has_divider = r.b();
   rec.payload = std::move(payload);

@@ -448,6 +448,7 @@ TEST(Recovery, RunCheckpointMetaRoundTripsAndRejectsCorruption) {
   ASSERT_TRUE(meta.has_value());
   EXPECT_EQ(meta->iteration, 20u);
   EXPECT_GT(meta->sim_time, 0.0);
+  EXPECT_EQ(meta->cards, 1u);
   EXPECT_TRUE(meta->has_scaler);
   EXPECT_FALSE(meta->has_divider);
   // The file frames exactly the engine's save_checkpoint record.
@@ -462,30 +463,50 @@ TEST(Recovery, RunCheckpointMetaRoundTripsAndRejectsCorruption) {
 
 TEST(Recovery, DividerSaveLoadContinuesExactDecisionStream) {
   const DivisionParams params;
-  DivisionController a(params);
-  const auto feedback = [](int i) {
-    IterationFeedback f;
-    f.cpu_time = Seconds{1.0 + 0.05 * i};
-    f.gpu_time = Seconds{1.6 - 0.03 * i};
-    return f;
+  // Slot times that keep every divider moving: the CPU slows down while the
+  // GPUs speed up, each card a little slower than the one before.
+  const auto times = [](int i, std::size_t slots) {
+    std::vector<Seconds> t{Seconds{1.0 + 0.05 * i}};
+    for (std::size_t g = 1; g < slots; ++g) {
+      t.push_back(Seconds{1.6 - 0.03 * i + 0.1 * static_cast<double>(g)});
+    }
+    return t;
   };
-  for (int i = 0; i < 8; ++i) (void)a.update(feedback(i));
+  const auto energy = [](int i) { return Joules{100.0 + 3.0 * i}; };
+  for (const DividerKind kind :
+       {DividerKind::kStep, DividerKind::kProfiling, DividerKind::kEnergyModel}) {
+    for (const std::size_t slots : {2u, 3u, 5u}) {
+      if (kind == DividerKind::kEnergyModel && slots != 2) continue;  // one GPU only
+      SCOPED_TRACE(std::string(to_string(kind)) + " x " + std::to_string(slots));
+      const auto a = make_divider(kind, slots, params);
+      for (int i = 0; i < 8; ++i) (void)a->update(times(i, slots), energy(i), i == 3);
 
-  common::SnapshotWriter w;
-  a.save(w);
-  common::SnapshotReader r = common::SnapshotReader::from_payload(w.payload());
-  DivisionController b(params);
-  b.load(r);
+      common::SnapshotWriter w;
+      a->save(w);
+      common::SnapshotReader r = common::SnapshotReader::from_payload(w.payload());
+      const auto b = make_divider(kind, slots, params);
+      b->load(r);
+      EXPECT_EQ(r.remaining(), 0u);
 
-  EXPECT_EQ(a.ratio(), b.ratio());
-  EXPECT_EQ(a.decision_count(), b.decision_count());
-  for (int i = 8; i < 24; ++i) {
-    const DivisionDecision da = a.update(feedback(i));
-    const DivisionDecision db = b.update(feedback(i));
-    ASSERT_EQ(da.ratio, db.ratio) << "diverged at iteration " << i;
-    ASSERT_EQ(da.action, db.action) << "diverged at iteration " << i;
+      EXPECT_EQ(a->shares(), b->shares());
+      EXPECT_EQ(a->converged(), b->converged());
+      for (int i = 8; i < 24; ++i) {
+        const DivisionAction da = a->update(times(i, slots), energy(i), i == 12);
+        const DivisionAction db = b->update(times(i, slots), energy(i), i == 12);
+        ASSERT_EQ(da, db) << "diverged at iteration " << i;
+        ASSERT_EQ(a->shares(), b->shares()) << "diverged at iteration " << i;
+        ASSERT_EQ(a->converged(), b->converged()) << "diverged at iteration " << i;
+      }
+
+      // A snapshot restores only into a divider with as many slots.
+      const std::size_t other = slots == 2 ? 3 : 2;
+      if (kind != DividerKind::kEnergyModel) {
+        const auto c = make_divider(kind, other, params);
+        common::SnapshotReader again = common::SnapshotReader::from_payload(w.payload());
+        EXPECT_THROW(c->load(again), common::SnapshotError);
+      }
+    }
   }
-  EXPECT_EQ(a.converged(), b.converged());
 }
 
 TEST(Recovery, ScalerSnapshotRoundTripIsStable) {

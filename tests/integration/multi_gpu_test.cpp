@@ -2,6 +2,9 @@
 // and the expected scaling behaviour, all through ExperimentEngine.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "src/common/snapshot.h"
 #include "src/greengpu/runner.h"
 #include "src/workloads/hotspot.h"
@@ -146,16 +149,152 @@ TEST(MultiGpu, HardenedFaultyRunCompletesVerifiesAndIsPoolIndependent) {
   EXPECT_EQ(one.final_shares, four.final_shares);
 }
 
-TEST(MultiGpu, SnapshotsThrowOnMultiGpuEngines) {
-  workloads::Kmeans wl(small_kmeans());
+// --- Snapshots at any card count ---------------------------------------------
+
+/// The policies whose controllers a snapshot carries: both tiers with the
+/// step divider, both tiers with Qilin profiling, and division alone.
+greengpu::Policy snapshot_policy(int which) {
+  switch (which) {
+    case 0:
+      return greengpu::Policy::green_gpu();
+    case 1: {
+      greengpu::Policy p = greengpu::Policy::green_gpu();
+      p.divider = greengpu::DividerKind::kProfiling;
+      return p;
+    }
+    default:
+      return greengpu::Policy::division_only();
+  }
+}
+
+greengpu::RunOptions snapshot_options() {
+  greengpu::RunOptions o = fast();
+  o.model_only = true;  // forked cells run model-only, as the batch engine's do
+  return o;
+}
+
+void expect_same_record(const greengpu::IterationRecord& a,
+                        const greengpu::IterationRecord& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.cpu_ratio, b.cpu_ratio);
+  EXPECT_EQ(a.cpu_time.get(), b.cpu_time.get());
+  EXPECT_EQ(a.gpu_time.get(), b.gpu_time.get());
+  EXPECT_EQ(a.duration.get(), b.duration.get());
+  EXPECT_EQ(a.gpu_energy.get(), b.gpu_energy.get());
+  EXPECT_EQ(a.cpu_energy.get(), b.cpu_energy.get());
+  EXPECT_EQ(a.copy_busy_time.get(), b.copy_busy_time.get());
+  EXPECT_EQ(a.overlap_time.get(), b.overlap_time.get());
+  EXPECT_EQ(a.division_action, b.division_action);
+  EXPECT_EQ(a.fault_events, b.fault_events);
+  EXPECT_EQ(a.degraded, b.degraded);
+}
+
+void expect_same_result(const greengpu::ExperimentResult& a,
+                        const greengpu::ExperimentResult& b) {
+  EXPECT_EQ(a.exec_time.get(), b.exec_time.get());
+  EXPECT_EQ(a.gpu_energy.get(), b.gpu_energy.get());
+  EXPECT_EQ(a.cpu_energy.get(), b.cpu_energy.get());
+  EXPECT_EQ(a.cpu_spin_energy.get(), b.cpu_spin_energy.get());
+  EXPECT_EQ(a.final_shares, b.final_shares);
+  ASSERT_EQ(a.per_gpu_energy.size(), b.per_gpu_energy.size());
+  for (std::size_t g = 0; g < a.per_gpu_energy.size(); ++g) {
+    EXPECT_EQ(a.per_gpu_energy[g].get(), b.per_gpu_energy[g].get()) << "card " << g;
+  }
+  EXPECT_EQ(a.convergence_iteration, b.convergence_iteration);
+  EXPECT_EQ(a.division_moves, b.division_moves);
+  EXPECT_EQ(a.scaler_decision_count, b.scaler_decision_count);
+  EXPECT_EQ(a.governor_decision_count, b.governor_decision_count);
+  EXPECT_EQ(a.gpu_frequency_transitions, b.gpu_frequency_transitions);
+  ASSERT_EQ(a.iterations.size(), b.iterations.size());
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    expect_same_record(a.iterations[i], b.iterations[i]);
+  }
+}
+
+class MultiGpuSnapshot
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(MultiGpuSnapshot, ForkedRunMatchesUninterrupted) {
+  const auto [gpus, which] = GetParam();
+  const greengpu::Policy policy = snapshot_policy(which);
+  const greengpu::RunOptions options = snapshot_options();
+  constexpr std::size_t kForkAt = 4;
+
+  workloads::Kmeans plain_wl(small_kmeans());
+  const auto plain = greengpu::run_experiment(plain_wl, policy, options, gpus);
+  ASSERT_GT(plain.division_moves, 0u);  // the divider is live past the fork
+
+  workloads::Kmeans donor_wl(small_kmeans());
+  greengpu::ExperimentEngine donor(donor_wl, policy, options, gpus);
+  donor.start();
+  while (donor.iteration() < kForkAt) donor.step_iteration();
+  common::SnapshotWriter prefix;
+  donor.save_prefix(prefix);
+
+  workloads::Kmeans fork_wl(small_kmeans());
+  greengpu::ExperimentEngine fork(fork_wl, policy, options, gpus);
+  fork.start();
+  auto reader = common::SnapshotReader::from_payload(prefix.payload());
+  fork.restore_prefix(reader);
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_EQ(fork.iteration(), kForkAt);
+  while (fork.iteration() < fork.total_iterations()) fork.step_iteration();
+  expect_same_result(fork.finish(), plain);
+
+  // The donor itself continues unperturbed after saving.
+  while (donor.iteration() < donor.total_iterations()) donor.step_iteration();
+  expect_same_result(donor.finish(), plain);
+}
+
+std::string snapshot_case_name(
+    const ::testing::TestParamInfo<MultiGpuSnapshot::ParamType>& info) {
+  static const char* const kNames[] = {"greengpu_step", "greengpu_qilin", "division"};
+  return std::to_string(std::get<0>(info.param)) + "gpu_" + kNames[std::get<1>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CardsAndPolicies, MultiGpuSnapshot,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 4), ::testing::Values(0, 1, 2)),
+    snapshot_case_name);
+
+TEST(MultiGpu, SnapshotRestoresOnlyIntoAsManyCards) {
   const greengpu::Policy policy = greengpu::Policy::green_gpu();
-  greengpu::ExperimentEngine engine(wl, policy, fast(), 2);
-  engine.start();
-  engine.step_iteration();
+  workloads::Kmeans one_wl(small_kmeans());
+  greengpu::ExperimentEngine one(one_wl, policy, snapshot_options(), 1);
+  one.start();
+  one.step_iteration();
   common::SnapshotWriter w;
-  EXPECT_THROW(engine.save_prefix(w), common::SnapshotError);
-  EXPECT_THROW(engine.save_checkpoint(w), common::SnapshotError);
-  (void)engine.finish();
+  one.save_prefix(w);
+
+  workloads::Kmeans two_wl(small_kmeans());
+  greengpu::ExperimentEngine two(two_wl, policy, snapshot_options(), 2);
+  two.start();
+  auto reader = common::SnapshotReader::from_payload(w.payload());
+  EXPECT_THROW(two.restore_prefix(reader), common::SnapshotError);
+}
+
+TEST(MultiGpu, CheckpointCadenceChangesNoResult) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gg_multi_gpu_checkpoint_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const std::size_t gpus : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(gpus) + " cards");
+    const greengpu::Policy policy = greengpu::Policy::green_gpu();
+    workloads::Kmeans plain_wl(small_kmeans());
+    const auto plain = greengpu::run_experiment(plain_wl, policy, fast(), gpus);
+    greengpu::RunOptions checkpointed = fast();
+    checkpointed.checkpoint_every = 3;
+    checkpointed.checkpoint_dir = dir.string();
+    checkpointed.checkpoint_tag = "cards" + std::to_string(gpus);
+    workloads::Kmeans wl(small_kmeans());
+    const auto result = greengpu::run_experiment(wl, policy, checkpointed, gpus);
+    expect_same_result(result, plain);
+    EXPECT_TRUE(result.verified);
+    EXPECT_TRUE(std::filesystem::exists(dir / (checkpointed.checkpoint_tag + ".ggsn")));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -33,12 +33,19 @@
 //   --csv                       machine-readable one-line-per-run output
 //   --no-verify                 skip result verification
 //   --gpus N                    run on N identical simulated cards, in
-//                               [1, 64] (default 1); with N >= 2 the
-//                               division policies use the N-GPU form of
-//                               --divider (step | qilin); single runs only
-//                               (rejected with --campaign and --replay)
+//                               [1, 64] (default 1); --divider step | qilin
+//                               divide over the CPU and all N cards (energy
+//                               needs N = 1), --step and --safeguard apply
+//                               at any N, and N >= 2 starts the CPU at 10 %
+//                               (--init-ratio is rejected); checkpoints work
+//                               at any N; single runs only (rejected with
+//                               --campaign and --replay)
 //   --replay FILE.csv           replay a utilization trace (time,core,mem)
-//                               as the workload instead of a Table II name
+//                               as the workload instead of a Table II name;
+//                               it runs to the end and prints the summary
+//                               line, so --iterations, --csv, --trace,
+//                               --fault-warmup and --checkpoint-* are
+//                               rejected with it
 //   --campaign                  run the full (workload x policy) matrix;
 //                               with --json FILE, write a structured report.
 //                               The matrix fixes its own policies, so the
@@ -151,6 +158,17 @@ void validate_flag_ranges(const Flags& flags) {
       reject(std::string("--") + name + " must be >= 0");
     }
   }
+  // A replay runs the whole trace once, prints the summary line and writes
+  // no file: a flag it would silently drop is an error instead.
+  const bool replay = !flags.get_string("replay", "").empty();
+  if (replay) {
+    for (const char* name : {"iterations", "csv", "trace", "fault-warmup", "checkpoint-dir",
+                             "checkpoint-every"}) {
+      if (flags.has(name)) {
+        reject(std::string("--") + name + " cannot be combined with --replay");
+      }
+    }
+  }
   if (flags.has("checkpoint-every") && flags.get_int("checkpoint-every", 0) < 1) {
     reject("--checkpoint-every must be >= 1 (omit the flag to disable "
            "periodic snapshots)");
@@ -191,14 +209,16 @@ void validate_flag_ranges(const Flags& flags) {
     if (v < 1 || v > 8192) reject("--chunks must be in [1, 8192]");
   }
   // Campaigns run their own one-card policy matrix and replays run one
-  // card: a flag either mode would silently drop is an error instead.
+  // card: a flag either mode would silently drop is an error instead.  So is
+  // --init-ratio on N >= 2 cards, where the CPU starts at 10 %.
   const bool campaign = flags.get_bool("campaign", false);
   if (flags.has("gpus")) {
     const long long v = flags.get_int("gpus", 1);
     if (v < 1 || v > 64) reject("--gpus must be in [1, 64]");
     if (campaign) reject("--gpus cannot be combined with --campaign");
-    if (!flags.get_string("replay", "").empty()) {
-      reject("--gpus cannot be combined with --replay");
+    if (replay) reject("--gpus cannot be combined with --replay");
+    if (v > 1 && flags.has("init-ratio")) {
+      reject("--init-ratio cannot be combined with --gpus > 1");
     }
   }
   if (campaign) {
