@@ -34,7 +34,7 @@ struct Outcome {
 Outcome run(const std::string& workload, double rate, bool hardened,
             std::uint64_t seed) {
   greengpu::GreenGpuParams params;
-  params.hardening.enabled = hardened;
+  params.hardened = hardened;
   greengpu::RunOptions options = bench::default_options();
   options.faults = sim::FaultConfig::uniform(rate, seed);
   if (rate > 0.0) {

@@ -103,7 +103,7 @@ void BM_ScalerStepReference(benchmark::State& state) {
                                      greengpu::umean_table(settings.core_table()),
                                      greengpu::umean_table(settings.mem_table()));
   for (auto _ : state) {
-    const cudalite::UtilizationSample sample = nvml.try_utilization_rates();
+    const cudalite::UtilizationSample sample = nvml.utilization_rates();
     const greengpu::PairIndex pair =
         oracle.step(static_cast<double>(sample.rates.gpu) / 100.0,
                     static_cast<double>(sample.rates.memory) / 100.0, true);

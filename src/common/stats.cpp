@@ -43,13 +43,6 @@ double percentile(std::vector<double> xs, double p) {
   return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
 }
 
-double geometric_mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : xs) log_sum += std::log(x);
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
 double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;

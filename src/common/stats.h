@@ -34,9 +34,6 @@ class RunningStats {
 /// Returns 0 for an empty sample.
 [[nodiscard]] double percentile(std::vector<double> xs, double p);
 
-/// Geometric mean; all inputs must be > 0.  Returns 0 for empty input.
-[[nodiscard]] double geometric_mean(const std::vector<double>& xs);
-
 /// Arithmetic mean; returns 0 for empty input.
 [[nodiscard]] double mean(const std::vector<double>& xs);
 

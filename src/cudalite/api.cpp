@@ -171,8 +171,8 @@ bool Runtime::admit_launch(std::size_t device) {
       return true;
     }
     faults->note(sim::FaultChannel::kLaunch, sim::FaultOutcome::kLaunchFailed, device);
-    if (attempt >= tolerance_.max_launch_retries) {
-      if (tolerance_.max_launch_retries > 0) {
+    if (!hardened_ || attempt >= kMaxLaunchRetries) {
+      if (hardened_) {
         faults->note(sim::FaultChannel::kLaunch, sim::FaultOutcome::kRetriesExhausted,
                      device);
       }
@@ -194,8 +194,8 @@ bool Runtime::admit_host_task() {
       return true;
     }
     faults->note(sim::FaultChannel::kHostTask, sim::FaultOutcome::kHostTaskFailed);
-    if (attempt >= tolerance_.max_launch_retries) {
-      if (tolerance_.max_launch_retries > 0) {
+    if (!hardened_ || attempt >= kMaxLaunchRetries) {
+      if (hardened_) {
         faults->note(sim::FaultChannel::kHostTask, sim::FaultOutcome::kRetriesExhausted);
       }
       ++stats_.host_tasks_rejected;

@@ -192,17 +192,9 @@ struct RuntimeStats {
   std::uint64_t host_tasks_rejected{0};
 };
 
-/// Tolerance the launch paths apply when the platform injects faults
-/// (see sim/fault.h).  Default zero: a transient fault surfaces to the
-/// caller immediately — the perfect-platform behaviour when no injector is
-/// installed, and the un-hardened behaviour when one is.
-struct FaultTolerance {
-  /// Immediate re-tries of a transiently rejected launch / host submission.
-  int max_launch_retries{0};
-  /// Allow `ProfiledWorkload` to route a failed side's item range to the
-  /// surviving side for the iteration.
-  bool reroute_failed_side{false};
-};
+/// Immediate re-tries of a transiently rejected launch / host submission on
+/// a hardened runtime (see sim/fault.h).
+inline constexpr int kMaxLaunchRetries = 3;
 
 class Runtime {
  public:
@@ -224,7 +216,6 @@ class Runtime {
   /// fields are derived from the platform/schedulers at call time.
   [[nodiscard]] RuntimeStats stats() const;
   [[nodiscard]] bool sync_spin() const { return sync_spin_; }
-  void set_sync_spin(bool v) { sync_spin_ = v; }
   [[nodiscard]] ComputeMode compute_mode() const { return compute_mode_; }
   void set_compute_mode(ComputeMode mode) { compute_mode_ = mode; }
   /// True when real computation runs (kFull).  Workloads consult this before
@@ -232,8 +223,12 @@ class Runtime {
   [[nodiscard]] bool compute_enabled() const {
     return compute_mode_ == ComputeMode::kFull;
   }
-  [[nodiscard]] const FaultTolerance& fault_tolerance() const { return tolerance_; }
-  void set_fault_tolerance(const FaultTolerance& t) { tolerance_ = t; }
+  /// Tolerance of injected faults.  Un-hardened (the default), a transient
+  /// launch fault surfaces to the caller immediately.  Hardened, the launch
+  /// paths re-try up to kMaxLaunchRetries times and `ProfiledWorkload`
+  /// routes a failed slot's item range to a surviving slot.
+  [[nodiscard]] bool hardened() const { return hardened_; }
+  void set_hardened(bool hardened) { hardened_ = hardened; }
 
   // --- Device selection (cudaSetDevice-style) ------------------------------
   [[nodiscard]] std::size_t device_count() const { return platform_->gpu_count(); }
@@ -311,7 +306,7 @@ class Runtime {
   /// Computation happens now (host pool); simulated completion is governed by
   /// `estimate`.  Optional `on_complete` fires at the simulated completion.
   /// Returns false when the platform's fault injector rejected the launch
-  /// (after `fault_tolerance().max_launch_retries` re-tries): nothing was
+  /// (after kMaxLaunchRetries re-tries when hardened): nothing was
   /// executed or submitted, and `on_complete` will never fire.
   bool launch(Stream& stream, Dim3 grid, Dim3 block, const WorkEstimate& estimate,
               const std::function<void(const ThreadCtx&)>& fn,
@@ -388,7 +383,7 @@ class Runtime {
   ComputeMode compute_mode_{ComputeMode::kFull};
   std::size_t current_device_{0};
   RuntimeStats stats_;
-  FaultTolerance tolerance_;
+  bool hardened_{false};
   /// One scheduler per device, created up front (cheap, no threads).
   std::vector<std::unique_ptr<StreamScheduler>> schedulers_;
 

@@ -6,12 +6,11 @@
 // the previous query, exactly how the tool reports them.
 //
 // On real hardware the query intermittently fails or returns a stale window;
-// when a `FaultInjector` is installed on the platform, `try_utilization_rates`
+// when a `FaultInjector` is installed on the platform, `utilization_rates`
 // surfaces those failures the way the driver does: an error status for a
 // dropped read (the window keeps accumulating), a repeated value with a
 // zero-length window for a stale read, and garbage percentages for a
-// corrupted one.  `utilization_rates()` keeps the original perfect-platform
-// semantics for callers that predate the fault layer.
+// corrupted one.
 #pragma once
 
 #include "src/sim/fault.h"
@@ -50,21 +49,12 @@ class NvmlDevice {
         sampler_(platform.gpu(device), platform.queue()),
         last_query_(platform.queue().now()) {}
 
-  /// Utilization averaged since the previous call, as integer percent
-  /// (rounded to nearest, saturated to 100).  Perfect-platform path: never
-  /// fails, even with a fault injector installed.
-  UtilizationRates utilization_rates() {
-    const sim::GpuUtilization u = sampler_.sample();
-    last_query_ = platform_->queue().now();
-    last_rates_ = UtilizationRates{to_percent(u.core), to_percent(u.memory)};
-    return last_rates_;
-  }
-
-  /// Fallible query: consults the platform's fault injector (if any) and
-  /// reports errors / stale windows the way the real driver surfaces them.
-  /// Without an injector this returns exactly what `utilization_rates()`
-  /// would, with `window` = time since the previous successful query.
-  UtilizationSample try_utilization_rates() {
+  /// Utilization averaged since the previous successful query, as integer
+  /// percent (rounded to nearest, saturated to 100), with `window` = the
+  /// time it covers.  Consults the platform's fault injector (if any) and
+  /// reports errors / stale windows the way the real driver surfaces them;
+  /// without one the query always succeeds.
+  UtilizationSample utilization_rates() {
     sim::FaultInjector* faults = platform_->faults();
     if (faults != nullptr) {
       switch (faults->draw_util_fault(device_)) {
@@ -97,7 +87,10 @@ class NvmlDevice {
       }
     }
     const Seconds window = platform_->queue().now() - last_query_;
-    return UtilizationSample{utilization_rates(), window, NvmlStatus::kSuccess};
+    const sim::GpuUtilization u = sampler_.sample();
+    last_query_ = platform_->queue().now();
+    last_rates_ = UtilizationRates{to_percent(u.core), to_percent(u.memory)};
+    return UtilizationSample{last_rates_, window, NvmlStatus::kSuccess};
   }
 
   /// Current clock of a domain in MHz.

@@ -9,10 +9,9 @@
 // Real clock writes are not reliable: the driver rejects them under load,
 // applies them late, clamps them, or overrides them entirely during a
 // thermal-throttle episode.  When a `FaultInjector` is installed,
-// `set_clock_levels_checked` surfaces each of those outcomes; the plain
-// `set_clock_levels` keeps the fire-and-forget interface (exactly what a
-// daemon shelling out to `nvidia-settings` without checking the exit code
-// experiences).
+// `set_clock_levels` surfaces each of those outcomes; a caller that ignores
+// the result experiences exactly what a daemon shelling out to
+// `nvidia-settings` without checking the exit code does.
 #pragma once
 
 #include <cstddef>
@@ -46,18 +45,11 @@ class NvSettings {
   explicit NvSettings(sim::Platform& platform, std::size_t device = 0)
       : platform_(&platform), device_(device) {}
 
-  /// Enforce a (core level, memory level) pair; levels index the DVFS tables
-  /// with 0 = peak.  Fire-and-forget: any failure is silent, like ignoring
-  /// the `nvidia-settings` exit code.
-  void set_clock_levels(std::size_t core_level, std::size_t mem_level) {
-    (void)set_clock_levels_checked(core_level, mem_level);
-  }
-
-  /// Enforce a pair and report what actually happened.  Consults the
+  /// Enforce a (core level, memory level) pair — levels index the DVFS
+  /// tables with 0 = peak — and report what actually happened.  Consults the
   /// platform's fault injector (if any); without one the write always
-  /// applies, preserving the perfect-platform behaviour bit-for-bit.
-  ClockWriteResult set_clock_levels_checked(std::size_t core_level,
-                                            std::size_t mem_level) {
+  /// applies.
+  ClockWriteResult set_clock_levels(std::size_t core_level, std::size_t mem_level) {
     sim::GpuDevice& gpu = platform_->gpu(device_);
     sim::FaultInjector* faults = platform_->faults();
     if (faults != nullptr) {

@@ -39,23 +39,7 @@ class ThreadPool {
   void parallel_for_chunks(std::size_t n,
                            const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Deterministic reduction: map each chunk to a partial with `map(begin,
-  /// end)`, then fold partials in chunk order with `combine`.
-  template <typename T>
-  T map_reduce(std::size_t n, T init,
-               const std::function<T(std::size_t, std::size_t)>& map,
-               const std::function<T(T, T)>& combine) {
-    const std::size_t chunks = chunk_count(n);
-    std::vector<T> partials(chunks, init);
-    parallel_chunk_indices(n, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-      partials[chunk] = map(begin, end);
-    });
-    T acc = init;
-    for (const T& p : partials) acc = combine(acc, p);
-    return acc;
-  }
-
-  /// Number of chunks `parallel_for_chunks`/`map_reduce` will use for n items.
+  /// Number of chunks `parallel_for_chunks` will use for n items.
   [[nodiscard]] std::size_t chunk_count(std::size_t n) const;
 
  private:

@@ -7,13 +7,8 @@
 
 namespace gg::greengpu {
 
-CpuGovernor::CpuGovernor(sim::Platform& platform, Seconds interval)
-    : platform_(&platform), interval_(interval),
-      sampler_(platform.cpu(), platform.queue()) {
-  if (interval_ <= Seconds{0.0}) {
-    throw std::invalid_argument("CpuGovernor: interval must be > 0");
-  }
-}
+CpuGovernor::CpuGovernor(sim::Platform& platform)
+    : platform_(&platform), sampler_(platform.cpu(), platform.queue()) {}
 
 GovernorDecision CpuGovernor::step(Seconds now) {
   const double u = sampler_.sample();
@@ -76,7 +71,7 @@ void WmaCpuGovernor::load(common::SnapshotReader& r) {
 }
 
 void CpuGovernor::arm() {
-  next_ = platform_->queue().schedule_in(interval_, [this] { tick(); });
+  next_ = platform_->queue().schedule_in(interval(), [this] { tick(); });
 }
 
 GG_HOT void CpuGovernor::tick() {
@@ -85,7 +80,7 @@ GG_HOT void CpuGovernor::tick() {
   sim::EventQueue& queue = platform_->queue();
   do {
     step(queue.now());
-  } while (queue.fire_inline(queue.now() + interval_));
+  } while (queue.fire_inline(queue.now() + interval()));
   arm();
 }
 
@@ -93,9 +88,9 @@ void CpuGovernor::detach() { next_.cancel(); }
 
 std::size_t OndemandGovernor::decide(double util) {
   std::size_t level = current_level();
-  if (util > params_.up_threshold) {
+  if (util > kOndemandUpThreshold) {
     level = 0;  // jump to the highest available frequency
-  } else if (util < params_.down_threshold) {
+  } else if (util < kOndemandDownThreshold) {
     if (level < table().lowest_level()) ++level;  // next lowest frequency
   }
   return level;
@@ -103,9 +98,9 @@ std::size_t OndemandGovernor::decide(double util) {
 
 std::size_t ConservativeGovernor::decide(double util) {
   std::size_t level = current_level();
-  if (util > params_.up_threshold) {
+  if (util > kOndemandUpThreshold) {
     if (level > 0) --level;  // one step up, never a jump
-  } else if (util < params_.down_threshold) {
+  } else if (util < kOndemandDownThreshold) {
     if (level < table().lowest_level()) ++level;
   }
   return level;
@@ -118,8 +113,8 @@ constexpr double kWmaCpuAlpha = 0.15;
 constexpr double kWmaCpuOneMinusBeta = 1.0 - 0.2;
 }  // namespace
 
-WmaCpuGovernor::WmaCpuGovernor(sim::Platform& platform, Seconds interval)
-    : CpuGovernor(platform, interval),
+WmaCpuGovernor::WmaCpuGovernor(sim::Platform& platform)
+    : CpuGovernor(platform),
       umean_(umean_table(platform.cpu().table())),
       table_(platform.cpu().table().levels(), 1),
       scratch_losses_(umean_.size(), 0.0) {}
@@ -162,21 +157,20 @@ CpuGovernorKind cpu_governor_from_string(std::string_view name) {
 }
 
 std::unique_ptr<CpuGovernor> make_cpu_governor(CpuGovernorKind kind,
-                                               sim::Platform& platform,
-                                               const OndemandParams& params) {
+                                               sim::Platform& platform) {
   switch (kind) {
     case CpuGovernorKind::kNone:
       return nullptr;
     case CpuGovernorKind::kPerformance:
-      return std::make_unique<PerformanceGovernor>(platform, params.interval);
+      return std::make_unique<PerformanceGovernor>(platform);
     case CpuGovernorKind::kPowersave:
-      return std::make_unique<PowersaveGovernor>(platform, params.interval);
+      return std::make_unique<PowersaveGovernor>(platform);
     case CpuGovernorKind::kOndemand:
-      return std::make_unique<OndemandGovernor>(platform, params);
+      return std::make_unique<OndemandGovernor>(platform);
     case CpuGovernorKind::kConservative:
-      return std::make_unique<ConservativeGovernor>(platform, params);
+      return std::make_unique<ConservativeGovernor>(platform);
     case CpuGovernorKind::kWma:
-      return std::make_unique<WmaCpuGovernor>(platform, params.interval);
+      return std::make_unique<WmaCpuGovernor>(platform);
   }
   throw std::invalid_argument("unknown CPU governor kind");
 }

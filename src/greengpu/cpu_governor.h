@@ -55,12 +55,12 @@ class CpuGovernor {
   /// Serialize the governor's windowed-sampling and telemetry state (plus
   /// any learned state in subclasses).  A governor restored from this
   /// snapshot continues the exact decision stream the saved one would have
-  /// produced.  Parameters are configuration: load() into a governor built
-  /// with the same kind/params.
+  /// produced.  load() into a governor of the same kind.
   virtual void save(common::SnapshotWriter& w) const;
   virtual void load(common::SnapshotReader& r);
 
-  [[nodiscard]] Seconds interval() const { return interval_; }
+  /// Sampling period: kGovernorInterval for every governor.
+  [[nodiscard]] static constexpr Seconds interval() { return kGovernorInterval; }
   /// Retained decision log (everything in kFull record mode — the default;
   /// empty under kRing/kCounters, see decisions_snapshot()).
   [[nodiscard]] const std::vector<GovernorDecision>& decisions() const {
@@ -79,7 +79,7 @@ class CpuGovernor {
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
 
  protected:
-  CpuGovernor(sim::Platform& platform, Seconds interval);
+  explicit CpuGovernor(sim::Platform& platform);
 
   /// Map the windowed utilization (package, [0,1]) to the next P-state.
   [[nodiscard]] virtual std::size_t decide(double util) = 0;
@@ -96,7 +96,6 @@ class CpuGovernor {
   void tick();
 
   sim::Platform* platform_;
-  Seconds interval_;
   sim::CpuUtilSampler sampler_;
   DecisionRecorder<GovernorDecision> decisions_;
   std::uint64_t steps_{0};
@@ -106,8 +105,7 @@ class CpuGovernor {
 /// linux `performance`: pin the highest frequency.
 class PerformanceGovernor final : public CpuGovernor {
  public:
-  explicit PerformanceGovernor(sim::Platform& platform, Seconds interval = Seconds{0.1})
-      : CpuGovernor(platform, interval) {}
+  explicit PerformanceGovernor(sim::Platform& platform) : CpuGovernor(platform) {}
   [[nodiscard]] std::string_view name() const override { return "performance"; }
 
  protected:
@@ -117,43 +115,34 @@ class PerformanceGovernor final : public CpuGovernor {
 /// linux `powersave`: pin the lowest frequency.
 class PowersaveGovernor final : public CpuGovernor {
  public:
-  explicit PowersaveGovernor(sim::Platform& platform, Seconds interval = Seconds{0.1})
-      : CpuGovernor(platform, interval) {}
+  explicit PowersaveGovernor(sim::Platform& platform) : CpuGovernor(platform) {}
   [[nodiscard]] std::string_view name() const override { return "powersave"; }
 
  protected:
   std::size_t decide(double /*util*/) override { return table().lowest_level(); }
 };
 
-/// The paper's CPU policy (Section IV, linux-2.6.9 semantics): above the
-/// upper threshold jump straight to the peak; below the low threshold step
-/// down one level.
+/// The paper's CPU policy (Section IV, linux-2.6.9 semantics): above
+/// kOndemandUpThreshold jump straight to the peak; below
+/// kOndemandDownThreshold step down one level.
 class OndemandGovernor final : public CpuGovernor {
  public:
-  OndemandGovernor(sim::Platform& platform, OndemandParams params)
-      : CpuGovernor(platform, params.interval), params_(params) {}
+  explicit OndemandGovernor(sim::Platform& platform) : CpuGovernor(platform) {}
   [[nodiscard]] std::string_view name() const override { return "ondemand"; }
-  [[nodiscard]] const OndemandParams& params() const { return params_; }
 
  protected:
   std::size_t decide(double util) override;
-
- private:
-  OndemandParams params_;
 };
 
-/// linux `conservative`: graceful one-step moves in both directions.
+/// linux `conservative`: graceful one-step moves in both directions, at the
+/// ondemand thresholds.
 class ConservativeGovernor final : public CpuGovernor {
  public:
-  ConservativeGovernor(sim::Platform& platform, OndemandParams params)
-      : CpuGovernor(platform, params.interval), params_(params) {}
+  explicit ConservativeGovernor(sim::Platform& platform) : CpuGovernor(platform) {}
   [[nodiscard]] std::string_view name() const override { return "conservative"; }
 
  protected:
   std::size_t decide(double util) override;
-
- private:
-  OndemandParams params_;
 };
 
 /// The paper's own WMA learner (Section V-A) applied to the CPU P-states:
@@ -164,7 +153,7 @@ class ConservativeGovernor final : public CpuGovernor {
 /// and kWeightFloor.
 class WmaCpuGovernor final : public CpuGovernor {
  public:
-  explicit WmaCpuGovernor(sim::Platform& platform, Seconds interval = Seconds{0.1});
+  explicit WmaCpuGovernor(sim::Platform& platform);
   [[nodiscard]] std::string_view name() const override { return "wma"; }
   [[nodiscard]] const WeightTable& weights() const { return table_; }
 
@@ -198,7 +187,6 @@ enum class CpuGovernorKind {
 
 /// Factory.  Returns nullptr for kNone.
 [[nodiscard]] std::unique_ptr<CpuGovernor> make_cpu_governor(CpuGovernorKind kind,
-                                                             sim::Platform& platform,
-                                                             const OndemandParams& params);
+                                                             sim::Platform& platform);
 
 }  // namespace gg::greengpu

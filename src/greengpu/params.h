@@ -19,11 +19,6 @@ struct WmaParams {
   double beta{0.2};
   /// Scaling invocation period; the Fig. 5 experiment uses 3 s.
   Seconds interval{3.0};
-  /// Harden the scaler against a flaky platform (sim/fault.h): hold
-  /// weights on failed/stale samples, retry rejected clock writes with
-  /// bounded backoff, fall back to the last applied pair.  Off by default
-  /// so the perfect-platform behaviour is bit-identical.
-  bool harden{false};
 };
 
 /// Relative floor applied to every weight after renormalization, so a pair
@@ -34,15 +29,13 @@ struct WmaParams {
 /// workload change response" the paper tunes beta for.)
 inline constexpr double kWeightFloor = 1e-2;
 
-/// Parameters of the ondemand CPU governor (Section IV; linux-2.6.9 policy).
-struct OndemandParams {
-  /// Above this package utilization the governor jumps to the peak P-state.
-  double up_threshold{0.80};
-  /// Below this utilization it steps one P-state down.
-  double down_threshold{0.30};
-  /// Sampling period.
-  Seconds interval{0.1};
-};
+/// The stock linux-2.6.9 ondemand thresholds (Section IV): above the upper
+/// one the governor jumps to the peak P-state, below the lower one it steps
+/// one P-state down.  The conservative governor moves one step either way.
+inline constexpr double kOndemandUpThreshold = 0.80;
+inline constexpr double kOndemandDownThreshold = 0.30;
+/// Sampling period of every CPU governor.
+inline constexpr Seconds kGovernorInterval{0.1};
 
 /// Parameters of the workload-division tier (Section V-B), at any GPU
 /// count (division.h).
@@ -63,25 +56,21 @@ struct DivisionParams {
 inline constexpr double kMinCpuShare = 0.0;
 inline constexpr double kMaxCpuShare = 0.95;
 
-/// Fault-tolerance behaviour of the experiment harness (runner + launch
-/// paths) when a `sim::FaultInjector` is active.  Disabled by default: the
-/// un-hardened stack surfaces every injected fault, which is the baseline
-/// the fault-rate ablation compares against.
-struct HardeningParams {
-  /// Master switch; also propagates `WmaParams::harden` semantics to the
-  /// runner (degraded-iteration bookkeeping, division hold, launch retries,
-  /// rerouting and the watchdog budget; see runner.cpp).
-  bool enabled{false};
-};
-
 /// Top-level GreenGPU configuration: both tiers plus their decoupling rule
 /// (the division interval must be much longer than the scaling interval;
 /// the paper uses "no less than 40x", Section IV).
 struct GreenGpuParams {
   WmaParams wma{};
-  OndemandParams ondemand{};
   DivisionParams division{};
-  HardeningParams hardening{};
+  /// Defend every tier against a flaky platform (sim/fault.h): the scaler
+  /// holds its weights on failed or stale samples and retries rejected clock
+  /// writes, launches are retried and a failed slot's work rerouted, a
+  /// degraded iteration does not move the division, and the watchdog lets
+  /// a stuck iteration wait several budgets before aborting (runner.cpp).
+  /// Off by default: the un-hardened stack surfaces every injected fault,
+  /// the baseline the fault-rate ablation compares against.  Without a
+  /// fault injector both settings run bit-identically.
+  bool hardened{false};
 };
 
 }  // namespace gg::greengpu

@@ -14,7 +14,9 @@
 
 #include <cstddef>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/greengpu/cpu_governor.h"
@@ -43,23 +45,27 @@ struct Policy {
   /// Controller parameters (used by whichever tiers are enabled).
   GreenGpuParams params{};
 
-  [[nodiscard]] static Policy best_performance() {
+  [[nodiscard]] static Policy best_performance(GreenGpuParams params = {}) {
     Policy p;
     p.name = "best-performance";
+    p.params = params;
     return p;
   }
 
-  [[nodiscard]] static Policy static_pair(std::size_t core_level, std::size_t mem_level) {
+  [[nodiscard]] static Policy static_pair(std::size_t core_level, std::size_t mem_level,
+                                          GreenGpuParams params = {}) {
     Policy p;
     p.name = "static-pair";
     p.fixed_gpu_levels = {core_level, mem_level};
+    p.params = params;
     return p;
   }
 
-  [[nodiscard]] static Policy static_division(double ratio) {
+  [[nodiscard]] static Policy static_division(double ratio, GreenGpuParams params = {}) {
     Policy p;
     p.name = "static-division";
     p.fixed_ratio = ratio;
+    p.params = params;
     return p;
   }
 
@@ -101,5 +107,23 @@ struct Policy {
     return p;
   }
 };
+
+/// The policy a plain name selects — best-performance (or baseline),
+/// frequency-scaling (or scaling), division, greengpu — with `params`.  The
+/// parameterized policies (static-pair, static-division) need more than a
+/// name and are built by their factories.  Throws std::invalid_argument on
+/// any other name.
+[[nodiscard]] inline Policy policy_by_name(std::string_view name,
+                                           const GreenGpuParams& params = {}) {
+  if (name == "best-performance" || name == "baseline") {
+    return Policy::best_performance(params);
+  }
+  if (name == "frequency-scaling" || name == "scaling") {
+    return Policy::scaling_only(params);
+  }
+  if (name == "division") return Policy::division_only(params);
+  if (name == "greengpu") return Policy::green_gpu(params);
+  throw std::invalid_argument("unknown policy: " + std::string(name));
+}
 
 }  // namespace gg::greengpu

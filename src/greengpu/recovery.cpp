@@ -39,18 +39,20 @@ void write_policy(common::SnapshotWriter& w, const Policy& p) {
   w.f64(g.wma.phi);
   w.f64(g.wma.beta);
   w.f64(g.wma.interval.get());
-  w.b(g.wma.harden);
-  w.f64(g.ondemand.up_threshold);
-  w.f64(g.ondemand.down_threshold);
-  w.f64(g.ondemand.interval.get());
+  // Values that were settable once and are constants now keep their old
+  // positions, so the fingerprint's bytes do not move: the scaler-only
+  // hardening switch (never set), the ondemand thresholds and sampling
+  // period, and the CPU-share bounds.
+  w.b(false);
+  w.f64(kOndemandUpThreshold);
+  w.f64(kOndemandDownThreshold);
+  w.f64(kGovernorInterval.get());
   w.f64(g.division.step);
   w.f64(g.division.initial_ratio);
-  // The CPU-share bounds are constants now; the fingerprint keeps writing
-  // them so its bytes do not move.
   w.f64(kMinCpuShare);
   w.f64(kMaxCpuShare);
   w.b(g.division.safeguard);
-  w.b(g.hardening.enabled);
+  w.b(g.hardened);
 }
 
 /// The scalar fields of an ExperimentResult — everything the campaign

@@ -57,12 +57,6 @@ Seconds tick_time(Seconds interval, std::uint64_t k) {
 /// launch (the paper's "cannot throttle while communicating" assumption).
 constexpr Seconds kEmulationGuardPerLaunch{0.5};
 
-/// Hardened-run fault tolerance (HardeningParams::enabled): bounded
-/// immediate re-tries of a failed kernel launch or host chunk
-/// (cudalite::FaultTolerance), and rerouting a permanently failed slot's
-/// item range to a surviving slot.
-constexpr int kMaxLaunchRetries = 3;
-constexpr bool kRerouteFailedSide = true;
 /// The watchdog's simulated-time budget for one iteration while a fault
 /// injector is installed, and the trips after which a hardened run gives
 /// up (throws).
@@ -136,15 +130,12 @@ void ExperimentEngine::start() {
   if (options_.faults.any_faults() && options_.faults_active_from == 0) {
     install_faults();
   }
-  const HardeningParams& hard = policy_->params.hardening;
-  if (hard.enabled) {
-    rt_->set_fault_tolerance(
-        cudalite::FaultTolerance{kMaxLaunchRetries, kRerouteFailedSide});
-  }
+  // Hardened: bounded re-tries of a failed kernel launch or host chunk, and
+  // rerouting a permanently failed slot's item range to a surviving slot.
+  const bool hardened = policy_->params.hardened;
+  rt_->set_hardened(hardened);
 
   // --- Frequency setup / tier 2 controllers, card by card ------------------
-  WmaParams wma = policy_->params.wma;
-  if (hard.enabled) wma.harden = true;
   cards_.resize(gpu_count_);
   for (std::size_t g = 0; g < gpu_count_; ++g) {
     Card& card = cards_[g];
@@ -153,7 +144,8 @@ void ExperimentEngine::start() {
     if (policy_->gpu_scaling) {
       // The paper's Fig. 5 runs start from the driver-default lowest clocks;
       // the platform already starts there.
-      card.scaler = std::make_unique<GpuFrequencyScaler>(*card.nvml, *card.settings, wma);
+      card.scaler = std::make_unique<GpuFrequencyScaler>(*card.nvml, *card.settings,
+                                                         policy_->params.wma, hardened);
       card.scaler->set_record(options_.record);
       card.scaler->attach(platform_->queue());
     } else if (policy_->fixed_gpu_levels) {
@@ -163,8 +155,7 @@ void ExperimentEngine::start() {
       card.settings->set_clock_levels(0, 0);  // best-performance: both domains at peak
     }
   }
-  governor_ = make_cpu_governor(policy_->cpu_governor, *platform_,
-                                policy_->params.ondemand);
+  governor_ = make_cpu_governor(policy_->cpu_governor, *platform_);
   if (governor_) {
     governor_->set_record(options_.record);
     governor_->attach();
@@ -246,7 +237,6 @@ void ExperimentEngine::step_iteration() {
       options_.faults_active_from != 0 && iter_ == options_.faults_active_from) {
     install_faults();
   }
-  const HardeningParams& hard = policy_->params.hardening;
   sim::Platform& platform = *platform_;
   cudalite::Runtime& rt = *rt_;
   const std::size_t iter = iter_;
@@ -287,7 +277,7 @@ void ExperimentEngine::step_iteration() {
       if (slots_pending_ == 0) break;
       injector_->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kWatchdogTrip);
       ++result_.watchdog_trips;
-      if (!hard.enabled || --watchdog_trips_left_ < 0) {
+      if (!policy_->params.hardened || --watchdog_trips_left_ < 0) {
         throw ExperimentAborted("run_experiment: iteration " + std::to_string(iter) +
                                 " stuck for " +
                                 std::to_string(kWatchdogTimeout.get()) +
@@ -331,7 +321,7 @@ DivisionAction ExperimentEngine::divide(const IterationRecord& rec) {
   if (!divider_) return DivisionAction::kHold;
   // Only a hardened policy knows to distrust a faulted iteration; the
   // un-hardened baseline learns from the distorted times on purpose.
-  const bool degraded = policy_->params.hardening.enabled && rec.degraded;
+  const bool degraded = policy_->params.hardened && rec.degraded;
   const DivisionAction action = divider_->update(slot_times_, rec.total_energy(), degraded);
   shares_ = divider_->shares();  // same size: no allocation
   if (action != DivisionAction::kHold) ++result_.division_moves;

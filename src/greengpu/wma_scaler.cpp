@@ -21,10 +21,12 @@ constexpr Seconds kActuationBackoff{0.25};
 }  // namespace
 
 GpuFrequencyScaler::GpuFrequencyScaler(cudalite::NvmlDevice& nvml,
-                                       cudalite::NvSettings& settings, WmaParams params)
+                                       cudalite::NvSettings& settings, WmaParams params,
+                                       bool hardened)
     : nvml_(&nvml),
       settings_(&settings),
       params_(params),
+      hardened_(hardened),
       table_(settings.core_table().levels(), settings.mem_table().levels()),
       core_loss_q_(umean_table(settings.core_table()), params.alpha_core, params.phi),
       mem_loss_q_(umean_table(settings.mem_table()), params.alpha_mem, 1.0 - params.phi),
@@ -53,7 +55,7 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
 
   // 1. Read GPU core and memory utilizations (integer percent, like the
   //    nvidia-smi tool the paper polls).
-  const cudalite::UtilizationSample sample = nvml_->try_utilization_rates();
+  const cudalite::UtilizationSample sample = nvml_->utilization_rates();
   const double uc = static_cast<double>(sample.rates.gpu) / 100.0;
   const double um = static_cast<double>(sample.rates.memory) / 100.0;
 
@@ -63,7 +65,7 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
   // update, so the cached argmax is what a rescan would return).
   const bool stale =
       !sample.ok() || sample.window.get() < params_.interval.get() * kMinWindowFrac;
-  if (params_.harden && stale) {
+  if (hardened_ && stale) {
     ++steps_;
     ++held_steps_;
     ScalerDecision d{now, uc, um, argmax_};
@@ -82,11 +84,11 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
   argmax_ = chosen;
 
   bool applied = true;
-  if (params_.harden) {
+  if (hardened_) {
     applied = actuate(chosen);
     if (!applied) ++actuation_failures_;
   } else {
-    settings_->set_clock_levels(chosen.core, chosen.mem);
+    (void)settings_->set_clock_levels(chosen.core, chosen.mem);
   }
 
   ++steps_;
@@ -98,8 +100,7 @@ GG_HOT ScalerDecision GpuFrequencyScaler::step_fast(Seconds now) {
 
 bool GpuFrequencyScaler::actuate(PairIndex pair) {
   for (int attempt = 0; attempt <= kActuationRetries; ++attempt) {
-    const cudalite::ClockWriteResult r =
-        settings_->set_clock_levels_checked(pair.core, pair.mem);
+    const cudalite::ClockWriteResult r = settings_->set_clock_levels(pair.core, pair.mem);
     switch (r.status) {
       case cudalite::ClockWriteStatus::kApplied:
         return true;
@@ -130,8 +131,7 @@ void GpuFrequencyScaler::schedule_retry(PairIndex pair, int attempt) {
   delay = std::min(delay, params_.interval.get());
   retry_.cancel();
   retry_ = attached_queue_->schedule_in(Seconds{delay}, [this, pair, attempt] {
-    const cudalite::ClockWriteResult r =
-        settings_->set_clock_levels_checked(pair.core, pair.mem);
+    const cudalite::ClockWriteResult r = settings_->set_clock_levels(pair.core, pair.mem);
     if (r.status == cudalite::ClockWriteStatus::kRejected ||
         r.status == cudalite::ClockWriteStatus::kClamped) {
       schedule_retry(pair, attempt + 1);

@@ -45,8 +45,10 @@ struct ScalerDecision {
 class GpuFrequencyScaler {
  public:
   /// Binds the controller to the monitoring and actuation interfaces.
+  /// `hardened` (GreenGpuParams::hardened) holds the weights on failed or
+  /// stale samples and retries rejected clock writes with bounded backoff.
   GpuFrequencyScaler(cudalite::NvmlDevice& nvml, cudalite::NvSettings& settings,
-                     WmaParams params);
+                     WmaParams params, bool hardened = false);
 
   /// One Algorithm 1 step: read utilizations, update weights, enforce argmax.
   /// Returns the decision taken.
@@ -108,6 +110,7 @@ class GpuFrequencyScaler {
   cudalite::NvmlDevice* nvml_;
   cudalite::NvSettings* settings_;
   WmaParams params_;
+  bool hardened_;
   WeightTable table_;
   /// Pre-blended 101-row loss tables (phi * core loss, (1-phi) * mem loss).
   QuantizedLossTable core_loss_q_;

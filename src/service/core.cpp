@@ -17,28 +17,6 @@ namespace gg::service {
 
 namespace {
 
-/// The CLI's policy vocabulary, minus the parameterized ones that need extra
-/// knobs (static-pair levels, division ratios) — a service request is just a
-/// name.  Throws std::invalid_argument on an unknown name.
-greengpu::Policy policy_by_name(const std::string& name, bool hardened) {
-  greengpu::GreenGpuParams params;
-  params.hardening.enabled = hardened;
-  greengpu::Policy policy;
-  if (name == "best-performance" || name == "baseline") {
-    policy = greengpu::Policy::best_performance();
-    policy.params = params;
-  } else if (name == "frequency-scaling" || name == "scaling") {
-    policy = greengpu::Policy::scaling_only(params);
-  } else if (name == "division") {
-    policy = greengpu::Policy::division_only(params);
-  } else if (name == "greengpu") {
-    policy = greengpu::Policy::green_gpu(params);
-  } else {
-    throw std::invalid_argument("unknown policy: " + name);
-  }
-  return policy;
-}
-
 std::vector<std::string> tokenize(const std::string& line) {
   std::istringstream in(line);
   std::vector<std::string> tokens;
@@ -276,7 +254,7 @@ std::string ServiceCore::handle_submit(const std::vector<std::string>& tokens) {
   try {
     // Reject unknown names before they cost a seq or a journal record.
     (void)workloads::workload_factory(request.workload);
-    (void)policy_by_name(request.policy, config_.hardened);
+    (void)greengpu::policy_by_name(request.policy, {.hardened = config_.hardened});
     for (std::size_t i = 3; i < tokens.size(); ++i) {
       const std::string& t = tokens[i];
       if (has_key(t, "priority")) {
@@ -436,7 +414,7 @@ OutcomeRecord ServiceCore::run_job(const ServiceConfig& config,
     options.faults.seed = request.seed;
   }
   const greengpu::Policy policy =
-      policy_by_name(request.policy, config.hardened);
+      greengpu::policy_by_name(request.policy, {.hardened = config.hardened});
 
   OutcomeRecord out;
   out.seq = request.seq;

@@ -1,6 +1,5 @@
 #include "src/sim/dvfs.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -23,19 +22,6 @@ DvfsTable::DvfsTable(std::vector<OperatingPoint> points) : points_(std::move(poi
 const OperatingPoint& DvfsTable::point(std::size_t level) const {
   if (level >= points_.size()) throw std::out_of_range("DvfsTable: level out of range");
   return points_[level];
-}
-
-std::size_t DvfsTable::nearest_level(Megahertz f) const {
-  std::size_t best = 0;
-  double best_dist = std::fabs(points_[0].frequency.get() - f.get());
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    const double d = std::fabs(points_[i].frequency.get() - f.get());
-    if (d < best_dist) {
-      best_dist = d;
-      best = i;
-    }
-  }
-  return best;
 }
 
 double DvfsTable::range_fraction(std::size_t level) const {

@@ -42,9 +42,6 @@ class DvfsTable {
   [[nodiscard]] Megahertz floor() const { return points_.back().frequency; }
   [[nodiscard]] std::size_t lowest_level() const { return points_.size() - 1; }
 
-  /// Index of the table entry closest in frequency to `f`.
-  [[nodiscard]] std::size_t nearest_level(Megahertz f) const;
-
   /// Fraction of the dynamic range covered by `level`:
   /// peak -> 1.0, floor -> 0.0, linear in frequency in between.
   /// This is the `umean` mapping of the paper (Section V-A, following [4]).

@@ -54,12 +54,6 @@ EnergyDelta Platform::delta(const EnergySnapshot& a, const EnergySnapshot& b) {
   return EnergyDelta{b.time - a.time, b.gpu - a.gpu, b.cpu - a.cpu};
 }
 
-Watts Platform::idle_power_at_peak() {
-  Watts p = cpu_->idle_power(0);
-  for (auto& gpu : gpus_) p += gpu->idle_power(0, 0);
-  return p;
-}
-
 FaultInjector& Platform::install_faults(const FaultConfig& config) {
   faults_ = std::make_unique<FaultInjector>(queue_, config);
   for (std::size_t i = 0; i < gpus_.size(); ++i) faults_->add_gpu(*gpus_[i], i);

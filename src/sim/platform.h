@@ -64,11 +64,6 @@ class Platform {
   [[nodiscard]] EnergySnapshot snapshot();
   [[nodiscard]] static EnergyDelta delta(const EnergySnapshot& a, const EnergySnapshot& b);
 
-  /// Combined idle power of both meters with every domain at the given
-  /// levels; the paper's "idle energy" baseline for dynamic-energy numbers
-  /// uses the peak levels.
-  [[nodiscard]] Watts idle_power_at_peak();
-
   /// Install a seeded fault injector over this platform's devices (replacing
   /// any previous one) and start its episode scheduling.  The cudalite
   /// facades consult `faults()` on every monitoring read, clock write and

@@ -1,13 +1,10 @@
-// Energy integration and Wattsup-style power metering.
+// Exact energy integration.
 //
 // The paper measures energy with two Wattsup Pro wall-socket meters (1 Hz
-// sampling).  Internally the simulator integrates power exactly over
-// piecewise-constant intervals (every device state change advances the
-// integrator); the `PowerMeter` additionally logs 1 Hz average-power samples
-// so traces look like the meters' output.
+// sampling).  The simulator integrates each device's power exactly over
+// piecewise-constant intervals (every device state change advances its
+// integrator); Platform::snapshot sums the devices into the two meters.
 #pragma once
-
-#include <vector>
 
 #include "src/common/snapshot.h"
 #include "src/common/units.h"
@@ -43,38 +40,6 @@ class EnergyIntegrator {
  private:
   Seconds last_{0.0};
   Joules energy_{0.0};
-};
-
-/// One averaged meter sample covering [t - interval, t].
-struct MeterSample {
-  Seconds time{0.0};
-  Watts average_power{0.0};
-};
-
-/// Wall-socket style meter: exposes exact cumulative energy plus an optional
-/// 1 Hz (configurable) averaged-power sample log.
-class PowerMeter {
- public:
-  explicit PowerMeter(Seconds sample_interval = Seconds{1.0})
-      : sample_interval_(sample_interval) {}
-
-  /// Integrate power over the elapsed interval; emits averaged samples for
-  /// every full sampling period crossed.
-  void advance(Seconds now, Watts power_since_last);
-
-  [[nodiscard]] Joules energy() const { return integrator_.energy(); }
-  [[nodiscard]] const std::vector<MeterSample>& samples() const { return samples_; }
-  [[nodiscard]] Seconds sample_interval() const { return sample_interval_; }
-
-  void reset(Seconds now);
-
- private:
-  Seconds sample_interval_;
-  EnergyIntegrator integrator_;
-  // Sample bookkeeping: energy accumulated within the current sample window.
-  Seconds window_start_{0.0};
-  Joules window_energy_{0.0};
-  std::vector<MeterSample> samples_;
 };
 
 }  // namespace gg::sim

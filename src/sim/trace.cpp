@@ -46,11 +46,11 @@ void TraceRecorder::take_sample() {
   arm();
 }
 
-void TraceRecorder::write_csv(std::ostream& os) const {
+void write_trace_csv(std::ostream& os, const std::vector<TraceSample>& samples) {
   CsvWriter w(os);
   w.row_values("time_s", "gpu_core_mhz", "gpu_mem_mhz", "cpu_mhz", "gpu_core_util",
                "gpu_mem_util", "cpu_util", "gpu_power_w", "cpu_power_w");
-  for (const auto& s : samples_) {
+  for (const auto& s : samples) {
     w.row_values(s.time.get(), s.gpu_core_freq.get(), s.gpu_mem_freq.get(),
                  s.cpu_freq.get(), s.gpu_core_util, s.gpu_mem_util, s.cpu_util,
                  s.gpu_power.get(), s.cpu_power.get());

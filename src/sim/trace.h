@@ -39,9 +39,6 @@ class TraceRecorder {
 
   [[nodiscard]] const std::vector<TraceSample>& samples() const { return samples_; }
 
-  /// Dump all samples as CSV with a header row.
-  void write_csv(std::ostream& os) const;
-
  private:
   void take_sample();
   void arm();
@@ -55,5 +52,8 @@ class TraceRecorder {
   bool stopped_{false};
   std::vector<TraceSample> samples_;
 };
+
+/// Write `samples` as CSV with a header row.
+void write_trace_csv(std::ostream& os, const std::vector<TraceSample>& samples);
 
 }  // namespace gg::sim

@@ -77,7 +77,7 @@ void ProfiledWorkload::run_iteration(cudalite::Runtime& rt,
     if (rt.compute_enabled()) cpu_chunk(begin, end, iter);
     signal();
   };
-  const bool reroute = rt.fault_tolerance().reroute_failed_side;
+  const bool reroute = rt.hardened();
 
   // Slot k owns the items between its cumulative shares rounded to the item
   // grid; the last GPU slot ends at `items` and takes whatever work units the

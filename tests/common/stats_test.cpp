@@ -60,12 +60,6 @@ TEST(Percentile, Extremes) {
   EXPECT_DOUBLE_EQ(percentile({5.0, 1.0, 9.0}, 100), 9.0);
 }
 
-TEST(GeometricMean, KnownValue) {
-  EXPECT_NEAR(geometric_mean({2.0, 8.0}), 4.0, 1e-12);
-}
-
-TEST(GeometricMean, EmptyReturnsZero) { EXPECT_EQ(geometric_mean({}), 0.0); }
-
 TEST(Mean, KnownValue) { EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0); }
 TEST(Mean, EmptyReturnsZero) { EXPECT_EQ(mean({}), 0.0); }
 

@@ -24,7 +24,7 @@ TEST(NvmlFacade, NoInjectorMatchesPerfectPath) {
   ASSERT_EQ(platform.faults(), nullptr);
   NvmlDevice nvml(platform);
   platform.queue().run_until(Seconds{2.0});
-  const UtilizationSample s = nvml.try_utilization_rates();
+  const UtilizationSample s = nvml.utilization_rates();
   EXPECT_TRUE(s.ok());
   EXPECT_DOUBLE_EQ(s.window.get(), 2.0);
   EXPECT_EQ(s.rates.gpu, 0u);  // idle GPU
@@ -35,7 +35,7 @@ TEST(NvmlFacade, DropReturnsDriverErrorAndKeepsWindow) {
   platform.install_faults(one_channel(&sim::FaultConfig::util_drop_rate));
   NvmlDevice nvml(platform);
   platform.queue().run_until(Seconds{1.0});
-  const UtilizationSample s = nvml.try_utilization_rates();
+  const UtilizationSample s = nvml.utilization_rates();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.status, NvmlStatus::kDriverError);
   EXPECT_DOUBLE_EQ(s.window.get(), 0.0);
@@ -49,7 +49,7 @@ TEST(NvmlFacade, StaleRepeatsPreviousSampleWithZeroWindow) {
   sim::Platform platform;
   platform.install_faults(one_channel(&sim::FaultConfig::util_stale_rate));
   NvmlDevice nvml(platform);
-  const UtilizationSample s = nvml.try_utilization_rates();
+  const UtilizationSample s = nvml.utilization_rates();
   EXPECT_TRUE(s.ok());  // the driver "succeeds" -- only the window betrays it
   EXPECT_DOUBLE_EQ(s.window.get(), 0.0);
 }
@@ -59,7 +59,7 @@ TEST(NvmlFacade, CorruptAdvancesWindowButReturnsGarbage) {
   platform.install_faults(one_channel(&sim::FaultConfig::util_corrupt_rate));
   NvmlDevice nvml(platform);
   platform.queue().run_until(Seconds{3.0});
-  const UtilizationSample s = nvml.try_utilization_rates();
+  const UtilizationSample s = nvml.utilization_rates();
   EXPECT_TRUE(s.ok());
   EXPECT_DOUBLE_EQ(s.window.get(), 3.0);  // counters were consumed
   EXPECT_LE(s.rates.gpu, 100u);
@@ -69,7 +69,7 @@ TEST(NvmlFacade, CorruptAdvancesWindowButReturnsGarbage) {
 TEST(NvSettingsFacade, NoInjectorAlwaysApplies) {
   sim::Platform platform;
   NvSettings settings(platform);
-  const ClockWriteResult r = settings.set_clock_levels_checked(0, 0);
+  const ClockWriteResult r = settings.set_clock_levels(0, 0);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(settings.clock_levels(), (std::pair<std::size_t, std::size_t>{0, 0}));
 }
@@ -79,7 +79,7 @@ TEST(NvSettingsFacade, RejectLeavesClocksUnchanged) {
   platform.install_faults(one_channel(&sim::FaultConfig::clock_reject_rate));
   NvSettings settings(platform);
   const auto before = settings.clock_levels();
-  const ClockWriteResult r = settings.set_clock_levels_checked(0, 0);
+  const ClockWriteResult r = settings.set_clock_levels(0, 0);
   EXPECT_EQ(r.status, ClockWriteStatus::kRejected);
   EXPECT_EQ(settings.clock_levels(), before);
 }
@@ -93,7 +93,7 @@ TEST(NvSettingsFacade, DelayLandsAfterTheLatencyWindow) {
   NvSettings settings(platform);
   const auto before = settings.clock_levels();
   ASSERT_NE(before.first, 0u);  // platform default is the lowest levels
-  const ClockWriteResult r = settings.set_clock_levels_checked(0, 0);
+  const ClockWriteResult r = settings.set_clock_levels(0, 0);
   EXPECT_EQ(r.status, ClockWriteStatus::kDelayed);
   EXPECT_EQ(settings.clock_levels(), before);  // not yet
   platform.queue().run_until(Seconds{1.0});
@@ -106,13 +106,13 @@ TEST(NvSettingsFacade, ClampMovesOneLevelPerWrite) {
   NvSettings settings(platform);
   const auto [core0, mem0] = settings.clock_levels();
   ASSERT_GT(core0, 1u);  // several levels away from the peak
-  ClockWriteResult r = settings.set_clock_levels_checked(0, 0);
+  ClockWriteResult r = settings.set_clock_levels(0, 0);
   EXPECT_EQ(r.status, ClockWriteStatus::kClamped);
   EXPECT_EQ(r.core_level, core0 - 1);
   // Re-issuing the write walks one level at a time until it lands.
   int writes = 1;
   while (!r.ok() && writes < 32) {
-    r = settings.set_clock_levels_checked(0, 0);
+    r = settings.set_clock_levels(0, 0);
     ++writes;
   }
   EXPECT_TRUE(r.ok());
@@ -143,7 +143,7 @@ TEST(RuntimeFaults, RetriesAreBoundedAndCounted) {
   sim::Platform platform;
   platform.install_faults(one_channel(&sim::FaultConfig::launch_fail_rate));
   Runtime rt(platform, 2);
-  rt.set_fault_tolerance(FaultTolerance{3, false});
+  rt.set_hardened(true);
   auto stream = rt.create_stream();
   WorkEstimate est;
   est.units = 1.0;
@@ -151,19 +151,20 @@ TEST(RuntimeFaults, RetriesAreBoundedAndCounted) {
   const bool accepted =
       rt.launch_range(stream, 8, est, [](std::size_t, std::size_t) {});
   EXPECT_FALSE(accepted);  // rate 1.0 defeats every retry
-  EXPECT_EQ(rt.stats().launch_retries, 3u);
+  EXPECT_EQ(rt.stats().launch_retries, static_cast<std::uint64_t>(kMaxLaunchRetries));
   EXPECT_EQ(rt.stats().launches_rejected, 1u);
 }
 
 TEST(RuntimeFaults, RetriesRecoverTransientFailures) {
-  // At 50 % failure, three retries almost always get a launch through;
-  // run several launches and require at least one retry and zero rejects.
+  // At 20 % failure, the hardened runtime's three retries get a launch
+  // through all but 0.2^4 = 0.16 % of the time; run several launches and
+  // require at least one retry and zero rejects.
   sim::Platform platform;
   sim::FaultConfig cfg;
-  cfg.launch_fail_rate = 0.5;
+  cfg.launch_fail_rate = 0.2;
   platform.install_faults(cfg);
   Runtime rt(platform, 2);
-  rt.set_fault_tolerance(FaultTolerance{8, false});
+  rt.set_hardened(true);
   auto stream = rt.create_stream();
   WorkEstimate est;
   est.units = 1.0;

@@ -36,7 +36,7 @@ class NvmlTest : public ::testing::Test {
 TEST_F(NvmlTest, UtilizationPercentagesMatchActivity) {
   NvmlDevice nvml(platform_);
   run_busy(0.62, 0.27, 1.0);
-  const UtilizationRates u = nvml.utilization_rates();
+  const UtilizationRates u = nvml.utilization_rates().rates;
   EXPECT_EQ(u.gpu, 62u);
   EXPECT_EQ(u.memory, 27u);
 }
@@ -44,7 +44,7 @@ TEST_F(NvmlTest, UtilizationPercentagesMatchActivity) {
 TEST_F(NvmlTest, IdleWindowReadsZero) {
   NvmlDevice nvml(platform_);
   platform_.queue().run_until(platform_.now() + 5_s);
-  const UtilizationRates u = nvml.utilization_rates();
+  const UtilizationRates u = nvml.utilization_rates().rates;
   EXPECT_EQ(u.gpu, 0u);
   EXPECT_EQ(u.memory, 0u);
 }
@@ -52,7 +52,7 @@ TEST_F(NvmlTest, IdleWindowReadsZero) {
 TEST_F(NvmlTest, SaturatesAtHundred) {
   NvmlDevice nvml(platform_);
   run_busy(1.0, 1.0, 1.0);
-  const UtilizationRates u = nvml.utilization_rates();
+  const UtilizationRates u = nvml.utilization_rates().rates;
   EXPECT_EQ(u.gpu, 100u);
   EXPECT_EQ(u.memory, 100u);
 }
@@ -62,7 +62,7 @@ TEST_F(NvmlTest, WindowResetsBetweenQueries) {
   run_busy(0.5, 0.5, 1.0);
   (void)nvml.utilization_rates();
   platform_.queue().run_until(platform_.now() + 1_s);  // idle second
-  const UtilizationRates u = nvml.utilization_rates();
+  const UtilizationRates u = nvml.utilization_rates().rates;
   EXPECT_EQ(u.gpu, 0u);
 }
 

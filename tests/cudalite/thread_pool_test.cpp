@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
 namespace gg::cudalite {
@@ -56,22 +55,6 @@ TEST(ThreadPool, ChunkCountBoundedByN) {
   EXPECT_EQ(pool.chunk_count(0), 0u);
   EXPECT_EQ(pool.chunk_count(3), 3u);
   EXPECT_LE(pool.chunk_count(1000000), 8u * 4u);
-}
-
-TEST(ThreadPool, MapReduceDeterministicSum) {
-  ThreadPool pool(4);
-  std::vector<double> xs(10000);
-  std::iota(xs.begin(), xs.end(), 1.0);
-  const auto map = [&xs](std::size_t b, std::size_t e) {
-    double s = 0.0;
-    for (std::size_t i = b; i < e; ++i) s += xs[i];
-    return s;
-  };
-  const auto combine = [](double a, double b) { return a + b; };
-  const double s1 = pool.map_reduce<double>(xs.size(), 0.0, map, combine);
-  const double s2 = pool.map_reduce<double>(xs.size(), 0.0, map, combine);
-  EXPECT_EQ(s1, s2);  // bit-identical across runs (ordered combine)
-  EXPECT_DOUBLE_EQ(s1, 10000.0 * 10001.0 / 2.0);
 }
 
 TEST(ThreadPool, ExceptionPropagatesToSubmitter) {

@@ -90,8 +90,7 @@ TEST(CampaignPlanReplicates, ExpansionNamesAndStride) {
   EXPECT_EQ(plan.policies[2].name, "best-performance#s2");
   EXPECT_EQ(plan.policies[3].name, "frequency-scaling#s0");
   // Replicates differ only in name (the seed forks by flat cell index).
-  EXPECT_EQ(plan.policies[3].params.hardening.enabled,
-            plan.policies[5].params.hardening.enabled);
+  EXPECT_EQ(plan.policies[3].params.hardened, plan.policies[5].params.hardened);
 }
 
 TEST(CampaignPlanReplicates, NoExpansionWithoutFaultsOrBelowTwo) {

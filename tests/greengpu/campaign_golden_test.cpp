@@ -71,8 +71,8 @@ CampaignConfig pipeline_config() {
   cfg.options.faults.util_drop_rate = 0.05;
   cfg.options.faults.util_stale_rate = 0.05;
   cfg.options.faults.clock_reject_rate = 0.05;
-  baseline.params.hardening.enabled = true;
-  scaling.params.hardening.enabled = true;
+  baseline.params.hardened = true;
+  scaling.params.hardened = true;
   cfg.policies = {baseline, scaling};
   cfg.options.pool_workers = 2;
   return cfg;

@@ -127,7 +127,7 @@ constexpr int kActions = 80;
 class GovernorInline : public ::testing::TestWithParam<CpuGovernorKind> {
  protected:
   std::unique_ptr<CpuGovernor> make(sim::Platform& platform) const {
-    return make_cpu_governor(GetParam(), platform, OndemandParams{});
+    return make_cpu_governor(GetParam(), platform);
   }
 };
 

@@ -36,7 +36,7 @@ TEST_F(GovernorTest, PowersavePinsFloor) {
 
 TEST_F(GovernorTest, ConservativeStepsUpGradually) {
   platform_.cpu().set_level(3);
-  ConservativeGovernor gov(platform_, OndemandParams{});
+  ConservativeGovernor gov(platform_);
   busy_for(10_s);
   // Fully loaded: one level per step, not a jump (contrast with ondemand).
   platform_.queue().run_until(0.1_s);
@@ -50,7 +50,7 @@ TEST_F(GovernorTest, ConservativeStepsUpGradually) {
 }
 
 TEST_F(GovernorTest, ConservativeStepsDownWhenIdle) {
-  ConservativeGovernor gov(platform_, OndemandParams{});
+  ConservativeGovernor gov(platform_);
   platform_.queue().run_until(0.1_s);
   EXPECT_EQ(gov.step(platform_.now()).level, 1u);
 }
@@ -96,10 +96,6 @@ TEST_F(GovernorTest, AttachDetachLifecycle) {
   EXPECT_EQ(gov.decisions().size(), 10u);
 }
 
-TEST_F(GovernorTest, ZeroIntervalRejected) {
-  EXPECT_THROW(PerformanceGovernor(platform_, 0_s), std::invalid_argument);
-}
-
 TEST(GovernorKind, StringRoundTrip) {
   for (auto kind : {CpuGovernorKind::kNone, CpuGovernorKind::kPerformance,
                     CpuGovernorKind::kPowersave, CpuGovernorKind::kOndemand,
@@ -111,12 +107,11 @@ TEST(GovernorKind, StringRoundTrip) {
 
 TEST(GovernorFactory, ProducesNamedGovernors) {
   sim::Platform platform;
-  OndemandParams params;
-  EXPECT_EQ(make_cpu_governor(CpuGovernorKind::kNone, platform, params), nullptr);
+  EXPECT_EQ(make_cpu_governor(CpuGovernorKind::kNone, platform), nullptr);
   for (auto kind : {CpuGovernorKind::kPerformance, CpuGovernorKind::kPowersave,
                     CpuGovernorKind::kOndemand, CpuGovernorKind::kConservative,
                     CpuGovernorKind::kWma}) {
-    const auto gov = make_cpu_governor(kind, platform, params);
+    const auto gov = make_cpu_governor(kind, platform);
     ASSERT_NE(gov, nullptr);
     EXPECT_EQ(gov->name(), to_string(kind));
   }

@@ -34,7 +34,7 @@ RunOptions fast_options() {
 
 GreenGpuParams hardened_params() {
   GreenGpuParams p;
-  p.hardening.enabled = true;
+  p.hardened = true;
   return p;
 }
 
@@ -45,9 +45,7 @@ TEST(ScalerHardening, HoldsOnStaleSamples) {
   platform.install_faults(cfg);
   cudalite::NvmlDevice nvml(platform);
   cudalite::NvSettings settings(platform);
-  WmaParams params;
-  params.harden = true;
-  GpuFrequencyScaler scaler(nvml, settings, params);
+  GpuFrequencyScaler scaler(nvml, settings, WmaParams{}, /*hardened=*/true);
   const auto before = settings.clock_levels();
   platform.queue().run_until(3_s);
   const ScalerDecision d = scaler.step(platform.now());
@@ -63,9 +61,7 @@ TEST(ScalerHardening, HoldsOnDroppedSamples) {
   platform.install_faults(cfg);
   cudalite::NvmlDevice nvml(platform);
   cudalite::NvSettings settings(platform);
-  WmaParams params;
-  params.harden = true;
-  GpuFrequencyScaler scaler(nvml, settings, params);
+  GpuFrequencyScaler scaler(nvml, settings, WmaParams{}, /*hardened=*/true);
   platform.queue().run_until(3_s);
   scaler.step(platform.now());
   platform.queue().run_until(6_s);

@@ -9,7 +9,7 @@ using namespace gg::literals;
 
 class OndemandTest : public ::testing::Test {
  protected:
-  OndemandTest() : governor_(platform_, OndemandParams{}) {}
+  OndemandTest() : governor_(platform_) {}
 
   void busy_for(Seconds t) {
     sim::CpuWork w;

@@ -52,8 +52,8 @@ CampaignConfig small_config(bool faults) {
     cfg.options.faults.seed = 1234;
     cfg.options.faults.util_drop_rate = 0.02;
     cfg.options.faults.launch_fail_rate = 0.01;
-    baseline.params.hardening.enabled = true;
-    scaling.params.hardening.enabled = true;
+    baseline.params.hardened = true;
+    scaling.params.hardened = true;
   }
   cfg.policies = {baseline, scaling};
   cfg.options.pool_workers = 2;
@@ -369,13 +369,32 @@ TEST(Recovery, PolicySettingsChangeRefusesResume) {
     ckpt.resume = true;
     (void)run_campaign_checkpointed(cfg, ckpt);
   };
-  EXPECT_THROW(resume_with([](Policy& p) { p.params.hardening.enabled = true; }),
+  EXPECT_THROW(resume_with([](Policy& p) { p.params.hardened = true; }),
                SnapshotError);
   EXPECT_THROW(resume_with([](Policy& p) { p.params.wma.phi = 0.5; }), SnapshotError);
   EXPECT_THROW(resume_with([](Policy& p) { p.params.wma.interval = Seconds{2.0}; }),
                SnapshotError);
   // An unchanged plan still resumes.
   EXPECT_NO_THROW(resume_with([](Policy&) {}));
+}
+
+TEST(Recovery, DefaultPlanFingerprintsArePinned) {
+  // Values that became constants (the ondemand thresholds and sampling
+  // period, the CPU-share bounds, a scaler-only hardening switch no program
+  // set) keep their bytes in the fingerprint, so journals written before
+  // they were folded still resume.  Both numbers were computed before the
+  // folds: the default four-policy plan, and the one `greengpu_cli
+  // --campaign --hardened` runs.
+  const CampaignConfig plain;
+  EXPECT_EQ(CampaignJournal::fingerprint(plan_campaign(plain), plain.options),
+            0x000003439cb820f9ULL);
+  CampaignConfig hardened;
+  for (const char* name :
+       {"best-performance", "frequency-scaling", "division", "greengpu"}) {
+    hardened.policies.push_back(policy_by_name(name, {.hardened = true}));
+  }
+  EXPECT_EQ(CampaignJournal::fingerprint(plan_campaign(hardened), hardened.options),
+            0x00000343c96f2636ULL);
 }
 
 TEST(Recovery, ForeignOrTruncatedJournalIsRejected) {

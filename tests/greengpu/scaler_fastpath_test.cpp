@@ -139,7 +139,7 @@ std::vector<oracle::Step> replay(const WmaParams& params,
 
 ExperimentResult run_with(bool faults, const std::string& workload) {
   GreenGpuParams params;
-  params.hardening.enabled = faults;  // exercise hold/retry paths under faults
+  params.hardened = faults;  // exercise hold/retry paths under faults
   RunOptions options;
   if (faults) {
     options.faults.seed = 99;
@@ -179,21 +179,19 @@ TEST(ScalerFastPath, DecisionStreamMatchesReferenceUnderFaultInjection) {
   std::size_t held = 0;
   for (const ScalerDecision& d : run.scaler_decisions) held += d.sample_ok ? 0 : 1;
   EXPECT_GT(held, 0u);
-  WmaParams params;
-  params.harden = true;
-  expect_oracle_stream(run, params);
+  expect_oracle_stream(run, WmaParams{});
 }
 
 /// Steps a scaler by hand over `steps` intervals of random utilization and
 /// compares every weight with the oracle's after each step.
 void expect_weights_match_oracle(const WmaParams& params, const sim::FaultConfig& faults,
-                                 int steps) {
+                                 int steps, bool hardened = false) {
   sim::Platform platform;
   if (faults.any_faults()) platform.install_faults(faults);
   cudalite::Runtime rt(platform, 1);
   cudalite::NvmlDevice nvml(platform);
   cudalite::NvSettings settings(platform);
-  GpuFrequencyScaler scaler(nvml, settings, params);
+  GpuFrequencyScaler scaler(nvml, settings, params, hardened);
   oracle::WmaOracle ref(params, umean_table(settings.core_table()),
                         umean_table(settings.mem_table()));
   Rng rng(21);
@@ -220,7 +218,7 @@ void expect_weights_match_oracle(const WmaParams& params, const sim::FaultConfig
       }
     }
   }
-  if (params.harden && faults.any_faults()) {
+  if (hardened && faults.any_faults()) {
     EXPECT_GT(held, 0u);
   }
 }
@@ -250,9 +248,7 @@ TEST(ScalerFastPath, WeightsMatchOracleAfterEveryHardenedFaultyStep) {
   faults.util_stale_rate = 0.1;
   faults.util_corrupt_rate = 0.1;
   faults.clock_reject_rate = 0.1;
-  WmaParams params;
-  params.harden = true;
-  expect_weights_match_oracle(params, faults, 200);
+  expect_weights_match_oracle(WmaParams{}, faults, 200, /*hardened=*/true);
   // Un-hardened, the same samples are all learned from.
   expect_weights_match_oracle(WmaParams{}, faults, 200);
 }

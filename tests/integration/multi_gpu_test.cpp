@@ -126,7 +126,7 @@ TEST(MultiGpu, EnergyModelDividerHasNoMultiGpuForm) {
 greengpu::ExperimentResult hardened_faulty_hotspot(std::size_t pool_workers) {
   workloads::Hotspot wl{};
   greengpu::Policy policy = greengpu::Policy::green_gpu();
-  policy.params.hardening.enabled = true;
+  policy.params.hardened = true;
   greengpu::RunOptions options;
   options.pool_workers = pool_workers;
   options.faults.seed = 11;
@@ -152,7 +152,10 @@ TEST(MultiGpu, HardenedFaultyRunCompletesVerifiesAndIsPoolIndependent) {
 // --- Snapshots at any card count ---------------------------------------------
 
 /// The policies whose controllers a snapshot carries: both tiers with the
-/// step divider, both tiers with Qilin profiling, and division alone.
+/// step divider, both tiers with Qilin profiling, division alone, and both
+/// tiers with the scaler sampling every 0.1 s.  The last one puts every
+/// scaler tick at the same instant as a CPU governor tick, so the fork must
+/// re-arm colliding tick trains in the donor's order.
 greengpu::Policy snapshot_policy(int which) {
   switch (which) {
     case 0:
@@ -162,8 +165,13 @@ greengpu::Policy snapshot_policy(int which) {
       p.divider = greengpu::DividerKind::kProfiling;
       return p;
     }
-    default:
+    case 2:
       return greengpu::Policy::division_only();
+    default: {
+      greengpu::GreenGpuParams params;
+      params.wma.interval = greengpu::kGovernorInterval;
+      return greengpu::Policy::green_gpu(params);
+    }
   }
 }
 
@@ -249,13 +257,15 @@ TEST_P(MultiGpuSnapshot, ForkedRunMatchesUninterrupted) {
 
 std::string snapshot_case_name(
     const ::testing::TestParamInfo<MultiGpuSnapshot::ParamType>& info) {
-  static const char* const kNames[] = {"greengpu_step", "greengpu_qilin", "division"};
+  static const char* const kNames[] = {"greengpu_step", "greengpu_qilin", "division",
+                                       "greengpu_colliding_ticks"};
   return std::to_string(std::get<0>(info.param)) + "gpu_" + kNames[std::get<1>(info.param)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     CardsAndPolicies, MultiGpuSnapshot,
-    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 4), ::testing::Values(0, 1, 2)),
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 4),
+                       ::testing::Values(0, 1, 2, 3)),
     snapshot_case_name);
 
 TEST(MultiGpu, SnapshotRestoresOnlyIntoAsManyCards) {

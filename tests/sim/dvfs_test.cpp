@@ -61,14 +61,6 @@ TEST(DvfsTable, LevelOutOfRangeThrows) {
   EXPECT_THROW((void)t.point(4), std::out_of_range);
 }
 
-TEST(DvfsTable, NearestLevel) {
-  const DvfsTable t = geforce8800_memory_table();
-  EXPECT_EQ(t.nearest_level(900_MHz), 0u);
-  EXPECT_EQ(t.nearest_level(810_MHz), 1u);
-  EXPECT_EQ(t.nearest_level(100_MHz), 5u);
-  EXPECT_EQ(t.nearest_level(2000_MHz), 0u);
-}
-
 TEST(DvfsTable, RangeFractionEndpoints) {
   const DvfsTable t = geforce8800_memory_table();
   EXPECT_DOUBLE_EQ(t.range_fraction(0), 1.0);

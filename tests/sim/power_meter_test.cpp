@@ -37,61 +37,5 @@ TEST(EnergyIntegrator, ResetRebasesTime) {
   EXPECT_DOUBLE_EQ(e.energy().get(), 10.0);
 }
 
-TEST(PowerMeter, EnergyMatchesIntegrator) {
-  PowerMeter m;
-  m.advance(1.5_s, 10_W);
-  m.advance(4_s, 20_W);
-  EXPECT_DOUBLE_EQ(m.energy().get(), 15.0 + 50.0);
-}
-
-TEST(PowerMeter, EmitsOneSamplePerSecond) {
-  PowerMeter m;  // 1 Hz like the Wattsup Pro
-  m.advance(3.5_s, 10_W);
-  ASSERT_EQ(m.samples().size(), 3u);
-  EXPECT_DOUBLE_EQ(m.samples()[0].time.get(), 1.0);
-  EXPECT_DOUBLE_EQ(m.samples()[2].time.get(), 3.0);
-  for (const auto& s : m.samples()) EXPECT_DOUBLE_EQ(s.average_power.get(), 10.0);
-}
-
-TEST(PowerMeter, SampleAveragesAcrossPowerChange) {
-  PowerMeter m;
-  m.advance(0.5_s, 10_W);  // first half of window 1
-  m.advance(1_s, 30_W);    // second half
-  ASSERT_EQ(m.samples().size(), 1u);
-  EXPECT_DOUBLE_EQ(m.samples()[0].average_power.get(), 20.0);
-}
-
-TEST(PowerMeter, SamplesSplitLongInterval) {
-  PowerMeter m;
-  m.advance(10_s, 7_W);
-  ASSERT_EQ(m.samples().size(), 10u);
-  for (const auto& s : m.samples()) EXPECT_DOUBLE_EQ(s.average_power.get(), 7.0);
-}
-
-TEST(PowerMeter, CustomInterval) {
-  PowerMeter m(0.5_s);
-  m.advance(1_s, 4_W);
-  ASSERT_EQ(m.samples().size(), 2u);
-  EXPECT_DOUBLE_EQ(m.samples()[0].time.get(), 0.5);
-}
-
-TEST(PowerMeter, ResetClearsSamplesAndEnergy) {
-  PowerMeter m;
-  m.advance(2_s, 5_W);
-  m.reset(2_s);
-  EXPECT_DOUBLE_EQ(m.energy().get(), 0.0);
-  EXPECT_TRUE(m.samples().empty());
-  m.advance(3_s, 5_W);
-  ASSERT_EQ(m.samples().size(), 1u);
-  EXPECT_DOUBLE_EQ(m.samples()[0].time.get(), 3.0);
-}
-
-TEST(PowerMeter, PartialWindowNotEmitted) {
-  PowerMeter m;
-  m.advance(0.9_s, 10_W);
-  EXPECT_TRUE(m.samples().empty());
-  EXPECT_DOUBLE_EQ(m.energy().get(), 9.0);
-}
-
 }  // namespace
 }  // namespace gg::sim

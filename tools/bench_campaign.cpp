@@ -267,7 +267,7 @@ double time_scaler_steps(bool reference, std::uint64_t steps,
   double t = 0.0;
   for (std::uint64_t i = 0; i < steps; ++i) {
     if (reference) {
-      const cudalite::UtilizationSample sample = nvml.try_utilization_rates();
+      const cudalite::UtilizationSample sample = nvml.utilization_rates();
       const greengpu::PairIndex pair =
           oracle.step(static_cast<double>(sample.rates.gpu) / 100.0,
                       static_cast<double>(sample.rates.memory) / 100.0, true);
@@ -427,7 +427,7 @@ std::vector<std::uint64_t> governor_replay(bool attached) {
   sim::Platform platform;
   sim::EventQueue& queue = platform.queue();
   sim::CpuDevice& cpu = platform.cpu();
-  greengpu::OndemandGovernor gov(platform, greengpu::OndemandParams{});
+  greengpu::OndemandGovernor gov(platform);
   sim::EventHandle next;
   std::function<void()> arm = [&] {
     next = queue.schedule_in(gov.interval(), [&] {

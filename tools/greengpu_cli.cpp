@@ -99,7 +99,8 @@
 //                               (0 disables; exponential gaps)
 //   --fault-throttle-duration S episode length (default 5)
 //   --hardened 0|1              enable the hardened controllers (retries,
-//                               rerouting, stale-sample hold, watchdog)
+//                               rerouting, stale-sample hold, watchdog),
+//                               under every policy
 //
 // Campaign example:
 //   greengpu_cli --campaign --json report.json
@@ -269,28 +270,25 @@ greengpu::Policy policy_from_flags(const Flags& flags) {
   params.wma.phi = flags.get_double("phi", params.wma.phi);
   params.wma.beta = flags.get_double("beta", params.wma.beta);
   params.wma.interval = Seconds{flags.get_double("interval", params.wma.interval.get())};
-  params.hardening.enabled = flags.get_bool("hardened", false);
+  params.hardened = flags.get_bool("hardened", false);
 
   const std::string name = flags.get_string("policy", "greengpu");
   greengpu::Policy policy;
-  if (name == "best-performance" || name == "baseline") {
-    policy = greengpu::Policy::best_performance();
-  } else if (name == "scaling" || name == "frequency-scaling") {
-    policy = greengpu::Policy::scaling_only(params);
-  } else if (name == "division") {
-    policy = greengpu::Policy::division_with(
-        greengpu::divider_from_string(flags.get_string("divider", "step")), params);
-  } else if (name == "greengpu") {
-    policy = greengpu::Policy::green_gpu(params);
-    policy.divider = greengpu::divider_from_string(flags.get_string("divider", "step"));
-  } else if (name == "static-division") {
-    policy = greengpu::Policy::static_division(flags.get_double("ratio", 0.10));
+  if (name == "static-division") {
+    policy = greengpu::Policy::static_division(flags.get_double("ratio", 0.10), params);
   } else if (name == "static-pair") {
     policy = greengpu::Policy::static_pair(
         static_cast<std::size_t>(flags.get_int("core-level", 0)),
-        static_cast<std::size_t>(flags.get_int("mem-level", 0)));
+        static_cast<std::size_t>(flags.get_int("mem-level", 0)), params);
   } else {
-    throw std::invalid_argument("unknown policy: " + name);
+    policy = greengpu::policy_by_name(name, params);
+    if (policy.division) {
+      const auto divider =
+          greengpu::divider_from_string(flags.get_string("divider", "step"));
+      // --policy division is named after its divider.
+      if (name == "division") policy = greengpu::Policy::division_with(divider, params);
+      policy.divider = divider;
+    }
   }
   if (flags.has("governor")) {
     policy.cpu_governor =
@@ -402,9 +400,10 @@ int run(const Flags& flags) {
     if (flags.get_bool("hardened", false)) {
       // Fault-injected campaigns need the hardened controllers: un-hardened
       // policies DNF by design on a faulty platform (watchdog abort).
-      cfg.policies = {greengpu::Policy::best_performance(), greengpu::Policy::scaling_only(),
-                      greengpu::Policy::division_only(), greengpu::Policy::green_gpu()};
-      for (auto& p : cfg.policies) p.params.hardening.enabled = true;
+      for (const char* name :
+           {"best-performance", "frequency-scaling", "division", "greengpu"}) {
+        cfg.policies.push_back(greengpu::policy_by_name(name, {.hardened = true}));
+      }
     }
     const greengpu::CheckpointOptions ckpt = checkpoint_options_from_flags(flags);
     const std::string wl = flags.get_string("workload", "");
@@ -540,14 +539,7 @@ int run(const Flags& flags) {
         std::fprintf(stderr, "cannot open %s\n", trace_file.c_str());
         return 2;
       }
-      CsvWriter tw(out);
-      tw.row_values("time_s", "gpu_core_mhz", "gpu_mem_mhz", "cpu_mhz", "gpu_core_util",
-                    "gpu_mem_util", "cpu_util", "gpu_power_w", "cpu_power_w");
-      for (const auto& s : result.trace) {
-        tw.row_values(s.time.get(), s.gpu_core_freq.get(), s.gpu_mem_freq.get(),
-                      s.cpu_freq.get(), s.gpu_core_util, s.gpu_mem_util, s.cpu_util,
-                      s.gpu_power.get(), s.cpu_power.get());
-      }
+      sim::write_trace_csv(out, result.trace);
     }
   }
   return failures == 0 ? 0 : 1;
