@@ -6,11 +6,11 @@
 
 #include <sstream>
 
+#include "src/common/job_pool.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/cudalite/nvml.h"
 #include "src/cudalite/nvsettings.h"
-#include "src/cudalite/thread_pool.h"
 #include "src/greengpu/division.h"
 #include "src/greengpu/runner.h"
 #include "src/greengpu/loss.h"
@@ -268,18 +268,18 @@ void BM_CampaignCell(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignCell);
 
-void BM_ThreadPoolParallelFor(benchmark::State& state) {
-  cudalite::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+void BM_JobPoolRunChunks(benchmark::State& state) {
+  common::JobPool pool(static_cast<std::size_t>(state.range(0)));
   std::vector<double> xs(1 << 16, 1.0);
   for (auto _ : state) {
-    pool.parallel_for_chunks(xs.size(), [&xs](std::size_t b, std::size_t e) {
+    pool.run_chunks(xs.size(), [&xs](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) xs[i] *= 1.0000001;
     });
     benchmark::DoNotOptimize(xs.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(xs.size()));
 }
-BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_JobPoolRunChunks)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 

@@ -58,7 +58,7 @@ class MonteCarloPi final : public workloads::ProfiledWorkload {
 
   // The estimate is checked against pi itself, so there is no reference to
   // recompute and the run's pool goes unused.
-  [[nodiscard]] bool verify(cudalite::ThreadPool& /*pool*/) const override {
+  [[nodiscard]] bool verify(common::JobPool& /*pool*/) const override {
     if (!done_) return false;
     const double pi = 4.0 * static_cast<double>(total_hits_) /
                       static_cast<double>(kDarts * kIterations);

@@ -91,9 +91,24 @@ void JobPool::run(std::size_t n, const std::function<void(std::size_t)>& fn) {
         batch->errors.begin(), batch->errors.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });
     const std::exception_ptr error = lowest->second;
+    // Release the recorded exceptions here: a worker may drop the last
+    // reference to the batch, and the caller still reads the one rethrown.
+    batch->errors.clear();
     lock.unlock();
     std::rethrow_exception(error);
   }
+}
+
+void JobPool::run_chunks(std::size_t n,
+                         const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t chunks = chunk_count(n);
+  if (chunks == 0) return;
+  const std::size_t base = n / chunks;
+  const std::size_t extra = n % chunks;
+  run(chunks, [&fn, base, extra](std::size_t chunk) {
+    const std::size_t begin = chunk * base + std::min(chunk, extra);
+    fn(begin, begin + base + (chunk < extra ? 1 : 0));
+  });
 }
 
 }  // namespace gg::common

@@ -1,11 +1,13 @@
 // Fixed-size worker pool for batches of independent, index-addressed jobs —
-// the engine behind parallel experiment campaigns and bench sweeps.
+// the one host executor: campaign cells and bench sweeps (run,
+// run_batches), cudalite kernel chunks (run_chunks) and the verify
+// references (run over fixed blocks).
 //
 // The pool is deliberately work-stealing-free: a batch is a contiguous index
 // range claimed in order from one shared counter, and every job writes its
 // result to an index-determined slot.  Nothing about the output depends on
 // which worker ran a job or in what order jobs finished, so callers get
-// byte-identical results for any worker count (see map()).
+// byte-identical results for any worker count.
 #pragma once
 
 #include <algorithm>
@@ -41,13 +43,18 @@ class JobPool {
   void run(std::size_t n, const std::function<void(std::size_t)>& fn)
       GG_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Deterministic fan-out: out[i] = fn(i), independent of worker count.
-  template <typename T>
-  std::vector<T> map(std::size_t n, const std::function<T(std::size_t)>& fn) {
-    std::vector<T> out(n);
-    run(n, [&out, &fn](std::size_t i) { out[i] = fn(i); });
-    return out;
+  /// Number of chunks run_chunks() cuts n items into: min(n, 4 x
+  /// worker_count()).  Four per runner bounds the tail imbalance.
+  [[nodiscard]] std::size_t chunk_count(std::size_t n) const {
+    return std::min(n, 4 * worker_target_);
   }
+
+  /// Run fn(begin, end) over chunk_count(n) contiguous chunks covering
+  /// [0, n), the first n % chunk_count(n) of them one item longer.  Chunk
+  /// boundaries depend on n and worker_count() only, never on scheduling, so
+  /// a kernel that reduces per chunk gets the same bits on every run.
+  /// Exceptions follow run()'s rule.
+  void run_chunks(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Run fn(first, last) over the ceil(n / batch) contiguous groups
   /// [g*batch, min(n, (g+1)*batch)); the work unit handed to a worker is a

@@ -1,12 +1,11 @@
 // Clang thread-safety analysis annotations (no-ops on GCC and MSVC).
 //
-// The concurrency in this codebase is deliberately small — two hand-rolled
-// pools (common::JobPool, cudalite::ThreadPool), the campaign progress
-// callback, and single-owner controller state — which is exactly why it can
-// be annotated exhaustively.  Under Clang the library builds with
-// `-Wthread-safety` promoted to an error (see GREENGPU_THREAD_SAFETY in the
-// top-level CMakeLists.txt), so "which mutex guards this member" is a
-// compile-time contract rather than a comment.
+// The concurrency in this codebase is deliberately small — one hand-rolled
+// pool (common::JobPool), the campaign progress callback, and single-owner
+// controller state — which is exactly why it can be annotated exhaustively.
+// Under Clang the library builds with `-Wthread-safety` promoted to an error
+// (see GREENGPU_THREAD_SAFETY in the top-level CMakeLists.txt), so "which
+// mutex guards this member" is a compile-time contract rather than a comment.
 //
 // Style follows the standard attribute set (abseil's thread_annotations.h):
 //  * data members:      `T x_ GG_GUARDED_BY(mutex_);`

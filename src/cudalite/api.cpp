@@ -25,8 +25,8 @@ RuntimeStats Runtime::stats() const {
   return s;
 }
 
-ThreadPool& Runtime::pool() {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(pool_workers_);
+common::JobPool& Runtime::pool() {
+  if (!pool_) pool_ = std::make_unique<common::JobPool>(pool_workers_);
   return *pool_;
 }
 
@@ -205,46 +205,12 @@ bool Runtime::admit_host_task() {
   }
 }
 
-bool Runtime::launch(Stream& stream, Dim3 grid, Dim3 block, const WorkEstimate& estimate,
-                     const std::function<void(const ThreadCtx&)>& fn,
-                     std::function<void()> on_complete) {
-  const std::size_t n_blocks = grid.total();
-  const std::size_t threads_per_block = block.total();
-  if (n_blocks == 0 || threads_per_block == 0) {
-    throw std::invalid_argument("cudalite: empty launch configuration");
-  }
-  if (!admit_launch(stream.device())) return false;
-  // Real execution: one pool task per block; threads within a block run
-  // sequentially (kernels here carry no intra-block synchronization).
-  // Model-only launches submit the identical simulated work without running
-  // the kernel body.
-  if (compute_enabled()) pool().parallel_for(n_blocks, [&](std::size_t flat_block) {
-    ThreadCtx ctx;
-    ctx.grid_dim = grid;
-    ctx.block_dim = block;
-    ctx.block_idx.x = static_cast<unsigned>(flat_block % grid.x);
-    ctx.block_idx.y = static_cast<unsigned>((flat_block / grid.x) % grid.y);
-    ctx.block_idx.z = static_cast<unsigned>(flat_block / (static_cast<std::size_t>(grid.x) * grid.y));
-    for (unsigned tz = 0; tz < block.z; ++tz) {
-      for (unsigned ty = 0; ty < block.y; ++ty) {
-        for (unsigned tx = 0; tx < block.x; ++tx) {
-          ctx.thread_idx = Dim3{tx, ty, tz};
-          fn(ctx);
-        }
-      }
-    }
-  });
-  ++stats_.kernels_launched;
-  enqueue_kernel(stream, estimate.to_kernel_work(), std::move(on_complete));
-  return true;
-}
-
 bool Runtime::launch_range(Stream& stream, std::size_t n, const WorkEstimate& estimate,
                            const std::function<void(std::size_t, std::size_t)>& fn,
                            std::function<void()> on_complete) {
   if (n == 0) throw std::invalid_argument("cudalite: empty launch_range");
   if (!admit_launch(stream.device())) return false;
-  if (compute_enabled()) pool().parallel_for_chunks(n, fn);
+  if (compute_enabled()) pool().run_chunks(n, fn);
   ++stats_.kernels_launched;
   enqueue_kernel(stream, estimate.to_kernel_work(), std::move(on_complete));
   return true;

@@ -35,39 +35,11 @@
 #include <string>
 #include <vector>
 
+#include "src/common/job_pool.h"
 #include "src/cudalite/stream_scheduler.h"
-#include "src/cudalite/thread_pool.h"
 #include "src/sim/platform.h"
 
 namespace gg::cudalite {
-
-/// CUDA-style 3D extent.
-struct Dim3 {
-  unsigned x{1};
-  unsigned y{1};
-  unsigned z{1};
-  [[nodiscard]] std::size_t total() const {
-    return static_cast<std::size_t>(x) * y * z;
-  }
-};
-
-/// Per-thread launch context (flattened helpers provided for 1D kernels).
-struct ThreadCtx {
-  Dim3 grid_dim;
-  Dim3 block_dim;
-  Dim3 block_idx;
-  Dim3 thread_idx;
-
-  /// Flat global thread id for 1D launches.
-  [[nodiscard]] std::size_t global_id() const {
-    const std::size_t block = static_cast<std::size_t>(block_idx.z) * grid_dim.y * grid_dim.x +
-                              static_cast<std::size_t>(block_idx.y) * grid_dim.x + block_idx.x;
-    const std::size_t thread =
-        static_cast<std::size_t>(thread_idx.z) * block_dim.y * block_dim.x +
-        static_cast<std::size_t>(thread_idx.y) * block_dim.x + thread_idx.x;
-    return block * block_dim.total() + thread;
-  }
-};
 
 /// Work metrics of one launch, consumed by the GPU timing/energy model.
 /// Profiles in `workloads/` compute these from problem sizes.
@@ -209,9 +181,10 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
-  /// The host execution pool.  Created on first use so model-only runtimes
-  /// never pay the worker-thread spawn.
-  [[nodiscard]] ThreadPool& pool();
+  /// The host execution pool (`pool_workers` runners: this thread plus
+  /// `pool_workers` - 1 workers).  Created on first use so model-only
+  /// runtimes never pay the worker-thread spawn.
+  [[nodiscard]] common::JobPool& pool();
   /// Counters valid as of now: the copy-engine overlap and stream-depth
   /// fields are derived from the platform/schedulers at call time.
   [[nodiscard]] RuntimeStats stats() const;
@@ -302,18 +275,13 @@ class Runtime {
   // --- Kernel launch ------------------------------------------------------
   [[nodiscard]] Stream create_stream();
 
-  /// Launch a per-thread kernel: `fn(ctx)` for every thread of the grid.
-  /// Computation happens now (host pool); simulated completion is governed by
-  /// `estimate`.  Optional `on_complete` fires at the simulated completion.
-  /// Returns false when the platform's fault injector rejected the launch
-  /// (after kMaxLaunchRetries re-tries when hardened): nothing was
-  /// executed or submitted, and `on_complete` will never fire.
-  bool launch(Stream& stream, Dim3 grid, Dim3 block, const WorkEstimate& estimate,
-              const std::function<void(const ThreadCtx&)>& fn,
-              std::function<void()> on_complete = {});
-
-  /// Fast path for 1D data-parallel kernels: `fn(begin, end)` over disjoint
-  /// index ranges covering [0, n).  Same failure contract as `launch`.
+  /// Launch a 1D data-parallel kernel: `fn(begin, end)` over the pool's
+  /// `run_chunks` partition of [0, n).  Computation happens now (host pool);
+  /// simulated completion is governed by `estimate`.  Optional `on_complete`
+  /// fires at the simulated completion.  Returns false when the platform's
+  /// fault injector rejected the launch (after kMaxLaunchRetries re-tries
+  /// when hardened): nothing was executed or submitted, and `on_complete`
+  /// will never fire.
   bool launch_range(Stream& stream, std::size_t n, const WorkEstimate& estimate,
                     const std::function<void(std::size_t, std::size_t)>& fn,
                     std::function<void()> on_complete = {});
@@ -331,7 +299,7 @@ class Runtime {
   /// Execute `fn` now on the pool and submit `work` to the simulated CPU;
   /// `on_complete` fires at the simulated completion.  Returns false when
   /// the fault injector rejected the chunk (nothing ran; same contract as
-  /// `launch`).
+  /// `launch_range`).
   bool host_submit(const sim::CpuWork& work, const std::function<void()>& fn,
                    std::function<void()> on_complete = {});
 
@@ -377,7 +345,7 @@ class Runtime {
   bool admit_host_task();
 
   sim::Platform* platform_;
-  std::unique_ptr<ThreadPool> pool_;  // lazy, see pool()
+  std::unique_ptr<common::JobPool> pool_;  // lazy, see pool()
   std::size_t pool_workers_;
   bool sync_spin_;
   ComputeMode compute_mode_{ComputeMode::kFull};

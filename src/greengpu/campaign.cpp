@@ -6,7 +6,6 @@
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/greengpu/recovery.h"
-#include "src/sim/soa.h"
 #include "src/workloads/registry.h"
 
 namespace gg::greengpu {
@@ -79,33 +78,18 @@ CampaignPlan plan_campaign(const CampaignConfig& config) {
 
 void finalize_campaign_savings(CampaignResult& result) {
   const std::size_t policy_count = result.policy_names.size();
-  const std::size_t total = result.cells.size();
-  if (policy_count == 0 || total == 0) return;
-  // SoA pass: gather every cell's scalars (and its workload-row baseline,
-  // broadcast per cell) into contiguous arrays, run the element-independent
-  // savings kernels over the whole campaign at once, scatter back.  The
-  // kernels are the same IEEE operations the old per-cell loop performed,
-  // in the same order, so reports are bit-identical — just vectorizable.
-  std::vector<double> energy(total), base_energy(total);
-  std::vector<double> time(total), base_time(total);
-  std::vector<double> saving(total), delta(total);
+  if (policy_count == 0 || result.cells.empty()) return;
   for (std::size_t w = 0; w < result.workloads.size(); ++w) {
     const ExperimentResult& baseline = result.cells[w * policy_count].result;
-    const double baseline_energy = baseline.total_energy().get();
-    const double baseline_time = baseline.exec_time.get();
+    const double base_energy = baseline.total_energy().get();
+    const double base_time = baseline.exec_time.get();
     for (std::size_t p = 0; p < policy_count; ++p) {
-      const std::size_t i = w * policy_count + p;
-      energy[i] = result.cells[i].result.total_energy().get();
-      time[i] = result.cells[i].result.exec_time.get();
-      base_energy[i] = baseline_energy;
-      base_time[i] = baseline_time;
+      CampaignCell& cell = result.cells[w * policy_count + p];
+      const double energy = cell.result.total_energy().get();
+      const double time = cell.result.exec_time.get();
+      cell.energy_saving = base_energy > 0.0 ? 1.0 - energy / base_energy : 0.0;
+      cell.time_delta = base_time > 0.0 ? time / base_time - 1.0 : 0.0;
     }
-  }
-  sim::batch_saving_vs_baseline(energy.data(), base_energy.data(), saving.data(), total);
-  sim::batch_rel_delta(time.data(), base_time.data(), delta.data(), total);
-  for (std::size_t i = 0; i < total; ++i) {
-    result.cells[i].energy_saving = saving[i];
-    result.cells[i].time_delta = delta[i];
   }
 }
 

@@ -204,6 +204,10 @@ void ExperimentEngine::start() {
                  : workload_->iterations();
 
   run_start_ = platform_->snapshot();
+  run_start_per_gpu_.resize(gpu_count_);
+  for (std::size_t g = 0; g < gpu_count_; ++g) {
+    run_start_per_gpu_[g] = platform_->gpu(g).energy();
+  }
   spin_time_start_ = platform_->cpu().counters().spin_integral;
   spin_energy_start_ = platform_->cpu().spin_energy();
 
@@ -348,7 +352,7 @@ ExperimentResult ExperimentEngine::finish() {
   result_.cpu_energy = total.cpu;
   std::uint64_t kernels_completed = 0;
   for (std::size_t g = 0; g < gpu_count_; ++g) {
-    result_.per_gpu_energy.push_back(run_end.per_gpu[g] - run_start_.per_gpu[g]);
+    result_.per_gpu_energy.push_back(platform.gpu(g).energy() - run_start_per_gpu_[g]);
     kernels_completed += platform.gpu(g).kernels_completed();
     result_.gpu_frequency_transitions += platform.gpu(g).frequency_transitions();
   }
@@ -449,8 +453,8 @@ void ExperimentEngine::save_prefix(common::SnapshotWriter& w) {
   w.f64(run_start_.time.get());
   w.f64(run_start_.gpu.get());
   w.f64(run_start_.cpu.get());
-  w.u64(run_start_.per_gpu.size());
-  for (const Joules e : run_start_.per_gpu) w.f64(e.get());
+  w.u64(run_start_per_gpu_.size());
+  for (const Joules e : run_start_per_gpu_) w.f64(e.get());
   w.f64(spin_time_start_);
   w.f64(spin_energy_start_.get());
   w.u64(result_.convergence_iteration);
@@ -507,9 +511,9 @@ void ExperimentEngine::restore_prefix(common::SnapshotReader& r) {
   run_start_.time = Seconds{r.f64()};
   run_start_.gpu = Joules{r.f64()};
   run_start_.cpu = Joules{r.f64()};
-  run_start_.per_gpu.clear();
+  run_start_per_gpu_.clear();
   const std::uint64_t per_gpu = r.u64();
-  for (std::uint64_t i = 0; i < per_gpu; ++i) run_start_.per_gpu.push_back(Joules{r.f64()});
+  for (std::uint64_t i = 0; i < per_gpu; ++i) run_start_per_gpu_.push_back(Joules{r.f64()});
   spin_time_start_ = r.f64();
   spin_energy_start_ = Joules{r.f64()};
   result_.convergence_iteration = static_cast<std::size_t>(r.u64());

@@ -144,8 +144,9 @@ struct RunOptions {
   Seconds trace_period{1.0};
   /// Check results against the workload's reference after the run.
   bool verify{true};
-  /// Thread-pool size for real kernel execution and for the verify()
-  /// reference (0 = hardware concurrency).
+  /// Runners of the run's host pool (this thread plus pool_workers - 1
+  /// threads; 0 = hardware concurrency), which executes the kernels, cut into
+  /// min(N, 4 x pool_workers) chunks, and the verify() reference.
   std::size_t pool_workers{0};
   /// Override the workload's iteration count (0 = workload default).
   std::size_t max_iterations{0};
@@ -299,6 +300,8 @@ class ExperimentEngine {
   std::size_t slots_pending_{0};
   int watchdog_trips_left_{0};
   sim::EnergySnapshot run_start_;
+  /// Each card's meter at run_start_, sized in start().
+  std::vector<Joules> run_start_per_gpu_;
   double spin_time_start_{0.0};
   Joules spin_energy_start_{0.0};
   bool started_{false};

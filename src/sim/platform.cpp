@@ -40,12 +40,7 @@ Platform::Platform(GpuSpec gpu_spec, DvfsTable gpu_core, DvfsTable gpu_mem,
 EnergySnapshot Platform::snapshot() {
   EnergySnapshot s;
   s.time = queue_.now();
-  s.per_gpu.reserve(gpus_.size());
-  for (auto& gpu : gpus_) {
-    const Joules e = gpu->energy();
-    s.per_gpu.push_back(e);
-    s.gpu += e;
-  }
+  for (auto& gpu : gpus_) s.gpu += gpu->energy();
   s.cpu = cpu_->energy();
   return s;
 }

@@ -20,8 +20,6 @@ struct EnergySnapshot {
   Seconds time{0.0};
   Joules gpu{0.0};  // meter 2: all GPU cards via their own ATX supply
   Joules cpu{0.0};  // meter 1: CPU + motherboard + disk + main memory
-  /// Per-card energies (size = gpu_count; sums to `gpu`).
-  std::vector<Joules> per_gpu;
   [[nodiscard]] Joules total() const { return gpu + cpu; }
 };
 

@@ -77,7 +77,7 @@ void Bfs::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Bfs::verify(cudalite::ThreadPool& /*pool*/) const {
+bool Bfs::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   // Serial reference: identical rounds of relaxation.
   const std::size_t n = config_.nodes;

@@ -110,7 +110,7 @@ void Hotspot::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Hotspot::verify(cudalite::ThreadPool& /*pool*/) const {
+bool Hotspot::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   std::vector<double> in = initial_temp_;
   std::vector<double> out(in.size(), 0.0);

@@ -23,12 +23,12 @@ double dist2(const double* p, const double* c, std::size_t dims) {
 /// point's assignment depends on that point alone, so the pass runs on the
 /// pool in fixed blocks; the update stays serial in point order, the
 /// summation order the divided run uses.
-void reference_step(cudalite::ThreadPool& pool, const std::vector<double>& points,
+void reference_step(common::JobPool& pool, const std::vector<double>& points,
                     std::vector<double>& centroids, std::vector<int>& assignments,
                     std::size_t n, std::size_t dims, std::size_t k) {
   constexpr std::size_t kBlock = Kmeans::kVerifyBlock;
   const std::size_t blocks = (n + kBlock - 1) / kBlock;
-  pool.parallel_for(blocks, [&](std::size_t b) {
+  pool.run(blocks, [&](std::size_t b) {
     const std::size_t end = std::min(n, (b + 1) * kBlock);
     for (std::size_t i = b * kBlock; i < end; ++i) {
       double best = std::numeric_limits<double>::max();
@@ -157,7 +157,7 @@ void Kmeans::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Kmeans::verify(cudalite::ThreadPool& pool) const {
+bool Kmeans::verify(common::JobPool& pool) const {
   if (!ran_) return false;
   // Reference: rerun the full algorithm from the stored initial state (the
   // assignment pass on the pool); the divided execution must match

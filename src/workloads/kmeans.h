@@ -46,7 +46,7 @@ class Kmeans final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
   /// Points per block of the reference's assignment pass, whatever the
   /// pool's size.  Not a power of two: the launch cuts [0, N) into

@@ -258,7 +258,7 @@ void KmeansPipeline::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool KmeansPipeline::verify(cudalite::ThreadPool& /*pool*/) const {
+bool KmeansPipeline::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   // Scalar reference mirroring the chunked execution exactly: per-chunk
   // partial sums merged in chunk order (floating-point summation grouping

@@ -71,7 +71,7 @@ class KmeansPipeline final : public Workload {
                      std::function<void(std::size_t)> on_done) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
   [[nodiscard]] const KmeansPipelineConfig& config() const { return config_; }
   /// Current centroids; empty until a full-compute setup built the inputs.

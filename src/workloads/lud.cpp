@@ -61,7 +61,7 @@ void Lud::teardown(cudalite::Runtime& rt) {
   ran_ = !back.empty();
 }
 
-bool Lud::verify(cudalite::ThreadPool& /*pool*/) const {
+bool Lud::verify(common::JobPool& /*pool*/) const {
   if (!ran_ || lu_.empty() || original_.empty()) return false;
   // Check L * U == A for the last factored matrix.
   const std::size_t n = config_.dim;

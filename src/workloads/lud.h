@@ -38,7 +38,7 @@ class Lud final : public ProfiledWorkload {
 
   void setup(cudalite::Runtime& rt) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
  protected:
   [[nodiscard]] std::size_t real_items() const override { return 1; }

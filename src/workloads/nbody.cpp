@@ -149,7 +149,7 @@ void Nbody::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Nbody::verify(cudalite::ThreadPool& pool) const {
+bool Nbody::verify(common::JobPool& pool) const {
   if (!ran_) return false;
   // Reference: every iteration recomputed from the initial state by the same
   // per-body kernel over [0, N), in fixed blocks of kVerifyBlock bodies on
@@ -161,7 +161,7 @@ bool Nbody::verify(cudalite::ThreadPool& pool) const {
   for (std::size_t it = 0; it < config_.iterations; ++it) {
     const NbodyStep step{pi.data(), vi.data(), mass_.data(), po.data(),
                          vo.data(), n,         config_.dt};
-    pool.parallel_for(blocks, [&step, n](std::size_t b) {
+    pool.run(blocks, [&step, n](std::size_t b) {
       advance_bodies(step, b * kVerifyBlock, std::min(n, (b + 1) * kVerifyBlock));
     });
     std::swap(pi, po);

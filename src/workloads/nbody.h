@@ -65,7 +65,7 @@ class Nbody final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
   /// Bodies per block of verify()'s reference, whatever the pool's size.
   /// The launch cuts [0, N) into worker-count chunks instead, and no chunk

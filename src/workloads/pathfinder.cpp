@@ -56,7 +56,7 @@ void Pathfinder::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Pathfinder::verify(cudalite::ThreadPool& /*pool*/) const {
+bool Pathfinder::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   const std::size_t c = config_.cols;
   std::vector<long long> in(c), out(c);

@@ -40,7 +40,7 @@ class Pathfinder final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
   /// Deterministic grid weight at (row, col).
   [[nodiscard]] int weight(std::size_t row, std::size_t col) const;

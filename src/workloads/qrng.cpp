@@ -62,7 +62,7 @@ void Qrng::teardown(cudalite::Runtime& rt) {
   ran_ = !back.empty();
 }
 
-bool Qrng::verify(cudalite::ThreadPool& /*pool*/) const {
+bool Qrng::verify(common::JobPool& /*pool*/) const {
   if (!ran_ || sums_.size() != config_.iterations) return false;
   // Recompute every iteration's points and reduction serially.
   std::vector<double> u(config_.points);

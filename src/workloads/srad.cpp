@@ -78,7 +78,7 @@ void Srad::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Srad::verify(cudalite::ThreadPool& /*pool*/) const {
+bool Srad::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   std::vector<double> in = initial_img_;
   std::vector<double> out(in.size(), 0.0);

@@ -42,7 +42,7 @@ class Srad final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
  protected:
   [[nodiscard]] std::size_t real_items() const override { return config_.rows; }

@@ -180,7 +180,7 @@ void SradStream::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool SradStream::verify(cudalite::ThreadPool& /*pool*/) const {
+bool SradStream::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   // Serial reference over the whole stream, identical math and identical
   // summation order (per-frame element order, frames folded in order).

@@ -61,7 +61,7 @@ class SradStream final : public Workload {
                      std::function<void(std::size_t)> on_done) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
   [[nodiscard]] const SradStreamConfig& config() const { return config_; }
   [[nodiscard]] double checksum() const { return checksum_; }

@@ -94,7 +94,7 @@ double Streamcluster::total_cost() const {
   return s;
 }
 
-bool Streamcluster::verify(cudalite::ThreadPool& /*pool*/) const {
+bool Streamcluster::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   // Serial reference of the whole pgain sequence.
   std::vector<double> ref(config_.points);

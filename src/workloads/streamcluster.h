@@ -51,7 +51,7 @@ class Streamcluster final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
   /// Total assignment cost after a full run (the clustering objective).
   [[nodiscard]] double total_cost() const;

@@ -119,7 +119,7 @@ void TraceWorkload::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool TraceWorkload::verify(cudalite::ThreadPool& /*pool*/) const {
+bool TraceWorkload::verify(common::JobPool& /*pool*/) const {
   if (!ran_) return false;
   std::uint64_t expected = 0;
   for (std::size_t iter = 0; iter < phases_.size(); ++iter) {

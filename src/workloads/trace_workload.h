@@ -43,7 +43,7 @@ class TraceWorkload final : public ProfiledWorkload {
 
   void setup(cudalite::Runtime& rt) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(cudalite::ThreadPool& pool) const override;
+  [[nodiscard]] bool verify(common::JobPool& pool) const override;
 
   [[nodiscard]] const std::vector<TracePhase>& phases() const { return phases_; }
   /// Total trace duration at peak clocks.

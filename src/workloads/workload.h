@@ -88,7 +88,7 @@ class Workload {
   /// Check final results against the reference recomputed on `pool` (the
   /// run's pool, fixed blocks; the tolerance does not depend on the pool);
   /// call after a full run + teardown.  False after a model-only run.
-  [[nodiscard]] virtual bool verify(cudalite::ThreadPool& pool) const = 0;
+  [[nodiscard]] virtual bool verify(common::JobPool& pool) const = 0;
 };
 
 /// Base class implementing the generic split-launch plumbing.  Subclasses

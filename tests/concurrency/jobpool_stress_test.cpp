@@ -1,4 +1,5 @@
-// Race stress for common::JobPool — the campaign fan-out engine.
+// Race stress for common::JobPool — the campaign fan-out engine and the
+// cudalite kernel executor.
 //
 // These tests are written for the TSan lane (GREENGPU_SANITIZE=thread):
 // they hammer the pool's claim/retire transitions, exception bookkeeping
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <sstream>
@@ -18,9 +20,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/cudalite/api.h"
 #include "src/greengpu/campaign.h"
 #include "src/greengpu/policy.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/platform.h"
 
 namespace gg::common {
 namespace {
@@ -31,8 +35,9 @@ TEST(JobPoolStress, RepeatedFanOutAcrossPoolSizes) {
   for (const std::size_t workers : {2u, 4u, 8u}) {
     JobPool pool(workers);
     for (int round = 0; round < 40; ++round) {
-      const std::vector<int> out = pool.map<int>(
-          96, [round](std::size_t i) { return static_cast<int>(i) * 3 + round; });
+      std::vector<int> out(96, -1);
+      pool.run(out.size(),
+               [&out, round](std::size_t i) { out[i] = static_cast<int>(i) * 3 + round; });
       for (std::size_t i = 0; i < out.size(); ++i) {
         ASSERT_EQ(out[i], static_cast<int>(i) * 3 + round);
       }
@@ -65,30 +70,90 @@ TEST(JobPoolStress, NestedEventQueueChurnInsideJobs) {
   // contract; running many side by side under TSan proves the slab pooling
   // shares nothing across instances.
   JobPool pool(4);
-  const std::vector<std::uint64_t> fired =
-      pool.map<std::uint64_t>(32, [](std::size_t job) {
-        sim::EventQueue q;
-        std::vector<sim::EventHandle> handles;
-        int chained = 0;
-        for (int round = 0; round < 20; ++round) {
-          handles.clear();
-          for (int e = 0; e < 50; ++e) {
-            handles.push_back(q.schedule_in(
-                Seconds{0.001 * (e % 10 + 1)}, [&q, &chained] {
-                  if (chained < 5) {
-                    ++chained;
-                    q.schedule_in(Seconds{0.0005}, [] {});
-                  }
-                }));
-          }
-          for (std::size_t h = 0; h < handles.size(); h += 3) handles[h].cancel();
-          chained = 0;
-          q.run_until(q.now() + Seconds{1.0});
-        }
-        return q.fired_count() + job * 0;  // job silences unused warnings
-      });
+  std::vector<std::uint64_t> fired(32);
+  pool.run(fired.size(), [&fired](std::size_t job) {
+    sim::EventQueue q;
+    std::vector<sim::EventHandle> handles;
+    int chained = 0;
+    for (int round = 0; round < 20; ++round) {
+      handles.clear();
+      for (int e = 0; e < 50; ++e) {
+        handles.push_back(q.schedule_in(
+            Seconds{0.001 * (e % 10 + 1)}, [&q, &chained] {
+              if (chained < 5) {
+                ++chained;
+                q.schedule_in(Seconds{0.0005}, [] {});
+              }
+            }));
+      }
+      for (std::size_t h = 0; h < handles.size(); h += 3) handles[h].cancel();
+      chained = 0;
+      q.run_until(q.now() + Seconds{1.0});
+    }
+    fired[job] = q.fired_count();
+  });
   // Identical deterministic churn in every job: identical counts.
   for (const std::uint64_t f : fired) EXPECT_EQ(f, fired[0]);
+}
+
+TEST(JobPoolStress, CellsLaunchKernelsOnTheirOwnInnerPools) {
+  // The campaign's shape: cells on an outer pool, each with its own
+  // cudalite runtime whose kernels run on an inner pool (1-3 runners, so
+  // inner pools of every width start and stop side by side).  Each cell
+  // iterates an elementwise kernel, fans a block reduction out on its
+  // runtime's pool, and must land on the serially computed bits.
+  constexpr std::size_t kCells = 12;
+  constexpr std::size_t kItems = 4099;
+  constexpr std::size_t kBlock = 500;
+  constexpr int kIterations = 8;
+  const auto kernel = [](double x, std::size_t i) {
+    return x * 0.5 + static_cast<double>(i % 97);
+  };
+  std::vector<double> expected(kItems, 1.0);
+  for (int it = 0; it < kIterations; ++it) {
+    for (std::size_t i = 0; i < kItems; ++i) expected[i] = kernel(expected[i], i);
+  }
+
+  JobPool outer(4);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::vector<double>> results(kCells);
+    std::vector<double> block_sums(kCells * ((kItems + kBlock - 1) / kBlock));
+    outer.run(kCells, [&](std::size_t cell) {
+      sim::Platform platform;
+      cudalite::Runtime rt(platform, 1 + cell % 3);
+      cudalite::Stream stream = rt.create_stream();
+      cudalite::WorkEstimate estimate;
+      estimate.overhead_per_unit_s = 1e-3;
+      std::vector<double> x(kItems, 1.0);
+      for (int it = 0; it < kIterations; ++it) {
+        ASSERT_TRUE(rt.launch_range(stream, kItems, estimate,
+                                    [&](std::size_t begin, std::size_t end) {
+                                      for (std::size_t i = begin; i < end; ++i) {
+                                        x[i] = kernel(x[i], i);
+                                      }
+                                    }));
+        rt.synchronize(stream);
+      }
+      const std::size_t blocks = (kItems + kBlock - 1) / kBlock;
+      rt.pool().run(blocks, [&](std::size_t b) {
+        double sum = 0.0;
+        for (std::size_t i = b * kBlock; i < std::min(kItems, (b + 1) * kBlock); ++i) {
+          sum += x[i];
+        }
+        block_sums[cell * blocks + b] = sum;
+      });
+      results[cell] = std::move(x);
+    });
+    for (std::size_t cell = 0; cell < kCells; ++cell) {
+      ASSERT_EQ(results[cell], expected) << "round " << round << ", cell " << cell;
+    }
+    const std::size_t blocks = block_sums.size() / kCells;
+    for (std::size_t cell = 1; cell < kCells; ++cell) {
+      for (std::size_t b = 0; b < blocks; ++b) {
+        ASSERT_EQ(block_sums[cell * blocks + b], block_sums[b]) << "cell " << cell;
+      }
+    }
+  }
 }
 
 /// CSV + JSON reports for the campaign at a given worker count.

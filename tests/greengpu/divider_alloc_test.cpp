@@ -1,46 +1,18 @@
-// Allocation gate of the division tier: after warm-up, Divider::update of
-// the step and Qilin profiling dividers allocates nothing, with one GPU and
-// with N.  The update runs once per iteration of every divided cell, so a
-// heap allocation there is paid by every campaign.  This binary replaces the
-// global allocation functions with counting ones (as
-// tests/workloads/footprint_test.cpp does).
+// Allocation gates of the per-iteration model: after warm-up,
+// Divider::update of the step and Qilin profiling dividers allocates
+// nothing, with one GPU and with N, and neither does Platform::snapshot().
+// The update runs once per iteration of every divided cell and the snapshot
+// twice per iteration of every cell, so a heap allocation in either is paid
+// by every campaign.  This binary counts allocations with
+// tests/common/counting_new.h.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "src/greengpu/division.h"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t bytes, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (bytes == 0) bytes = 1;
-  void* p = nullptr;
-  if (alignment <= alignof(std::max_align_t)) {
-    p = std::malloc(bytes);
-  } else {
-    p = std::aligned_alloc(alignment, (bytes + alignment - 1) / alignment * alignment);
-  }
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-// Every other allocation form (array, nothrow) forwards to these two in
-// libstdc++; the matching deletes release with free().
-void* operator new(std::size_t bytes) { return counted_alloc(bytes, 0); }
-void* operator new(std::size_t bytes, std::align_val_t al) {
-  return counted_alloc(bytes, static_cast<std::size_t>(al));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "src/sim/platform.h"
+#include "tests/common/counting_new.h"
 
 namespace gg::greengpu {
 namespace {
@@ -63,7 +35,7 @@ TEST(DividerAllocation, SteadyStateUpdateAllocatesNothing) {
       };
       (void)iterate(0);  // warm-up: every rate seeded
 
-      const std::size_t before = g_allocations.load();
+      const std::size_t before = counting_new::g_allocations.load();
       std::size_t moves = 0;
       for (int k = 1; k < 60; ++k) {
         const DivisionAction action = iterate(k);
@@ -71,9 +43,34 @@ TEST(DividerAllocation, SteadyStateUpdateAllocatesNothing) {
           ++moves;
         }
       }
-      EXPECT_EQ(g_allocations.load() - before, 0u);
+      EXPECT_EQ(counting_new::g_allocations.load() - before, 0u);
       EXPECT_GT(moves, 0u);  // the loop moved the CPU share, not only held
     }
+  }
+}
+
+TEST(PlatformAllocation, SnapshotAllocatesNothing) {
+  for (const std::size_t gpus : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(gpus) + " cards");
+    sim::Platform platform(gpus);
+    for (std::size_t g = 0; g < gpus; ++g) {
+      const double seconds = 0.5 * static_cast<double>(g + 1);
+      platform.gpu(g).submit(sim::KernelWork{1.0, 0.0, 0.0, Seconds{seconds}}, {});
+    }
+    // Snapshot after every event, while the cards drain one by one.
+    std::size_t allocations = 0;
+    std::size_t snapshots = 0;
+    Joules gpu_energy{0.0};
+    while (platform.queue().step()) {
+      const std::size_t before = counting_new::g_allocations.load();
+      const sim::EnergySnapshot s = platform.snapshot();
+      allocations += counting_new::g_allocations.load() - before;
+      gpu_energy = s.gpu;
+      ++snapshots;
+    }
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_GE(snapshots, gpus);
+    EXPECT_GT(gpu_energy.get(), 0.0);
   }
 }
 

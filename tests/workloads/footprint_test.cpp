@@ -12,43 +12,14 @@
 // of the same object.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "src/common/job_pool.h"
 #include "src/greengpu/campaign.h"
 #include "src/greengpu/runner.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/trace_workload.h"
-
-namespace {
-std::atomic<std::size_t> g_allocated_bytes{0};
-
-void* counted_alloc(std::size_t bytes, std::size_t alignment) {
-  g_allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (bytes == 0) bytes = 1;
-  void* p = nullptr;
-  if (alignment <= alignof(std::max_align_t)) {
-    p = std::malloc(bytes);
-  } else {
-    p = std::aligned_alloc(alignment, (bytes + alignment - 1) / alignment * alignment);
-  }
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-// Every other allocation form (array, nothrow) forwards to these two in
-// libstdc++; the matching deletes release with free().
-void* operator new(std::size_t bytes) { return counted_alloc(bytes, 0); }
-void* operator new(std::size_t bytes, std::align_val_t al) {
-  return counted_alloc(bytes, static_cast<std::size_t>(al));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "tests/common/counting_new.h"
 
 namespace gg::workloads {
 namespace {
@@ -60,9 +31,9 @@ using greengpu::RunOptions;
 /// Bytes allocated while `fn` runs (cumulative, frees not subtracted).
 template <typename Fn>
 std::size_t bytes_allocated_by(Fn&& fn) {
-  const std::size_t before = g_allocated_bytes.load();
+  const std::size_t before = counting_new::g_allocated_bytes.load();
   fn();
-  return g_allocated_bytes.load() - before;
+  return counting_new::g_allocated_bytes.load() - before;
 }
 
 // Largest construction measured is QG's Sobol prefix table (~2 KB;
@@ -109,7 +80,7 @@ RunOptions quick(bool model_only) {
 }
 
 TEST(WorkloadInputs, ModelOnlyThenFullRunVerifies) {
-  cudalite::ThreadPool pool(1);
+  common::JobPool pool(1);
   for (std::string_view name : accepted_workload_names()) {
     auto w = make_workload(name);
     const auto model = greengpu::run_experiment(*w, Policy::green_gpu(), quick(true));
@@ -134,7 +105,7 @@ TEST(WorkloadInputs, FullRunTwiceVerifiesBothTimes) {
 TEST(WorkloadInputs, TraceWorkloadRunsModelOnlyThenFullTwice) {
   TraceWorkload w({{0.9, 0.3, 20.0}, {0.2, 0.8, 15.0}});
   (void)greengpu::run_experiment(w, Policy::green_gpu(), quick(true));
-  cudalite::ThreadPool pool(1);
+  common::JobPool pool(1);
   EXPECT_FALSE(w.verify(pool));
   EXPECT_TRUE(greengpu::run_experiment(w, Policy::green_gpu(), quick(false)).verified);
   EXPECT_TRUE(greengpu::run_experiment(w, Policy::green_gpu(), quick(false)).verified);

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/cudalite/thread_pool.h"
+#include "src/common/job_pool.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/runner.h"
 #include "src/workloads/kmeans.h"
@@ -66,7 +66,7 @@ TEST(VerifyReference, FullRunVerifiesOnPoolsOfOtherSizes) {
       const auto r = greengpu::run_experiment(*wl, policy, options);
       EXPECT_TRUE(r.verified) << c.label << " " << policy.name << " on the kernel pool";
       for (const std::size_t workers : kVerifyWorkers) {
-        cudalite::ThreadPool pool(workers);
+        common::JobPool pool(workers);
         EXPECT_TRUE(wl->verify(pool))
             << c.label << " " << policy.name << " on a " << workers << "-worker pool";
       }
@@ -80,12 +80,12 @@ TEST(VerifyReference, SkippedMergeFailsAtEveryPoolSize) {
     // Control: the same hand-driven run without the skip verifies.
     run_by_hand(*wl, kKernelWorkers, wl->iterations());
     for (const std::size_t workers : {1, 2, 3, 4}) {
-      cudalite::ThreadPool pool(workers);
+      common::JobPool pool(workers);
       EXPECT_TRUE(wl->verify(pool)) << c.label << " unperturbed, " << workers << " workers";
     }
     run_by_hand(*wl, kKernelWorkers, c.skip);
     for (const std::size_t workers : {1, 2, 3, 4}) {
-      cudalite::ThreadPool pool(workers);
+      common::JobPool pool(workers);
       EXPECT_FALSE(wl->verify(pool))
           << c.label << " with merge " << c.skip << " skipped, " << workers << " workers";
     }
@@ -94,24 +94,24 @@ TEST(VerifyReference, SkippedMergeFailsAtEveryPoolSize) {
 
 using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
 
-/// The item ranges of the pool chunks that run [0, n) in blocks of `block`
-/// items (`parallel_for` over the block indices cuts them into the same
-/// chunks as `parallel_for_chunks`).
-Ranges pool_chunks(cudalite::ThreadPool& pool, std::size_t n, std::size_t block) {
+/// The item ranges of a launch of [0, n) on `pool` (`launch_range` runs
+/// `run_chunks(n)`).
+Ranges launch_chunks(common::JobPool& pool, std::size_t n) {
   Ranges ranges;
   std::mutex mu;
-  pool.parallel_for_chunks((n + block - 1) / block, [&](std::size_t b, std::size_t e) {
+  pool.run_chunks(n, [&](std::size_t b, std::size_t e) {
     const std::lock_guard<std::mutex> lock(mu);
-    ranges.emplace_back(b * block, std::min(n, e * block));
+    ranges.emplace_back(b, e);
   });
   std::sort(ranges.begin(), ranges.end());
   return ranges;
 }
 
 TEST(VerifyReference, ReferenceChunksNeverCoverALaunchChunk) {
-  // An undivided launch runs [0, N) through parallel_for_chunks(N).  If a
-  // pool chunk of the reference covered the same items as a launch chunk, a
-  // pool that lost or repeated that chunk would corrupt both the same way.
+  // An undivided launch runs [0, N) through run_chunks(N); the reference
+  // runs one pool job per block of kVerifyBlock items.  If a reference
+  // block covered the same items as a launch chunk, a pool that lost or
+  // repeated that job would corrupt both the same way.
   const struct {
     const char* label;
     std::size_t items;
@@ -119,15 +119,14 @@ TEST(VerifyReference, ReferenceChunksNeverCoverALaunchChunk) {
   } kDefaults[] = {{"nbody", NbodyConfig{}.bodies, Nbody::kVerifyBlock},
                    {"kmeans", KmeansConfig{}.points, Kmeans::kVerifyBlock}};
   for (const auto& d : kDefaults) {
+    Ranges reference;
+    for (std::size_t first = 0; first < d.items; first += d.block) {
+      reference.emplace_back(first, std::min(d.items, first + d.block));
+    }
     for (std::size_t workers = 1; workers <= 8; ++workers) {
-      cudalite::ThreadPool pool(workers);
-      const Ranges launch = pool_chunks(pool, d.items, 1);
-      const Ranges reference = pool_chunks(pool, d.items, d.block);
-      ASSERT_EQ(reference.front().first, 0U) << d.label;
-      for (std::size_t k = 1; k < reference.size(); ++k) {
-        ASSERT_EQ(reference[k].first, reference[k - 1].second) << d.label << " chunk " << k;
-      }
-      ASSERT_EQ(reference.back().second, d.items) << d.label;
+      common::JobPool pool(workers);
+      const Ranges launch = launch_chunks(pool, d.items);
+      ASSERT_EQ(launch.size(), pool.chunk_count(d.items)) << d.label;
       for (const auto& r : reference) {
         EXPECT_EQ(std::count(launch.begin(), launch.end(), r), 0)
             << d.label << " at " << workers << " workers: [" << r.first << ", " << r.second

@@ -58,11 +58,11 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/job_pool.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/cudalite/nvml.h"
 #include "src/cudalite/nvsettings.h"
-#include "src/cudalite/thread_pool.h"
 #include "src/greengpu/batch_engine.h"
 #include "src/greengpu/campaign.h"
 #include "src/greengpu/cpu_governor.h"
@@ -388,7 +388,7 @@ VerifyTiming time_verify(const std::string& name, std::size_t workers, bool& ide
   constexpr int kReps = 7;
   VerifyTiming t;
   t.workload = name;
-  cudalite::ThreadPool one(1), many(workers);
+  common::JobPool one(1), many(workers);
   const workloads::WorkloadPtr wl = workloads::make_workload(name);
   workloads::run_by_hand(*wl, workers, wl->iterations());
   std::vector<double> one_ms, many_ms;

@@ -111,18 +111,11 @@ REQUIRED_HOT = [
     ("src/greengpu/telemetry.h",
      re.compile(r"void\s+push\s*\("),
      "DecisionRecorder::push"),
-    # Batch campaign engine (PR 7): the lockstep stepper and the SoA finalize
-    # kernels carry GG_HOT_BATCH, which puts their loop bodies under the
-    # batch-loop-alloc rule.
+    # Batch campaign engine: the lockstep stepper carries
+    # GG_HOT_BATCH, which puts its loop body under the batch-loop-alloc rule.
     ("src/greengpu/batch_engine.cpp",
      re.compile(r"void\s+step_lockstep\s*\("),
      "step_lockstep"),
-    ("src/sim/soa.h",
-     re.compile(r"void\s+batch_saving_vs_baseline\s*\("),
-     "batch_saving_vs_baseline"),
-    ("src/sim/soa.h",
-     re.compile(r"void\s+batch_rel_delta\s*\("),
-     "batch_rel_delta"),
     # Async stream machinery (PR 8): the per-stream issue loop runs once per
     # queued op per completion event — the pipeline's hot path.
     ("src/cudalite/stream_scheduler.cpp",

@@ -11,13 +11,19 @@
 //   --workload NAME|all         Table II name (required unless --list)
 //   --policy P                  best-performance | scaling | division |
 //                               greengpu | static-division | static-pair
+//                               (default greengpu)
 //   --ratio R                   CPU share for static-division (default 0.1)
 //   --core-level N --mem-level N   levels for static-pair (default 0 0)
 //   --divider D                 step | qilin | energy (division policies)
 //   --governor G                none|performance|powersave|ondemand|
 //                               conservative|wma (scaling policies)
 //   --step S --init-ratio R0 --safeguard 0|1     division tier parameters
+//                               (division and greengpu)
 //   --alpha-c A --alpha-m A --phi P --beta B --interval S    WMA parameters
+//                               (scaling and greengpu)
+//   A policy flag the chosen policy does not read (say --ratio outside
+//   static-division, or --divider under scaling) exits 2 with
+//   "--<flag> cannot be used with --policy <name>".
 //   --iterations N              truncate the run (skips verification)
 //   --record MODE               telemetry retention: full | ring | counters
 //                               (default: full for single runs, counters for
@@ -108,8 +114,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -294,6 +302,21 @@ greengpu::Policy policy_from_flags(const Flags& flags) {
     policy.cpu_governor =
         greengpu::cpu_governor_from_string(flags.get_string("governor", "ondemand"));
   }
+  // A tier the resolved policy does not run never reads its flags: each such
+  // flag would silently change nothing, so it is an error instead.
+  const auto reject_unread = [&](bool unread, std::initializer_list<const char*> names) {
+    if (!unread) return;
+    for (const char* flag : names) {
+      if (flags.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " cannot be used with --policy " + name);
+      }
+    }
+  };
+  reject_unread(!policy.division, {"divider", "step", "init-ratio", "safeguard"});
+  reject_unread(!policy.gpu_scaling, {"alpha-c", "alpha-m", "phi", "beta", "interval"});
+  reject_unread(name != "static-division", {"ratio"});
+  reject_unread(!policy.fixed_gpu_levels, {"core-level", "mem-level"});
   return policy;
 }
 
