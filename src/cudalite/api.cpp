@@ -159,46 +159,26 @@ Stream Runtime::create_stream() {
   return Stream{schedulers_[current_device_]->create_stream(current_device_)};
 }
 
-bool Runtime::admit_launch(std::size_t device) {
+bool Runtime::admit(sim::FaultChannel channel, std::size_t device) {
   sim::FaultInjector* faults = platform_->faults();
   if (faults == nullptr) return true;
+  const bool launch = channel == sim::FaultChannel::kLaunch;
   for (int attempt = 0;; ++attempt) {
-    if (!faults->draw_launch_fail(device)) {
+    if (!(launch ? faults->draw_launch_fail(device) : faults->draw_host_fail())) {
       if (attempt > 0) {
-        faults->note(sim::FaultChannel::kLaunch, sim::FaultOutcome::kRetrySucceeded,
-                     device);
+        faults->note(channel, sim::FaultOutcome::kRetrySucceeded, device);
       }
       return true;
     }
-    faults->note(sim::FaultChannel::kLaunch, sim::FaultOutcome::kLaunchFailed, device);
+    faults->note(channel,
+                 launch ? sim::FaultOutcome::kLaunchFailed
+                        : sim::FaultOutcome::kHostTaskFailed,
+                 device);
     if (!hardened_ || attempt >= kMaxLaunchRetries) {
       if (hardened_) {
-        faults->note(sim::FaultChannel::kLaunch, sim::FaultOutcome::kRetriesExhausted,
-                     device);
+        faults->note(channel, sim::FaultOutcome::kRetriesExhausted, device);
       }
-      ++stats_.launches_rejected;
-      return false;
-    }
-    ++stats_.launch_retries;
-  }
-}
-
-bool Runtime::admit_host_task() {
-  sim::FaultInjector* faults = platform_->faults();
-  if (faults == nullptr) return true;
-  for (int attempt = 0;; ++attempt) {
-    if (!faults->draw_host_fail()) {
-      if (attempt > 0) {
-        faults->note(sim::FaultChannel::kHostTask, sim::FaultOutcome::kRetrySucceeded);
-      }
-      return true;
-    }
-    faults->note(sim::FaultChannel::kHostTask, sim::FaultOutcome::kHostTaskFailed);
-    if (!hardened_ || attempt >= kMaxLaunchRetries) {
-      if (hardened_) {
-        faults->note(sim::FaultChannel::kHostTask, sim::FaultOutcome::kRetriesExhausted);
-      }
-      ++stats_.host_tasks_rejected;
+      ++(launch ? stats_.launches_rejected : stats_.host_tasks_rejected);
       return false;
     }
     ++stats_.launch_retries;
@@ -209,7 +189,7 @@ bool Runtime::launch_range(Stream& stream, std::size_t n, const WorkEstimate& es
                            const std::function<void(std::size_t, std::size_t)>& fn,
                            std::function<void()> on_complete) {
   if (n == 0) throw std::invalid_argument("cudalite: empty launch_range");
-  if (!admit_launch(stream.device())) return false;
+  if (!admit(sim::FaultChannel::kLaunch, stream.device())) return false;
   if (compute_enabled()) pool().run_chunks(n, fn);
   ++stats_.kernels_launched;
   enqueue_kernel(stream, estimate.to_kernel_work(), std::move(on_complete));
@@ -249,7 +229,7 @@ Event Runtime::record_event(Stream& stream) {
 
 bool Runtime::host_submit(const sim::CpuWork& work, const std::function<void()>& fn,
                           std::function<void()> on_complete) {
-  if (!admit_host_task()) return false;
+  if (!admit(sim::FaultChannel::kHostTask, 0)) return false;
   if (fn && compute_enabled()) fn();
   ++stats_.host_tasks;
   platform_->cpu().submit(work, std::move(on_complete));

@@ -340,9 +340,9 @@ class Runtime {
   }
   /// Drive the event queue until `done()` is true, managing the spin state.
   void run_queue_until(const std::function<bool()>& done);
-  /// Draw the launch-fault channel (with bounded re-tries); true = admit.
-  bool admit_launch(std::size_t device);
-  bool admit_host_task();
+  /// Draw a launch or host-task fault on `channel` (with bounded re-tries);
+  /// true = admit.  Host tasks are noted against device 0.
+  bool admit(sim::FaultChannel channel, std::size_t device);
 
   sim::Platform* platform_;
   std::unique_ptr<common::JobPool> pool_;  // lazy, see pool()

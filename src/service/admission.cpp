@@ -25,18 +25,18 @@ AdmissionController::AdmissionController(std::size_t capacity,
   }
 }
 
-AdmissionController::Decision AdmissionController::offer(Request r,
-                                                         Seconds inflight_cost,
-                                                         bool draining) {
+AdmissionController::Decision AdmissionController::offer(
+    const Request& r, Seconds inflight_cost, bool draining) const {
   Decision decision;
   if (draining) {
     decision.reason = "draining";
     return decision;
   }
+  const auto& items = queue_.items();
   if (r.deadline.get() > 0.0) {
     // Everything that will run before this request, conservatively.
     double wait = inflight_cost.get();
-    for (const Request& queued : queue_.items()) {
+    for (const Request& queued : items) {
       if (outranks(queued, r)) wait += estimate(queued.workload, queued.policy).get();
     }
     wait += estimate(r.workload, r.policy).get();
@@ -48,7 +48,6 @@ AdmissionController::Decision AdmissionController::offer(Request r,
   if (queue_.full()) {
     // Displace the lowest-priority queued request only if the arrival
     // strictly outranks it; otherwise the arrival itself is shed.
-    const auto& items = queue_.items();
     std::size_t worst = 0;
     for (std::size_t i = 1; i < items.size(); ++i) {
       if (outranks(items[worst], items[i])) worst = i;
@@ -57,27 +56,37 @@ AdmissionController::Decision AdmissionController::offer(Request r,
       decision.reason = "queue-full";
       return decision;
     }
-    decision.evicted = queue_.evict_worst(outranks);
-  }
-  // GG_BOUNDED(capacity enforced by BoundedQueue; eviction freed a slot)
-  if (!queue_.try_push(std::move(r))) {
-    throw std::logic_error("AdmissionController: push after eviction failed");
+    decision.evicted = items[worst];
   }
   decision.admitted = true;
   return decision;
 }
 
 void AdmissionController::requeue(Request r) {
-  // GG_BOUNDED(resume re-queues at most capacity journaled requests)
+  // GG_BOUNDED(capacity enforced by BoundedQueue; offer() freed a slot)
   if (!queue_.try_push(std::move(r))) {
     throw std::logic_error(
-        "AdmissionController: resume found more pending requests than the "
-        "queue capacity — journal and configuration disagree");
+        "AdmissionController: more pending requests than the queue capacity "
+        "— journal and configuration disagree");
   }
 }
 
-std::optional<Request> AdmissionController::next() {
+const Request* AdmissionController::next() const {
+  const auto& items = queue_.items();
+  if (items.empty()) return nullptr;
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    if (outranks(items[i], items[best])) best = i;
+  }
+  return &items[best];
+}
+
+std::optional<Request> AdmissionController::claim() {
   return queue_.pop_best(outranks);
+}
+
+std::optional<Request> AdmissionController::evict() {
+  return queue_.evict_worst(outranks);
 }
 
 void AdmissionController::observe_cost(const std::string& workload,

@@ -21,8 +21,10 @@
 //
 //   draining   After DRAIN no submission is admitted, full stop.
 //
-// All decisions are pure functions of (journal-derived) state and the
-// submission sequence, so live, resumed and replayed runs shed identically.
+// offer() only decides; the queue changes through requeue(), claim() and
+// evict(), which the service calls when it applies the journaled admit,
+// start and evicted-shed records.  Decisions are pure functions of that
+// journal-derived state, so live, resumed and replayed runs shed alike.
 #pragma once
 
 #include <cstdint>
@@ -50,19 +52,26 @@ class AdmissionController {
 
   AdmissionController(std::size_t capacity, double default_cost_estimate);
 
-  /// Decide on `r`.  `inflight_cost` is the estimated remaining cost of the
-  /// request currently executing (0 when idle); `draining` rejects
-  /// everything.  On admission the request is queued.
-  [[nodiscard]] Decision offer(Request r, Seconds inflight_cost,
-                               bool draining);
+  /// Decide on `r` without changing anything.  `inflight_cost` is the
+  /// estimated remaining cost of the request currently executing (0 when
+  /// idle); `draining` rejects everything.  An admission that needs room
+  /// names the queued request to displace in `evicted`.
+  [[nodiscard]] Decision offer(const Request& r, Seconds inflight_cost,
+                               bool draining) const;
 
-  /// Re-queue an already-admitted request during resume (bypasses the
-  /// admission checks it already passed).  Throws std::logic_error if the
-  /// queue cannot hold it — impossible for a journal this controller wrote.
+  /// Queue an admitted request — the only push (after evict() when offer()
+  /// named a request to displace).  Throws std::logic_error if the queue
+  /// cannot hold it — impossible for a journal this controller decided.
   void requeue(Request r);
 
-  /// Highest-priority queued request, FIFO within a priority.
-  [[nodiscard]] std::optional<Request> next();
+  /// Highest-priority queued request, FIFO within a priority (nullptr when
+  /// the queue is empty).
+  [[nodiscard]] const Request* next() const;
+  /// Remove and return next(): the executor's claim.
+  [[nodiscard]] std::optional<Request> claim();
+  /// Remove and return the lowest-ranked queued request: the one offer()
+  /// names as `evicted`.
+  [[nodiscard]] std::optional<Request> evict();
 
   /// Record an observed per-request cost; estimates are max-so-far.
   void observe_cost(const std::string& workload, const std::string& policy,

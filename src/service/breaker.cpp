@@ -12,7 +12,7 @@ CircuitBreaker::CircuitBreaker(std::size_t devices, BreakerConfig config)
   slots_.resize(devices);
 }
 
-std::size_t CircuitBreaker::acquire() {
+std::size_t CircuitBreaker::choose() const {
   const std::size_t n = slots_.size();
   // A probe-ready open device takes precedence over healthy rotation: the
   // whole point of the probe schedule is that quarantine is temporary.
@@ -30,27 +30,24 @@ std::size_t CircuitBreaker::acquire() {
       probe = i;
     }
   }
-  if (probe != n) {
-    slots_[probe].state = State::kHalfOpen;
-    return probe;
-  }
+  if (probe != n) return probe;
   // Closed devices round-robin.  The rotation cursor is the completion
-  // count, not live acquire() history, so a daemon resumed from its journal
-  // (which rebuilds the breaker by replaying outcomes) lands on the same
-  // device the uninterrupted run would have picked.
+  // count, not claim history, so the journaled outcomes alone fix it.
   for (std::size_t step = 0; step < n; ++step) {
     const std::size_t i = (static_cast<std::size_t>(completions_) + step) % n;
     if (slots_[i].state == State::kClosed) return i;
   }
   // Everything is open or half-open.  Force-probe the longest-quarantined
   // open device rather than stalling the queue forever.
-  if (oldest_open != n) {
-    slots_[oldest_open].state = State::kHalfOpen;
-    return oldest_open;
-  }
+  if (oldest_open != n) return oldest_open;
   // All half-open (every device is mid-probe); reuse device 0 — with a
   // single executor this cannot happen, but never deadlock.
   return 0;
+}
+
+void CircuitBreaker::claim(std::size_t device) {
+  Slot& slot = slots_.at(device);
+  if (slot.state == State::kOpen) slot.state = State::kHalfOpen;
 }
 
 CircuitBreaker::Event CircuitBreaker::on_result(std::size_t device, bool ok) {

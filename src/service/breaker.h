@@ -4,16 +4,18 @@
 // The executor asks the breaker which device should run the next request.
 // A device that fails `failure_threshold` requests in a row is opened
 // (quarantined) and stops receiving work; after `probe_after` completions
-// on other devices it becomes probe-ready and the next acquire() sends it a
+// on other devices it becomes probe-ready and the next claim sends it a
 // single half-open probe — success closes it, failure re-opens it and the
 // probe clock starts over.  When every device is open the breaker force-
 // probes the one quarantined longest instead of deadlocking the queue: an
 // always-on service must keep trying *something*.
 //
 // Determinism: the breaker reads no clock — its probe schedule counts
-// completed requests, and its entire state is a pure function of the
-// (journaled) outcome sequence, so a resumed daemon rebuilds it exactly by
-// replaying outcomes through on_result().
+// completed requests.  Its state is a function of the sequence of claims
+// and outcomes: on_result() feeds an outcome, and claim() is the one other
+// change (an open device turning half-open for its probe).  Both are
+// journaled (start and outcome records), so a resumed daemon rebuilds the
+// breaker exactly by replaying every claim and outcome in journal order.
 #pragma once
 
 #include <cstddef>
@@ -34,11 +36,14 @@ class CircuitBreaker {
 
   CircuitBreaker(std::size_t devices, BreakerConfig config);
 
-  /// The device the next request should run on: closed devices round-robin;
-  /// a probe-ready open device when it is due (it turns half-open and gets
-  /// exactly one request); the longest-quarantined device when everything
-  /// is open.  Always returns a valid device.
-  [[nodiscard]] std::size_t acquire();
+  /// The device the next request should run on: a probe-ready open device
+  /// when one is due; otherwise closed devices round-robin; the longest-
+  /// quarantined device when everything is open.  Always a valid device.
+  [[nodiscard]] std::size_t choose() const;
+
+  /// Dispatch a request to `device` (the one choose() named): an open device
+  /// turns half-open and gets exactly one request, its probe.
+  void claim(std::size_t device);
 
   /// Feed the outcome of a request executed on `device`.
   Event on_result(std::size_t device, bool ok);

@@ -1,7 +1,7 @@
 #include "src/service/core.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -50,132 +50,162 @@ bool has_key(const std::string& token, const std::string& key) {
          token[key.size()] == '=';
 }
 
+std::string breaker_event(std::size_t device, const char* transition,
+                          CircuitBreaker::State state,
+                          std::uint64_t completions) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "breaker device=%llu transition=%s state=%s completions=%llu",
+                static_cast<unsigned long long>(device), transition,
+                CircuitBreaker::to_string(state).c_str(),
+                static_cast<unsigned long long>(completions));
+  return std::string(buf);
+}
+
+const char* transition_word(CircuitBreaker::Event event) {
+  switch (event) {
+    case CircuitBreaker::Event::kOpened: return "opened";
+    case CircuitBreaker::Event::kClosed: return "closed";
+    case CircuitBreaker::Event::kReopened: return "reopened";
+    case CircuitBreaker::Event::kNone: break;
+  }
+  return "none";
+}
+
 }  // namespace
+
+ServiceCore::State::State(const ServiceConfig& config, std::string source)
+    : source_(std::move(source)),
+      admission_(config.queue_capacity, config.default_cost_estimate),
+      breaker_(config.devices, config.breaker) {}
+
+void ServiceCore::State::refuse(std::uint64_t seq, const std::string& why) const {
+  throw common::SnapshotError(source_ + ": record " + std::to_string(records_ - 1) +
+                              " (seq=" + std::to_string(seq) + ") " + why);
+}
+
+void ServiceCore::State::apply(const ServiceRecord& record,
+                               std::vector<std::string>& events) {
+  ++records_;
+  // GG_BOUNDED(at most two payloads per record; callers drain events)
+  events.push_back(render(record));
+  switch (record.kind) {
+    case RecordKind::kAdmit: {
+      const Request& r = record.admit;
+      ++stats_.submitted;
+      ++stats_.admitted;
+      next_seq_ = std::max(next_seq_, r.seq + 1);
+      states_[r.seq] = "queued";
+      admission_.requeue(r);
+      break;
+    }
+    case RecordKind::kShed: {
+      const ShedRecord& s = record.shed;
+      if (s.reason == "evicted") {
+        const auto evicted = admission_.evict();
+        if (!evicted || evicted->seq != s.seq) {
+          refuse(s.seq, "evicts a request that is not the lowest-ranked queued one");
+        }
+        ++stats_.evicted;
+        states_[s.seq] = "evicted";
+      } else {
+        ++stats_.submitted;
+        ++stats_.shed;
+        next_seq_ = std::max(next_seq_, s.seq + 1);
+        states_[s.seq] = "shed:" + s.reason;
+      }
+      break;
+    }
+    case RecordKind::kStart: {
+      const StartRecord& s = record.start;
+      // The live claim journals breaker_.choose(); any other device means the
+      // journal and this rebuild disagree about the breaker.
+      const std::size_t device = breaker_.choose();
+      if (device != s.device) {
+        refuse(s.seq, "ran on device " + std::to_string(s.device) +
+                          " but the rebuilt breaker picks device " +
+                          std::to_string(device));
+      }
+      auto request = admission_.claim();
+      if (!request || request->seq != s.seq) {
+        refuse(s.seq, "claims a request that is not next in the queue");
+      }
+      breaker_.claim(device);
+      if (breaker_.state(device) == CircuitBreaker::State::kHalfOpen) {
+        // GG_BOUNDED(at most two payloads per journal record)
+        events.push_back(breaker_event(device, "probing",
+                                       CircuitBreaker::State::kHalfOpen,
+                                       breaker_.completions()));
+      }
+      states_[s.seq] = "running";
+      inflight_ = Job{std::move(*request), device, Seconds{s.vtime}};
+      break;
+    }
+    case RecordKind::kOutcome: {
+      const OutcomeRecord& o = record.outcome;
+      if (!inflight_ || inflight_->request.seq != o.seq ||
+          inflight_->device != o.device) {
+        refuse(o.seq, "lands an outcome for a request that is not in flight");
+      }
+      const bool ok = o.status == OutcomeStatus::kOk;
+      vtime_ = Seconds{o.vtime_after};
+      if (ok) {
+        admission_.observe_cost(inflight_->request.workload,
+                                inflight_->request.policy, Seconds{o.exec_time});
+        ++stats_.completed;
+      } else {
+        ++stats_.failed;
+      }
+      states_[o.seq] = ok ? "ok" : "failed";
+      const auto device = static_cast<std::size_t>(o.device);
+      const CircuitBreaker::Event event = breaker_.on_result(device, ok);
+      if (event != CircuitBreaker::Event::kNone) {
+        // GG_BOUNDED(at most two payloads per journal record)
+        events.push_back(breaker_event(device, transition_word(event),
+                                       breaker_.state(device),
+                                       breaker_.completions()));
+      }
+      inflight_.reset();
+      break;
+    }
+  }
+}
+
+std::vector<std::string> ServiceCore::State::events(
+    const ServiceConfig& config, const std::string& journal_path) {
+  const auto records = ServiceJournal::read(journal_path, config.fingerprint());
+  State state(config, journal_path);
+  std::vector<std::string> out;
+  // GG_BOUNDED(at most two payloads per record of one already-read journal)
+  out.reserve(records.size());
+  for (const auto& record : records) state.apply(record, out);
+  return out;
+}
 
 ServiceCore::ServiceCore(ServiceConfig config, std::string journal_path,
                          bool resume)
     : config_(std::move(config)),
       journal_(std::move(journal_path), config_.fingerprint(), /*fresh=*/!resume),
-      admission_(config_.queue_capacity, config_.default_cost_estimate),
-      breaker_(config_.devices, config_.breaker),
-      feed_(config_),
+      state_(config_, journal_.path()),
       hub_(config_.telemetry) {
   config_.validate();
-  if (resume) resume_from_journal();
-}
-
-void ServiceCore::publish_record(const ServiceRecord& record) {
-  ++journal_records_;
-  scratch_events_.clear();
-  feed_.on_record(record, scratch_events_);
-  for (const std::string& payload : scratch_events_) hub_.publish(payload);
-}
-
-void ServiceCore::resume_from_journal() {
-  // Replaying the journal in order reconstructs every piece of state the
-  // uninterrupted daemon would hold: the pending set (admits minus outcomes
-  // minus evictions), virtual time, breaker state, the cost model and the
-  // counters.  Requests re-enter the queue in seq order, which is exactly
-  // the priority-then-FIFO order they would drain in anyway.
-  const auto records = ServiceJournal::read(journal_.path(), config_.fingerprint());
-  // The telemetry stream is a pure function of the journal, so replaying the
-  // records through the (fresh) feed lands its replica breaker and the hub's
-  // stream position exactly where the dying daemon left them — a WATCH FROM
-  // issued after resume continues the old stream byte-identically.
+  if (!resume) return;
+  // Folding the journal lands every piece of state, and the stream position,
+  // exactly where the dying daemon left them: a WATCH FROM issued after
+  // resume continues the old stream byte-identically.
   std::uint64_t seeded = 0;
-  for (const auto& record : records) {
+  for (const auto& record : ServiceJournal::read(journal_.path(), config_.fingerprint())) {
     scratch_events_.clear();
-    feed_.on_record(record, scratch_events_);
+    state_.apply(record, scratch_events_);
     seeded += scratch_events_.size();
   }
   hub_.seed(seeded);
-  journal_records_ = records.size();
-  std::map<std::uint64_t, Request> pending;
-  // The last start record without a matching outcome is the claim the dying
-  // daemon never finished; it must run first, not re-enter the queue.
-  StartRecord claimed;
-  bool has_claim = false;
-  for (const auto& record : records) {
-    switch (record.kind) {
-      case RecordKind::kStart:
-        claimed = record.start;
-        has_claim = true;
-        break;
-      case RecordKind::kAdmit: {
-        const Request& r = record.admit;
-        pending[r.seq] = r;
-        states_[r.seq] = "queued";
-        ++stats_.submitted;
-        ++stats_.admitted;
-        next_seq_ = std::max(next_seq_, r.seq + 1);
-        break;
-      }
-      case RecordKind::kShed: {
-        const ShedRecord& s = record.shed;
-        if (s.reason == "evicted") {
-          pending.erase(s.seq);
-          ++stats_.evicted;
-          states_[s.seq] = "evicted";
-        } else {
-          ++stats_.submitted;
-          ++stats_.shed;
-          states_[s.seq] = "shed:" + s.reason;
-        }
-        next_seq_ = std::max(next_seq_, s.seq + 1);
-        break;
-      }
-      case RecordKind::kOutcome: {
-        const OutcomeRecord& o = record.outcome;
-        auto it = pending.find(o.seq);
-        if (it != pending.end()) {
-          if (o.status == OutcomeStatus::kOk) {
-            admission_.observe_cost(it->second.workload, it->second.policy,
-                                    Seconds{o.exec_time});
-          }
-          pending.erase(it);
-        }
-        if (has_claim && claimed.seq == o.seq) has_claim = false;
-        vtime_ = Seconds{o.vtime_after};
-        breaker_.on_result(o.device, o.status == OutcomeStatus::kOk);
-        if (o.status == OutcomeStatus::kOk) {
-          ++stats_.completed;
-          states_[o.seq] = "ok";
-        } else {
-          ++stats_.failed;
-          states_[o.seq] = "failed";
-        }
-        break;
-      }
-    }
-  }
-  if (has_claim) {
-    const auto it = pending.find(claimed.seq);
-    if (it != pending.end()) {
-      // Re-issue the unfinished claim.  acquire() on the rebuilt breaker is
-      // deterministic, so it reproduces both the device choice and its
-      // side-effect (an open device turning half-open for its probe); the
-      // journaled device cross-checks that the rebuild really converged.
-      const std::size_t device = breaker_.acquire();
-      if (device != static_cast<std::size_t>(claimed.device)) {
-        throw common::SnapshotError(
-            journal_.path() + ": resumed breaker picked device " +
-            std::to_string(device) + " but the journaled claim of seq " +
-            std::to_string(claimed.seq) + " ran on device " +
-            std::to_string(claimed.device));
-      }
-      Job job;
-      job.request = it->second;
-      job.device = device;
-      job.vtime_before = Seconds{claimed.vtime};
-      states_[job.request.seq] = "running";
-      inflight_ = job;
-      pending.erase(it);
-    }
-  }
-  for (auto& [seq, request] : pending) {
-    (void)seq;
-    admission_.requeue(std::move(request));
-  }
+}
+
+void ServiceCore::commit(const ServiceRecord& record) {
+  scratch_events_.clear();
+  state_.apply(record, scratch_events_);
+  for (const std::string& payload : scratch_events_) hub_.publish(payload);
 }
 
 std::string ServiceCore::handle_line(const std::string& line) {
@@ -192,21 +222,22 @@ std::string ServiceCore::handle_line(const std::string& line) {
     } catch (const std::exception&) {
       return "400 bad seq";
     }
-    const auto it = states_.find(seq);
-    if (it == states_.end()) return "404 unknown-seq " + tokens[1];
+    const auto it = state_.states().find(seq);
+    if (it == state_.states().end()) return "404 unknown-seq " + tokens[1];
     return "200 status seq=" + tokens[1] + " state=" + it->second;
   }
   if (verb == "STATS") {
+    const ServiceStats& stats = state_.stats();
     std::ostringstream out;
-    out << "200 stats submitted=" << stats_.submitted
-        << " admitted=" << stats_.admitted << " shed=" << stats_.shed
-        << " evicted=" << stats_.evicted << " completed=" << stats_.completed
-        << " failed=" << stats_.failed << " restarts=" << stats_.restarts
-        << " queued=" << admission_.depth()
-        << " inflight=" << (inflight_ ? 1 : 0) << " vtime=" << vtime_.get()
+    out << "200 stats submitted=" << stats.submitted
+        << " admitted=" << stats.admitted << " shed=" << stats.shed
+        << " evicted=" << stats.evicted << " completed=" << stats.completed
+        << " failed=" << stats.failed << " restarts=" << stats.restarts
+        << " queued=" << queue_depth()
+        << " inflight=" << (state_.inflight() ? 1 : 0) << " vtime=" << vtime().get()
         << " paused=" << (paused_ ? 1 : 0)
         << " draining=" << (draining_ ? 1 : 0)
-        << " journal_records=" << journal_records_
+        << " journal_records=" << journal_records()
         << " telemetry_seq=" << hub_.published()
         << " subscribers=" << hub_.subscriber_count()
         << " telemetry_dropped=" << hub_.dropped_total()
@@ -215,12 +246,12 @@ std::string ServiceCore::handle_line(const std::string& line) {
   }
   if (verb == "HEALTH") {
     std::string out = "200 health";
-    for (std::size_t d = 0; d < breaker_.device_count(); ++d) {
+    for (std::size_t d = 0; d < breaker().device_count(); ++d) {
       out += " device" + std::to_string(d) + "=" +
-             CircuitBreaker::to_string(breaker_.state(d));
+             CircuitBreaker::to_string(breaker().state(d));
     }
     // Progress sequence numbers: smoke tests poll these instead of sleeping.
-    out += " journal_records=" + std::to_string(journal_records_) +
+    out += " journal_records=" + std::to_string(journal_records()) +
            " telemetry_seq=" + std::to_string(hub_.published());
     return out;
   }
@@ -271,46 +302,39 @@ std::string ServiceCore::handle_submit(const std::vector<std::string>& tokens) {
     return "400 " + std::string(e.what());
   }
 
-  ++stats_.submitted;
-  request.seq = next_seq_++;
+  request.seq = state_.next_seq();
   // Fork the fault stream by seq the same way campaigns fork per-cell seeds,
   // so re-executing this request (resume, replay) reproduces it exactly.
   request.seed = greengpu::campaign_cell_seed(config_.seed, request.seq);
-  request.vtime_admit = vtime_;
+  request.vtime_admit = vtime();
 
-  auto decision = admission_.offer(request, inflight_cost(), draining_);
+  const auto decision =
+      state_.admission().offer(request, inflight_cost(), draining_);
   ServiceRecord rec;
+  rec.kind = RecordKind::kShed;
   if (!decision.admitted) {
-    ++stats_.shed;
-    states_[request.seq] = "shed:" + decision.reason;
-    rec.kind = RecordKind::kShed;
     rec.shed = {request.seq, request.workload, request.policy,
                 request.priority, decision.reason};
     journal_.shed(rec.shed);
-    publish_record(rec);
+    commit(rec);
     return "503 shed seq=" + std::to_string(request.seq) +
            " reason=" + decision.reason;
   }
   if (decision.evicted) {
-    ++stats_.evicted;
-    states_[decision.evicted->seq] = "evicted";
-    rec.kind = RecordKind::kShed;
-    rec.shed = {decision.evicted->seq, decision.evicted->workload,
-                decision.evicted->policy, decision.evicted->priority,
-                "evicted"};
+    const Request& evicted = *decision.evicted;
+    rec.shed = {evicted.seq, evicted.workload, evicted.policy,
+                evicted.priority, "evicted"};
     journal_.shed(rec.shed);
-    publish_record(rec);
+    commit(rec);
   }
-  ++stats_.admitted;
-  states_[request.seq] = "queued";
   journal_.admit(request);
   rec.kind = RecordKind::kAdmit;
-  rec.admit = request;
-  publish_record(rec);
+  rec.admit = std::move(request);
+  commit(rec);
   // Admission is journaled but the client reply is not yet sent: a daemon
   // killed here still owns the request after --resume.
   common::killpoint(common::KillPoint::kServicePostAdmit);
-  return "202 accepted seq=" + std::to_string(request.seq);
+  return "202 accepted seq=" + std::to_string(rec.admit.seq);
 }
 
 std::uint64_t ServiceCore::watch(const std::string& line, std::string& reply) {
@@ -343,9 +367,7 @@ std::uint64_t ServiceCore::watch(const std::string& line, std::string& reply) {
     // Regenerate [from, now] from the journal.  The caller holds the core
     // lock, so the journal cannot grow between this read and subscribe() —
     // the backlog and the live ring splice gaplessly.
-    const auto records =
-        ServiceJournal::read(journal_.path(), config_.fingerprint());
-    std::vector<std::string> events = telemetry_events(config_, records);
+    std::vector<std::string> events = State::events(config_, journal_.path());
     if (events.size() != hub_.published()) {
       reply = "500 telemetry desync journal=" + std::to_string(events.size()) +
               " live=" + std::to_string(hub_.published());
@@ -366,9 +388,9 @@ std::uint64_t ServiceCore::watch(const std::string& line, std::string& reply) {
 }
 
 Seconds ServiceCore::inflight_cost() const {
-  if (!inflight_) return Seconds{0.0};
-  return admission_.estimate(inflight_->request.workload,
-                             inflight_->request.policy);
+  const std::optional<Job>& job = state_.inflight();
+  if (!job) return Seconds{0.0};
+  return state_.admission().estimate(job->request.workload, job->request.policy);
 }
 
 std::optional<ServiceCore::Job> ServiceCore::take_next() {
@@ -376,22 +398,16 @@ std::optional<ServiceCore::Job> ServiceCore::take_next() {
   // skipped.  The executor retries it after a supervised crash, and a
   // resumed daemon re-runs the claim it rebuilt from the journal's start
   // record instead of letting the re-queued backlog reorder history.
-  if (inflight_) return inflight_;
+  if (state_.inflight()) return state_.inflight();
   if (paused_) return std::nullopt;
-  auto request = admission_.next();
-  if (!request) return std::nullopt;
-  Job job;
-  job.request = std::move(*request);
-  job.device = breaker_.acquire();
-  job.vtime_before = vtime_;
-  states_[job.request.seq] = "running";
-  inflight_ = job;
+  const Request* next = state_.admission().next();
+  if (next == nullptr) return std::nullopt;
   ServiceRecord rec;
   rec.kind = RecordKind::kStart;
-  rec.start = {job.request.seq, job.device, job.vtime_before.get()};
+  rec.start = {next->seq, state_.breaker().choose(), vtime().get()};
   journal_.start(rec.start);
-  publish_record(rec);
-  return job;
+  commit(rec);
+  return state_.inflight();
 }
 
 OutcomeRecord ServiceCore::run_job(const ServiceConfig& config,
@@ -449,7 +465,7 @@ OutcomeRecord ServiceCore::run_job(const ServiceConfig& config,
   return out;
 }
 
-void ServiceCore::complete(const Job& job, const OutcomeRecord& outcome) {
+void ServiceCore::complete(const Job& /*job*/, const OutcomeRecord& outcome) {
   // Executed but not yet journaled: a daemon killed here re-executes the
   // request after --resume and, the run being deterministic, journals the
   // identical outcome.
@@ -458,27 +474,14 @@ void ServiceCore::complete(const Job& job, const OutcomeRecord& outcome) {
   ServiceRecord rec;
   rec.kind = RecordKind::kOutcome;
   rec.outcome = outcome;
-  publish_record(rec);
-  vtime_ = Seconds{outcome.vtime_after};
-  if (outcome.status == OutcomeStatus::kOk) {
-    admission_.observe_cost(job.request.workload, job.request.policy,
-                            Seconds{outcome.exec_time});
-    ++stats_.completed;
-    states_[outcome.seq] = "ok";
-  } else {
-    ++stats_.failed;
-    states_[outcome.seq] = "failed";
-  }
-  breaker_.on_result(job.device, outcome.status == OutcomeStatus::kOk);
-  inflight_.reset();
+  commit(rec);
 }
 
 bool ServiceCore::step() {
-  // A crash in run_job()/complete() unwinds with inflight_ still set, so the
-  // next step() re-executes the same job — the in-process restart model the
-  // kill-point tests drive.
-  std::optional<Job> job = inflight_;
-  if (!job) job = take_next();
+  // A crash in run_job()/complete() unwinds with the job still in flight, so
+  // take_next() hands the same job out again — the in-process restart model
+  // the kill-point tests drive.
+  const std::optional<Job> job = take_next();
   if (!job) return false;
   const OutcomeRecord outcome =
       run_job(config_, job->request, job->device, job->vtime_before);
@@ -487,7 +490,7 @@ bool ServiceCore::step() {
 }
 
 bool ServiceCore::drained() const {
-  return draining_ && admission_.depth() == 0 && !inflight_;
+  return draining_ && queue_depth() == 0 && !state_.inflight();
 }
 
 void ServiceCore::write_report(const std::string& report_path) const {
@@ -578,14 +581,13 @@ bool ServiceCore::events_window(const ServiceConfig& config,
                                 std::string& error) {
   out.clear();
   error.clear();
-  std::vector<ServiceRecord> records;
+  std::vector<std::string> events;
   try {
-    records = ServiceJournal::read(journal_path, config.fingerprint());
+    events = State::events(config, journal_path);
   } catch (const common::SnapshotError& e) {
     error = e.what();
     return false;
   }
-  const std::vector<std::string> events = telemetry_events(config, records);
   if (from_seq == 0) from_seq = 1;
   if (from_seq > events.size() + 1) {
     error = "cursor " + std::to_string(from_seq) + " beyond stream (last=" +

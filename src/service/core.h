@@ -7,15 +7,19 @@
 // deadlines, the circuit breaker, drain, resume, replay — is testable
 // in-process without a daemon, and deterministic by construction:
 //
-//   * handle_line() and complete() mutate state and journal as one step;
-//     the caller serializes them (the daemon holds a mutex, tests are
-//     single-threaded).
+//   * State changes in one place: every handler builds a journal record,
+//     appends it, and folds it through State::apply(), the one transition
+//     function.  A resumed daemon folds the records it reads back through
+//     the same function, and so do WATCH FROM and `greengpud --events` over
+//     a fresh State, so live, resumed and regenerated state cannot drift.
+//     The caller serializes handle_line(), take_next() and complete() (the
+//     daemon holds a mutex, tests are single-threaded).
 //   * run_job() — the expensive part — is a pure static function of
 //     (config, request, device, vtime); the daemon runs it outside the
 //     lock so admissions stay responsive while work executes.
 //   * The journal is the single source of truth: the report is generated
 //     from it (write_report), a restarted daemon rebuilds every byte of
-//     state from it (resume), and replay_window() re-executes journaled
+//     state by folding it (resume), and replay_window() re-executes journaled
 //     outcomes from their recorded (seed, device) and verifies the journal
 //     bit-for-bit.
 //
@@ -31,6 +35,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/greengpu/runner.h"
 #include "src/service/admission.h"
@@ -51,12 +56,13 @@ class ServiceCore {
     Seconds vtime_before{0.0};
   };
 
-  /// Open (or resume from) `journal_path`.  With `resume` the journal is
-  /// read back: admitted-but-unfinished requests re-enter the queue, and
-  /// virtual time, breaker state, the cost model and all counters are
-  /// rebuilt — the daemon continues as if never killed.  Without `resume`
-  /// the journal starts fresh.  Throws common::SnapshotError on a journal
-  /// written by a different configuration.
+  /// Open (or resume from) `journal_path`.  With `resume` every record read
+  /// back is applied in order, which rebuilds the queue, the claimed
+  /// request, virtual time, breaker state, the cost model and all counters
+  /// — the daemon continues as if never killed.  Without `resume` the
+  /// journal starts fresh.  Throws common::SnapshotError on a journal
+  /// written by a different configuration, or at the first record the
+  /// rebuilt state contradicts (index and seq in the message).
   ServiceCore(ServiceConfig config, std::string journal_path, bool resume);
 
   /// Handle one protocol line; returns the reply line (no newline).  Hosts
@@ -83,7 +89,8 @@ class ServiceCore {
 
   /// Land `outcome` for the in-flight `job`: journal it (service-pre-result
   /// kill-point — executed but not yet journaled, the re-execute-on-resume
-  /// window), advance virtual time, feed the breaker and the cost model.
+  /// window) and apply it, which advances virtual time and feeds the breaker
+  /// and the cost model.
   void complete(const Job& job, const OutcomeRecord& outcome);
 
   /// take_next + run_job + complete, one request, for tests and drain
@@ -93,7 +100,7 @@ class ServiceCore {
   bool step();
 
   /// Crashes survived by the caller's supervision (reported by STATS).
-  void note_restart() { ++stats_.restarts; }
+  void note_restart() { state_.note_restart(); }
 
   // -- Streaming telemetry (WATCH) -------------------------------------------
 
@@ -116,7 +123,7 @@ class ServiceCore {
   }
   [[nodiscard]] const TelemetryHub& telemetry() const { return hub_; }
   /// Journal records appended or resumed so far (STATS/HEALTH progress seq).
-  [[nodiscard]] std::uint64_t journal_records() const { return journal_records_; }
+  [[nodiscard]] std::uint64_t journal_records() const { return state_.records(); }
 
   // -- State queries ---------------------------------------------------------
 
@@ -124,11 +131,11 @@ class ServiceCore {
   [[nodiscard]] bool draining() const { return draining_; }
   /// Drain requested and nothing queued or in flight: safe to exit 0.
   [[nodiscard]] bool drained() const;
-  [[nodiscard]] std::size_t queue_depth() const { return admission_.depth(); }
-  [[nodiscard]] const ServiceStats& stats() const { return stats_; }
+  [[nodiscard]] std::size_t queue_depth() const { return state_.admission().depth(); }
+  [[nodiscard]] const ServiceStats& stats() const { return state_.stats(); }
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
-  [[nodiscard]] const CircuitBreaker& breaker() const { return breaker_; }
-  [[nodiscard]] Seconds vtime() const { return vtime_; }
+  [[nodiscard]] const CircuitBreaker& breaker() const { return state_.breaker(); }
+  [[nodiscard]] Seconds vtime() const { return state_.vtime(); }
 
   // -- Journal-derived outputs -----------------------------------------------
 
@@ -159,36 +166,74 @@ class ServiceCore {
                                           std::string& out, std::string& error);
 
  private:
+  /// Everything the journal determines about a service, changed only by
+  /// apply().  The live core, a resumed core and the telemetry generators
+  /// all fold journal records through it, so they drive the same breaker
+  /// with the same claims and outcomes.
+  class State {
+   public:
+    State(const ServiceConfig& config, std::string source);
+
+    /// Fold one journal record, appending its event payloads (the render()
+    /// line, then any breaker transition) to `events`.  Throws
+    /// common::SnapshotError naming the source, the record index and the
+    /// seq when the record contradicts the state: a start on a device the
+    /// breaker would not choose or of a request that is not next, an
+    /// eviction of a request that is not the lowest-ranked, an outcome for
+    /// a request that is not in flight.
+    void apply(const ServiceRecord& record, std::vector<std::string>& events);
+
+    /// The event stream of the journal at `journal_path`, folded over a
+    /// fresh state.
+    [[nodiscard]] static std::vector<std::string> events(
+        const ServiceConfig& config, const std::string& journal_path);
+
+    /// Host-side, never journaled: a resumed daemon starts again from 0.
+    void note_restart() { ++stats_.restarts; }
+
+    [[nodiscard]] const AdmissionController& admission() const { return admission_; }
+    [[nodiscard]] const CircuitBreaker& breaker() const { return breaker_; }
+    [[nodiscard]] const ServiceStats& stats() const { return stats_; }
+    [[nodiscard]] const std::optional<Job>& inflight() const { return inflight_; }
+    [[nodiscard]] Seconds vtime() const { return vtime_; }
+    [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
+    /// Records applied so far; the next record's index.
+    [[nodiscard]] std::uint64_t records() const { return records_; }
+    /// seq -> lifecycle state ("queued", "running", "ok", "failed",
+    /// "shed:<reason>", "evicted") for STATUS.
+    [[nodiscard]] const std::map<std::uint64_t, std::string>& states() const {
+      return states_;
+    }
+
+   private:
+    [[noreturn]] void refuse(std::uint64_t seq, const std::string& why) const;
+
+    std::string source_;
+    AdmissionController admission_;
+    CircuitBreaker breaker_;
+    ServiceStats stats_;
+    /// Virtual service time: simulated seconds of completed (ok) work.
+    Seconds vtime_{0.0};
+    std::uint64_t next_seq_{1};
+    std::uint64_t records_{0};
+    std::optional<Job> inflight_;
+    std::map<std::uint64_t, std::string> states_;
+  };
+
   [[nodiscard]] std::string handle_submit(const std::vector<std::string>& tokens);
   [[nodiscard]] Seconds inflight_cost() const;
-  void resume_from_journal();
-  /// Fold one just-journaled record into the telemetry feed and broadcast
-  /// the derived events.  Called after every journal append, so the live
-  /// stream is the same pure function of the journal the offline
-  /// generators compute.
-  void publish_record(const ServiceRecord& record);
+  /// Apply one just-journaled record and broadcast its events, so the live
+  /// stream is the same fold of the journal the offline generators compute.
+  void commit(const ServiceRecord& record);
 
   ServiceConfig config_;
   ServiceJournal journal_;
-  AdmissionController admission_;
-  CircuitBreaker breaker_;
-  TelemetryFeed feed_;
+  State state_;
   TelemetryHub hub_;
-  /// Journal records appended (or replayed at resume) through this core.
-  std::uint64_t journal_records_{0};
-  /// Scratch for publish_record (cleared per call; bounded by the two-
-  /// payloads-per-record feed contract).
+  /// Scratch for commit (cleared per call; at most two payloads a record).
   std::vector<std::string> scratch_events_;
-  ServiceStats stats_;
-  /// Virtual service time: simulated seconds of completed (ok) work.
-  Seconds vtime_{0.0};
-  std::uint64_t next_seq_{1};
-  std::optional<Job> inflight_;
   bool paused_{false};
   bool draining_{false};
-  /// seq -> lifecycle state ("queued", "running", "ok", "failed",
-  /// "shed:<reason>", "evicted") for STATUS.
-  std::map<std::uint64_t, std::string> states_;
 };
 
 }  // namespace gg::service

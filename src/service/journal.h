@@ -10,9 +10,9 @@
 //            replay of the same window are byte-identical because they are
 //            all renderings of the same journal bytes.
 //
-//   resume   A restarted daemon reads the journal, re-queues every admitted
-//            request without an outcome, rebuilds virtual time, breaker
-//            state and the cost model, and continues as if never killed.
+//   resume   A restarted daemon applies every record it reads back through
+//            the same transition function the live daemon applied them
+//            with (core.h), and continues as if never killed.
 //
 //   replay   `greengpud --replay` re-executes journaled outcomes from their
 //            recorded (seed, device) and verifies the results match the

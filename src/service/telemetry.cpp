@@ -1,87 +1,11 @@
 #include "src/service/telemetry.h"
 
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
 #include "src/common/annotations.h"
 
 namespace gg::service {
-
-namespace {
-
-std::string breaker_event(std::size_t device, const char* transition,
-                          CircuitBreaker::State state,
-                          std::uint64_t completions) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "breaker device=%llu transition=%s state=%s completions=%llu",
-                static_cast<unsigned long long>(device), transition,
-                CircuitBreaker::to_string(state).c_str(),
-                static_cast<unsigned long long>(completions));
-  return std::string(buf);
-}
-
-const char* transition_word(CircuitBreaker::Event event) {
-  switch (event) {
-    case CircuitBreaker::Event::kOpened: return "opened";
-    case CircuitBreaker::Event::kClosed: return "closed";
-    case CircuitBreaker::Event::kReopened: return "reopened";
-    case CircuitBreaker::Event::kNone: break;
-  }
-  return "none";
-}
-
-}  // namespace
-
-TelemetryFeed::TelemetryFeed(const ServiceConfig& config)
-    : replica_(config.devices, config.breaker) {}
-
-void TelemetryFeed::on_record(const ServiceRecord& record,
-                              std::vector<std::string>& out) {
-  // GG_BOUNDED(at most two payloads per record; caller drains out each time)
-  out.push_back(render(record));
-  switch (record.kind) {
-    case RecordKind::kStart: {
-      // Mirror the live claim: acquire() is the call that flips a probe-due
-      // open device to half-open, so replaying it reproduces probe events.
-      const std::size_t device = replica_.acquire();
-      if (replica_.state(device) == CircuitBreaker::State::kHalfOpen) {
-        // GG_BOUNDED(at most two payloads per journal record)
-        out.push_back(breaker_event(device, "probing",
-                                    CircuitBreaker::State::kHalfOpen,
-                                    replica_.completions()));
-      }
-      break;
-    }
-    case RecordKind::kOutcome: {
-      const OutcomeRecord& o = record.outcome;
-      const auto device = static_cast<std::size_t>(o.device);
-      const CircuitBreaker::Event event =
-          replica_.on_result(device, o.status == OutcomeStatus::kOk);
-      if (event != CircuitBreaker::Event::kNone) {
-        // GG_BOUNDED(at most two payloads per journal record)
-        out.push_back(breaker_event(device, transition_word(event),
-                                    replica_.state(device),
-                                    replica_.completions()));
-      }
-      break;
-    }
-    case RecordKind::kAdmit:
-    case RecordKind::kShed:
-      break;
-  }
-}
-
-std::vector<std::string> telemetry_events(
-    const ServiceConfig& config, const std::vector<ServiceRecord>& records) {
-  TelemetryFeed feed(config);
-  std::vector<std::string> out;
-  // GG_BOUNDED(at most two payloads per record of one already-read journal)
-  out.reserve(records.size());
-  for (const auto& record : records) feed.on_record(record, out);
-  return out;
-}
 
 TelemetryHub::TelemetryHub(TelemetryConfig config) : config_(config) {
   config_.validate();

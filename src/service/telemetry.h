@@ -6,14 +6,13 @@
 // newline-framed text over the same Unix socket the request protocol uses.
 // Two pieces make the stream robust by construction:
 //
-//   TelemetryFeed    The event stream is a *pure function of the journal*:
-//                    every record folds into zero or more event payloads,
-//                    and breaker transitions are derived by replaying the
-//                    record through a replica breaker (breaker state is a
-//                    pure function of the outcome sequence — see breaker.h).
-//                    The live core and the offline generators fold the same
-//                    records through identical feeds, so a `WATCH FROM <seq>`
-//                    resume replays a byte-identical continuation of what a
+//   The stream       A *pure function of the journal*: ServiceCore folds
+//                    every record through its one transition function
+//                    (core.h), which yields the record's render() line and
+//                    any circuit-breaker transition the record caused.  The
+//                    live core, a resumed core and the offline generators
+//                    run that same fold, so a `WATCH FROM <seq>` resume
+//                    replays a byte-identical continuation of what a
 //                    never-disconnected subscriber would have seen, and
 //                    `greengpud --events` prints the same stream offline.
 //
@@ -43,33 +42,9 @@
 #include <string>
 #include <vector>
 
-#include "src/service/breaker.h"
-#include "src/service/journal.h"
 #include "src/service/types.h"
 
 namespace gg::service {
-
-/// Derives event payloads from service journal records.  Record events reuse
-/// render() verbatim (an EVENT payload for an outcome *is* its report line);
-/// breaker transitions are synthesized from the replica's state changes.
-class TelemetryFeed {
- public:
-  explicit TelemetryFeed(const ServiceConfig& config);
-
-  /// Append the payloads derived from `record` to `out`, in stream order.
-  void on_record(const ServiceRecord& record, std::vector<std::string>& out);
-
- private:
-  /// Replays the record stream exactly like the live breaker consumes it
-  /// (acquire() per start, on_result() per outcome), which is what makes the
-  /// derived transition events reproducible from the journal alone.
-  CircuitBreaker replica_;
-};
-
-/// The full event stream of a record sequence, in order.  Payload k carries
-/// event seq k+1.
-[[nodiscard]] std::vector<std::string> telemetry_events(
-    const ServiceConfig& config, const std::vector<ServiceRecord>& records);
 
 /// Fan-out hub: assigns global event sequence numbers and feeds any number
 /// of bounded per-subscriber frame queues.  Single-threaded by contract —

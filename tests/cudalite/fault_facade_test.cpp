@@ -137,6 +137,10 @@ TEST(RuntimeFaults, LaunchFailureRejectsWithoutRetries) {
   EXPECT_FALSE(completed);
   EXPECT_EQ(rt.stats().launches_rejected, 1u);
   EXPECT_EQ(rt.stats().kernels_launched, 0u);
+  const auto& events = platform.faults()->events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].channel, sim::FaultChannel::kLaunch);
+  EXPECT_EQ(events[0].outcome, sim::FaultOutcome::kLaunchFailed);
 }
 
 TEST(RuntimeFaults, RetriesAreBoundedAndCounted) {
@@ -193,6 +197,12 @@ TEST(RuntimeFaults, HostSubmitFailureSkipsTheTask) {
   EXPECT_FALSE(ran);
   EXPECT_FALSE(completed);
   EXPECT_EQ(rt.stats().host_tasks_rejected, 1u);
+  EXPECT_EQ(rt.stats().launches_rejected, 0u);
+  const auto& events = platform.faults()->events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].channel, sim::FaultChannel::kHostTask);
+  EXPECT_EQ(events[0].outcome, sim::FaultOutcome::kHostTaskFailed);
+  EXPECT_EQ(events[0].device, 0u);
 }
 
 TEST(RuntimeFaults, ZeroRateInjectorChangesNothing) {

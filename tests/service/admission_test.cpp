@@ -18,15 +18,29 @@ Request make_request(std::uint64_t seq, std::uint64_t priority = 0,
   return r;
 }
 
+/// offer() and, on admission, the queue changes the service applies for it:
+/// the evicted-shed record's evict(), then the admit record's requeue().
+AdmissionController::Decision offer(AdmissionController& adm, const Request& r,
+                                    Seconds inflight_cost, bool draining) {
+  AdmissionController::Decision d = adm.offer(r, inflight_cost, draining);
+  if (d.admitted) {
+    if (d.evicted) {
+      EXPECT_EQ(adm.evict()->seq, d.evicted->seq);
+    }
+    adm.requeue(r);
+  }
+  return d;
+}
+
 TEST(AdmissionController, RejectsNonPositiveDefaultCost) {
   EXPECT_THROW(AdmissionController(4, 0.0), std::invalid_argument);
 }
 
 TEST(AdmissionController, AdmitsUntilCapacityThenShedsQueueFull) {
   AdmissionController adm(2, 60.0);
-  EXPECT_TRUE(adm.offer(make_request(1), Seconds{0.0}, false).admitted);
-  EXPECT_TRUE(adm.offer(make_request(2), Seconds{0.0}, false).admitted);
-  const auto d = adm.offer(make_request(3), Seconds{0.0}, false);
+  EXPECT_TRUE(offer(adm, make_request(1), Seconds{0.0}, false).admitted);
+  EXPECT_TRUE(offer(adm, make_request(2), Seconds{0.0}, false).admitted);
+  const auto d = offer(adm, make_request(3), Seconds{0.0}, false);
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reason, "queue-full");
   EXPECT_FALSE(d.evicted.has_value());
@@ -35,9 +49,9 @@ TEST(AdmissionController, AdmitsUntilCapacityThenShedsQueueFull) {
 
 TEST(AdmissionController, HigherPriorityArrivalEvictsLowestPriority) {
   AdmissionController adm(2, 60.0);
-  ASSERT_TRUE(adm.offer(make_request(1, /*priority=*/2), Seconds{0.0}, false).admitted);
-  ASSERT_TRUE(adm.offer(make_request(2, /*priority=*/0), Seconds{0.0}, false).admitted);
-  const auto d = adm.offer(make_request(3, /*priority=*/1), Seconds{0.0}, false);
+  ASSERT_TRUE(offer(adm, make_request(1, /*priority=*/2), Seconds{0.0}, false).admitted);
+  ASSERT_TRUE(offer(adm, make_request(2, /*priority=*/0), Seconds{0.0}, false).admitted);
+  const auto d = offer(adm, make_request(3, /*priority=*/1), Seconds{0.0}, false);
   EXPECT_TRUE(d.admitted);
   ASSERT_TRUE(d.evicted.has_value());
   EXPECT_EQ(d.evicted->seq, 2u);  // the priority-0 request is displaced
@@ -48,15 +62,15 @@ TEST(AdmissionController, EqualPriorityArrivalDoesNotEvict) {
   // Eviction requires *strictly* outranking the queue's worst — otherwise a
   // full queue of equals would churn forever, shedding old work for new.
   AdmissionController adm(1, 60.0);
-  ASSERT_TRUE(adm.offer(make_request(1, /*priority=*/1), Seconds{0.0}, false).admitted);
-  const auto d = adm.offer(make_request(2, /*priority=*/1), Seconds{0.0}, false);
+  ASSERT_TRUE(offer(adm, make_request(1, /*priority=*/1), Seconds{0.0}, false).admitted);
+  const auto d = offer(adm, make_request(2, /*priority=*/1), Seconds{0.0}, false);
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reason, "queue-full");
 }
 
 TEST(AdmissionController, DrainingShedsEverything) {
   AdmissionController adm(4, 60.0);
-  const auto d = adm.offer(make_request(1, /*priority=*/99), Seconds{0.0}, true);
+  const auto d = offer(adm, make_request(1, /*priority=*/99), Seconds{0.0}, true);
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reason, "draining");
   EXPECT_EQ(adm.depth(), 0u);
@@ -65,11 +79,11 @@ TEST(AdmissionController, DrainingShedsEverything) {
 TEST(AdmissionController, DeadlineUsesDefaultEstimateBeforeObservations) {
   AdmissionController adm(4, 60.0);
   // Own cost (60) alone blows a 50 s budget; a 70 s budget fits.
-  const auto tight = adm.offer(make_request(1, 0, /*deadline=*/50.0),
+  const auto tight = offer(adm, make_request(1, 0, /*deadline=*/50.0),
                                Seconds{0.0}, false);
   EXPECT_FALSE(tight.admitted);
   EXPECT_EQ(tight.reason, "deadline-unmeetable");
-  EXPECT_TRUE(adm.offer(make_request(2, 0, /*deadline=*/70.0), Seconds{0.0}, false)
+  EXPECT_TRUE(offer(adm, make_request(2, 0, /*deadline=*/70.0), Seconds{0.0}, false)
                   .admitted);
 }
 
@@ -78,12 +92,12 @@ TEST(AdmissionController, DeadlineCountsInflightAndOutrankingQueueOnly) {
   // Queue: one request that outranks the arrival (priority 5) and one that
   // does not (priority 0).  Estimated wait for a priority-1 arrival =
   // inflight (7) + outranking queued (10) + own (10) = 27.
-  ASSERT_TRUE(adm.offer(make_request(1, /*priority=*/5), Seconds{0.0}, false).admitted);
-  ASSERT_TRUE(adm.offer(make_request(2, /*priority=*/0), Seconds{0.0}, false).admitted);
-  EXPECT_FALSE(adm.offer(make_request(3, /*priority=*/1, /*deadline=*/26.0),
+  ASSERT_TRUE(offer(adm, make_request(1, /*priority=*/5), Seconds{0.0}, false).admitted);
+  ASSERT_TRUE(offer(adm, make_request(2, /*priority=*/0), Seconds{0.0}, false).admitted);
+  EXPECT_FALSE(offer(adm, make_request(3, /*priority=*/1, /*deadline=*/26.0),
                          Seconds{7.0}, false)
                    .admitted);
-  EXPECT_TRUE(adm.offer(make_request(4, /*priority=*/1, /*deadline=*/27.0),
+  EXPECT_TRUE(offer(adm, make_request(4, /*priority=*/1, /*deadline=*/27.0),
                         Seconds{7.0}, false)
                   .admitted);
 }
@@ -103,13 +117,26 @@ TEST(AdmissionController, ObservedCostIsMaxSoFar) {
 
 TEST(AdmissionController, NextIsPriorityThenFifo) {
   AdmissionController adm(4, 60.0);
-  ASSERT_TRUE(adm.offer(make_request(1, 0), Seconds{0.0}, false).admitted);
-  ASSERT_TRUE(adm.offer(make_request(2, 3), Seconds{0.0}, false).admitted);
-  ASSERT_TRUE(adm.offer(make_request(3, 3), Seconds{0.0}, false).admitted);
-  EXPECT_EQ(adm.next()->seq, 2u);
-  EXPECT_EQ(adm.next()->seq, 3u);
-  EXPECT_EQ(adm.next()->seq, 1u);
-  EXPECT_EQ(adm.next(), std::nullopt);
+  ASSERT_TRUE(offer(adm, make_request(1, 0), Seconds{0.0}, false).admitted);
+  ASSERT_TRUE(offer(adm, make_request(2, 3), Seconds{0.0}, false).admitted);
+  ASSERT_TRUE(offer(adm, make_request(3, 3), Seconds{0.0}, false).admitted);
+  for (const std::uint64_t seq : {2u, 3u, 1u}) {
+    EXPECT_EQ(adm.next()->seq, seq);
+    EXPECT_EQ(adm.claim()->seq, seq);
+  }
+  EXPECT_EQ(adm.next(), nullptr);
+  EXPECT_EQ(adm.claim(), std::nullopt);
+}
+
+TEST(AdmissionController, OfferDecidesWithoutQueueing) {
+  AdmissionController adm(1, 60.0);
+  adm.requeue(make_request(1, /*priority=*/0));
+  const auto d = adm.offer(make_request(2, /*priority=*/1), Seconds{0.0}, false);
+  EXPECT_TRUE(d.admitted);
+  ASSERT_TRUE(d.evicted.has_value());
+  EXPECT_EQ(d.evicted->seq, 1u);
+  EXPECT_EQ(adm.depth(), 1u);
+  EXPECT_EQ(adm.next()->seq, 1u) << "offer() neither evicts nor pushes";
 }
 
 TEST(AdmissionController, RequeueBypassesAdmissionButNotCapacity) {

@@ -306,6 +306,130 @@ TEST_F(ServiceCoreTest, CrashAfterAdmitLosesTheReplyNotTheRequest) {
   EXPECT_EQ(core.handle_line("STATUS 1"), "200 status seq=1 state=ok");
 }
 
+TEST_F(ServiceCoreTest, ResumeAtEveryStepMatchesTheUninterruptedRun) {
+  // Device 1 fails every request and is quarantined at once; each later
+  // completion makes it probe-due, so the breaker alternates a probe of
+  // device 1 (which fails and re-opens it) with a run on device 0.  A
+  // resumed daemon must rebuild the half-open claims too, not just the
+  // outcomes, or it sends the request after a failed probe to device 1.
+  ServiceConfig config = small_config();
+  config.queue_capacity = 8;
+  config.faulty_devices = {1};
+  config.faults.launch_fail_rate = 1.0;
+  config.breaker.failure_threshold = 1;
+  config.breaker.probe_after = 1;
+  constexpr int kRequests = 8;
+  const auto submit_all = [](ServiceCore& core) {
+    for (int i = 0; i < kRequests; ++i) {
+      ASSERT_EQ(core.handle_line("SUBMIT bfs best-performance iters=1"),
+                "202 accepted seq=" + std::to_string(i + 1));
+    }
+  };
+  // Everything a client can see once the work is done.
+  const auto observe = [](ServiceCore& core, const std::string& report) {
+    core.write_report(report);
+    std::string out = read_file(report) + core.handle_line("STATS") + "\n" +
+                      core.handle_line("HEALTH") + "\n";
+    std::string reply;
+    const std::uint64_t id = core.watch("WATCH FROM 1", reply);
+    out += reply + "\n";
+    while (auto frame = core.next_frame(id)) out += *frame + "\n";
+    return out;
+  };
+
+  std::string control;
+  {
+    ServiceCore core(config, control_journal_, /*resume=*/false);
+    submit_all(core);
+    while (core.step()) {}
+    control = observe(core, control_report_);
+  }
+  for (int seq = 1; seq <= kRequests; ++seq) {
+    const std::string start = "start seq=" + std::to_string(seq) +
+                              " device=" + std::to_string((seq - 1) % 2) + " ";
+    EXPECT_NE(control.find(start), std::string::npos) << start;
+  }
+  ASSERT_NE(control.find("transition=reopened"), std::string::npos);
+
+  for (int kill_after = 1; kill_after < kRequests; ++kill_after) {
+    SCOPED_TRACE("killed after " + std::to_string(kill_after) + " steps");
+    {
+      ServiceCore core(config, journal_, /*resume=*/false);
+      submit_all(core);
+      for (int i = 0; i < kill_after; ++i) ASSERT_TRUE(core.step());
+    }
+    ServiceCore resumed(config, journal_, /*resume=*/true);
+    while (resumed.step()) {}
+    EXPECT_EQ(observe(resumed, report_), control);
+  }
+}
+
+TEST_F(ServiceCoreTest, ResumeRebuildsTheCostModel) {
+  // The 60 s default estimate alone blows a 10 s deadline; the observed cost
+  // of one completed bfs run fits it.  A resumed core must know that cost.
+  {
+    ServiceCore core(small_config(), journal_, /*resume=*/false);
+    ASSERT_EQ(core.handle_line("SUBMIT bfs best-performance iters=1"),
+              "202 accepted seq=1");
+    ASSERT_TRUE(core.step());
+    ASSERT_LT(core.vtime().get(), 4.0);
+  }
+  ServiceCore core(small_config(), journal_, /*resume=*/true);
+  EXPECT_EQ(core.handle_line("SUBMIT bfs best-performance iters=1 deadline=10"),
+            "202 accepted seq=2");
+  EXPECT_EQ(core.handle_line("SUBMIT bfs greengpu iters=1 deadline=10"),
+            "503 shed seq=3 reason=deadline-unmeetable")
+      << "no run of this pair observed: the default estimate applies";
+}
+
+TEST_F(ServiceCoreTest, ResumeRefusesAStartTheStateContradicts) {
+  // Each journal below ends in a start record that no live core writes; the
+  // resumed core and the offline stream both refuse it, naming the record.
+  const ServiceConfig config = small_config();
+  const auto admit = [](ServiceJournal& journal, std::uint64_t seq,
+                        std::uint64_t priority) {
+    Request request;
+    request.seq = seq;
+    request.workload = "bfs";
+    request.policy = "best-performance";
+    request.priority = priority;
+    journal.admit(request);
+  };
+  const auto expect_refused = [&](const std::string& where, const std::string& why) {
+    try {
+      ServiceCore core(config, journal_, /*resume=*/true);
+      ADD_FAILURE() << "resume accepted an inconsistent start record";
+    } catch (const common::SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(journal_), std::string::npos) << what;
+      EXPECT_NE(what.find(where), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+    std::string out;
+    std::string error;
+    EXPECT_FALSE(ServiceCore::events_window(config, journal_, 1, out, error));
+    EXPECT_NE(error.find(where), std::string::npos) << error;
+  };
+  {  // One completion in, the breaker picks device 1; seq=2 ran on device 0.
+    ServiceJournal journal(journal_, config.fingerprint(), /*fresh=*/true);
+    admit(journal, 1, 0);
+    admit(journal, 2, 0);
+    journal.start({1, 0, 0.0});
+    OutcomeRecord outcome;
+    outcome.seq = 1;
+    journal.outcome(outcome);
+    journal.start({2, 0, 0.0});
+  }
+  expect_refused("record 4 (seq=2)", "picks device 1");
+  {  // seq=2 outranks seq=1, so the queue would run it first.
+    ServiceJournal journal(journal_, config.fingerprint(), /*fresh=*/true);
+    admit(journal, 1, 0);
+    admit(journal, 2, 5);
+    journal.start({1, 0, 0.0});
+  }
+  expect_refused("record 2 (seq=1)", "not next in the queue");
+}
+
 TEST_F(ServiceCoreTest, ResumeRefusesAForeignConfiguration) {
   {
     ServiceCore core(small_config(), journal_, /*resume=*/false);

@@ -1,8 +1,8 @@
 // Streaming-telemetry tests: TelemetryHub backpressure (ring overflow with
 // exact DROPPED accounting, drop-oldest ordering after a partial drain,
-// heartbeats, stall eviction, the subscriber-table bound), TelemetryFeed
-// purity (the event stream is a pure function of the record sequence,
-// breaker transitions included), and ServiceCore's WATCH plumbing — a live
+// heartbeats, stall eviction, the subscriber-table bound), the journal fold
+// behind the stream (a pure function of the record sequence, breaker
+// transitions included), and ServiceCore's WATCH plumbing — a live
 // subscription and a `WATCH FROM <seq>` resume must both be byte-identical
 // to the offline `events_window()` regeneration of the same journal.
 #include "src/service/telemetry.h"
@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -215,6 +216,9 @@ TEST(TelemetryHub, DecisionRecorderRingWrapFeedsLiveSubscriber) {
 }
 
 // -- TelemetryFeed: the stream is a pure function of the record sequence ----
+//
+// Each journal below is one a live core writes when every SUBMIT is followed
+// by a step: admit, start (on the device the breaker chooses), outcome.
 
 ServiceRecord admit_record(std::uint64_t seq) {
   ServiceRecord r;
@@ -243,6 +247,52 @@ ServiceRecord outcome_record(std::uint64_t seq, std::uint64_t device, bool ok) {
   return r;
 }
 
+/// One submit-and-step round: request `seq` runs on `device`.
+void add_request(std::vector<ServiceRecord>& records, std::uint64_t seq,
+                 std::uint64_t device, bool ok) {
+  records.push_back(admit_record(seq));
+  records.push_back(start_record(seq, device));
+  records.push_back(outcome_record(seq, device, ok));
+}
+
+/// Journal `records` to `path` and regenerate their event payloads offline.
+std::vector<std::string> journal_events(const ServiceConfig& config,
+                                        const std::string& path,
+                                        const std::vector<ServiceRecord>& records) {
+  {
+    ServiceJournal journal(path, config.fingerprint(), /*fresh=*/true);
+    for (const ServiceRecord& r : records) {
+      switch (r.kind) {
+        case RecordKind::kAdmit: journal.admit(r.admit); break;
+        case RecordKind::kShed: journal.shed(r.shed); break;
+        case RecordKind::kStart: journal.start(r.start); break;
+        case RecordKind::kOutcome: journal.outcome(r.outcome); break;
+      }
+    }
+  }
+  std::string out;
+  std::string error;
+  EXPECT_TRUE(ServiceCore::events_window(config, path, 1, out, error)) << error;
+  std::vector<std::string> events;
+  std::istringstream lines(out);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::string prefix = "EVENT " + std::to_string(events.size() + 1) + " ";
+    EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
+    events.push_back(line.substr(prefix.size()));
+  }
+  std::filesystem::remove(path);
+  return events;
+}
+
+std::string scratch_journal() {
+  return (std::filesystem::temp_directory_path() /
+          (std::string("gg_telemetry_feed_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".journal"))
+      .string();
+}
+
 TEST(TelemetryFeed, DerivesBreakerTransitionsFromTheRecordStream) {
   ServiceConfig config;
   config.devices = 2;
@@ -250,34 +300,29 @@ TEST(TelemetryFeed, DerivesBreakerTransitionsFromTheRecordStream) {
   config.breaker.probe_after = 2;
 
   std::vector<ServiceRecord> records;
-  records.push_back(admit_record(1));
-  records.push_back(start_record(1, 0));
-  records.push_back(outcome_record(1, 0, false));  // failure 1 of 2
-  records.push_back(start_record(2, 0));
-  records.push_back(outcome_record(2, 0, false));  // opens device 0
-  records.push_back(start_record(3, 1));
-  records.push_back(outcome_record(3, 1, true));   // probe clock: 1 of 2
-  records.push_back(start_record(4, 1));
-  records.push_back(outcome_record(4, 1, true));   // probe clock: 2 of 2
-  records.push_back(start_record(5, 0));           // the claim *is* the probe
-  records.push_back(outcome_record(5, 0, true));   // probe succeeds
+  add_request(records, 1, 0, false);  // failure 1 of 2
+  add_request(records, 2, 1, true);   // rotation: completions 1 -> device 1
+  add_request(records, 3, 0, false);  // failure 2 of 2: opens device 0
+  add_request(records, 4, 1, true);   // probe clock: 1 of 2
+  add_request(records, 5, 1, true);   // probe clock: 2 of 2 (0 is skipped)
+  add_request(records, 6, 0, true);   // the claim *is* the probe; it succeeds
 
-  const auto events = telemetry_events(config, records);
-  // Eleven record renders plus three derived breaker events.
-  ASSERT_EQ(events.size(), 14u);
-  EXPECT_EQ(events[5],
-            "breaker device=0 transition=opened state=open completions=2");
-  EXPECT_EQ(events[11],
-            "breaker device=0 transition=probing state=half-open completions=4");
-  EXPECT_EQ(events[13],
-            "breaker device=0 transition=closed state=closed completions=5");
+  const auto events = journal_events(config, scratch_journal(), records);
+  // Eighteen record renders plus three derived breaker events.
+  ASSERT_EQ(events.size(), 21u);
+  EXPECT_EQ(events[9],
+            "breaker device=0 transition=opened state=open completions=3");
+  EXPECT_EQ(events[18],
+            "breaker device=0 transition=probing state=half-open completions=5");
+  EXPECT_EQ(events[20],
+            "breaker device=0 transition=closed state=closed completions=6");
   // Every non-breaker payload is the record's render() line verbatim, so an
   // EVENT payload for an outcome is byte-identical to its report line.
   EXPECT_EQ(events[0], render(records[0]));
-  EXPECT_EQ(events[12], render(records[10]));
+  EXPECT_EQ(events[19], render(records[17]));
 
   // Purity: folding the same records again yields the identical stream.
-  EXPECT_EQ(telemetry_events(config, records), events);
+  EXPECT_EQ(journal_events(config, scratch_journal(), records), events);
 }
 
 TEST(TelemetryFeed, FailedProbeEmitsReopened) {
@@ -287,20 +332,17 @@ TEST(TelemetryFeed, FailedProbeEmitsReopened) {
   config.breaker.probe_after = 1;
 
   std::vector<ServiceRecord> records;
-  records.push_back(start_record(1, 0));
-  records.push_back(outcome_record(1, 0, false));  // opens immediately
-  records.push_back(start_record(2, 1));
-  records.push_back(outcome_record(2, 1, true));   // probe due
-  records.push_back(start_record(3, 0));           // probe claim
-  records.push_back(outcome_record(3, 0, false));  // probe fails
+  add_request(records, 1, 0, false);  // opens immediately
+  add_request(records, 2, 1, true);   // probe due
+  add_request(records, 3, 0, false);  // probe claim; the probe fails
 
-  const auto events = telemetry_events(config, records);
-  ASSERT_EQ(events.size(), 9u);
-  EXPECT_EQ(events[2],
+  const auto events = journal_events(config, scratch_journal(), records);
+  ASSERT_EQ(events.size(), 12u);
+  EXPECT_EQ(events[3],
             "breaker device=0 transition=opened state=open completions=1");
-  EXPECT_EQ(events[6],
+  EXPECT_EQ(events[9],
             "breaker device=0 transition=probing state=half-open completions=2");
-  EXPECT_EQ(events[8],
+  EXPECT_EQ(events[11],
             "breaker device=0 transition=reopened state=open completions=3");
 }
 

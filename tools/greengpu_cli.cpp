@@ -35,7 +35,7 @@
 //                               (campaign / --workload all; 0 = all cores,
 //                               default 1; output is identical for any N)
 //   --sync 0|1                  synchronous (spinning) stack, default 1
-//   --trace FILE.csv            write a 1 Hz platform trace
+//   --trace FILE.csv            write a 1 Hz platform trace (one --workload)
 //   --csv                       machine-readable one-line-per-run output
 //   --no-verify                 skip result verification
 //   --gpus N                    run on N identical simulated cards, in
@@ -177,6 +177,10 @@ void validate_flag_ranges(const Flags& flags) {
         reject(std::string("--") + name + " cannot be combined with --replay");
       }
     }
+  }
+  // One trace file holds one run's trace; --workload all runs them all.
+  if (flags.has("trace") && flags.get_string("workload", "") == "all") {
+    reject("--trace needs a single --workload");
   }
   if (flags.has("checkpoint-every") && flags.get_int("checkpoint-every", 0) < 1) {
     reject("--checkpoint-every must be >= 1 (omit the flag to disable "
@@ -556,14 +560,14 @@ int run(const Flags& flags) {
       print_human(result);
     }
     if (!result.verified) ++failures;
-    if (!trace_file.empty()) {
-      std::ofstream out(trace_file);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", trace_file.c_str());
-        return 2;
-      }
-      sim::write_trace_csv(out, result.trace);
+  }
+  if (!trace_file.empty()) {  // a single workload: validate_flag_ranges
+    std::ofstream out(trace_file);
+    if (!out) {
+      std::fprintf(stderr, "cannot open %s\n", trace_file.c_str());
+      return 2;
     }
+    sim::write_trace_csv(out, results.front().trace);
   }
   return failures == 0 ? 0 : 1;
 }

@@ -11,6 +11,9 @@
 #   sigkill       raw SIGKILL right after the batch: torn-tail territory
 #   faulted       the same pre-result crash on a flaky device, exercising
 #                 the circuit breaker through the kill
+#   after-reopen  a pre-result crash just after the breaker re-opened the
+#                 flaky device on a failed probe: the resumed daemon must
+#                 rebuild the probe's half-open claim, not just the outcomes
 #   replay        greengpud --replay of the golden journal, byte-compared
 #                 against the live report
 #
@@ -40,6 +43,19 @@ RESUME'
 # The flaky-device configuration: device 1 drops most kernel launches and
 # the policies are un-hardened, so its requests DNF and the breaker opens.
 FAULT_FLAGS="--faulty-device 1 --fault-launch 0.9 --breaker-threshold 2 --breaker-probe-after 2"
+# The faulted lanes run a longer batch: device 1 fails twice and opens, sits
+# out two completions, then fails its probe and re-opens, with one request
+# still to run after that.
+FAULT_BATCH='PAUSE
+SUBMIT bfs best-performance
+SUBMIT pathfinder division priority=1
+SUBMIT kmeans greengpu priority=2 deadline=900000
+SUBMIT lud scaling
+SUBMIT bfs scaling
+SUBMIT pathfinder best-performance
+SUBMIT lud best-performance
+SUBMIT bfs division
+RESUME'
 
 start_daemon() { # $1=journal $2=report, extra flags after
   local journal="$1" report="$2"
@@ -57,8 +73,10 @@ start_daemon() { # $1=journal $2=report, extra flags after
   exit 1
 }
 
-submit_batch() {
-  printf '%s\n' "$BATCH" | "$BIN" --client --socket "$SOCK" || true
+submit_batch() { # $1=extra flags: the faulted configuration runs FAULT_BATCH
+  local batch="$BATCH"
+  [ -n "${1:-}" ] && batch="$FAULT_BATCH"
+  printf '%s\n' "$batch" | "$BIN" --client --socket "$SOCK" || true
 }
 
 stats_field() { # $1=field; value from a STATS round trip (empty if daemon gone)
@@ -105,7 +123,7 @@ check_case() { # $1=name $2=crash-arg ("sigkill" for the raw kill) $3=extra flag
   rm -f "$journal" "$report"
   if [ "$crash" = "sigkill" ]; then
     start_daemon "$journal" "$report" $extra
-    submit_batch
+    submit_batch "$extra"
     # Let the executor provably reach mid-batch (admissions journaled plus
     # at least one claimed outcome) so the raw kill always lands on a
     # journal with work both behind and ahead of it.
@@ -114,7 +132,7 @@ check_case() { # $1=name $2=crash-arg ("sigkill" for the raw kill) $3=extra flag
     wait "$DPID" || true
   else
     start_daemon "$journal" "$report" $extra --crash-at "$crash"
-    submit_batch
+    submit_batch "$extra"
     expect_crash
   fi
   start_daemon "$journal" "$report" $extra --resume
@@ -127,7 +145,7 @@ check_case() { # $1=name $2=crash-arg ("sigkill" for the raw kill) $3=extra flag
 for extra in "" "$FAULT_FLAGS"; do
   tag="golden-${extra:+faulted}"
   start_daemon "$DIR/$tag.journal" "$DIR/$tag.report" $extra
-  submit_batch
+  submit_batch "$extra"
   graceful_stop
   echo "OK: $tag drained cleanly"
 done
@@ -143,6 +161,23 @@ check_case pre-result "service-pre-result:1" ""
 check_case post-admit "service-post-admit:4" ""
 check_case sigkill "sigkill" ""
 check_case faulted-pre-result "service-pre-result:3" "$FAULT_FLAGS"
+# Count the outcomes journaled up to the first failed probe (the first
+# `transition=reopened` event of the golden-faulted stream) and kill at the
+# next outcome: its claim is journaled, the breaker has just re-opened.
+# shellcheck disable=SC2086
+"$BIN" --events "$DIR/golden-faulted.journal" --devices 2 --seed 7 $FAULT_FLAGS \
+  > "$DIR/events-faulted.out"
+reopened_after=$(awk '/^EVENT [0-9]+ outcome /{n++} /transition=reopened/{print n; exit}' \
+  "$DIR/events-faulted.out")
+if [ -z "$reopened_after" ]; then
+  echo "the faulted batch never re-opened a probed device" >&2
+  exit 1
+fi
+if [ "$(grep -c '^EVENT [0-9]* outcome ' "$DIR/events-faulted.out")" -le "$reopened_after" ]; then
+  echo "no request left to run after the failed probe" >&2
+  exit 1
+fi
+check_case faulted-after-reopen "service-pre-result:$((reopened_after + 1))" "$FAULT_FLAGS"
 
 # -- streaming telemetry ------------------------------------------------------
 # A live watcher tails a full batch; progress is asserted through the STATS
