@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "src/common/annotations.h"
@@ -35,11 +34,7 @@ enum class RecordMode {
   kCounters,  // count only, no storage
 };
 
-[[nodiscard]] std::string_view to_string(RecordMode mode);
-/// Accepts "full", "ring", "counters"; throws std::invalid_argument otherwise.
-[[nodiscard]] RecordMode record_mode_from_string(std::string_view name);
-
-/// Retention policy knob threaded through RunOptions and the CLI.
+/// Retention policy knob threaded through RunOptions.
 struct RecordOptions {
   RecordMode mode{RecordMode::kFull};
   /// Retained tail length in kRing mode (ignored otherwise).

@@ -79,30 +79,32 @@ FaultConfig FaultConfig::uniform(double rate, std::uint64_t seed) {
 }
 
 FaultConfig FaultConfig::from_flags(const Flags& flags) {
-  FaultConfig cfg;
+  // Range errors name the flag, not the field it sets.
+  const auto read = [&](const char* name, double fallback, bool rate) {
+    const double v = flags.get_double(name, fallback);
+    if (v >= 0.0 && (!rate || v <= 1.0)) return v;
+    throw std::invalid_argument(std::string("--") + name +
+                                (rate ? " must be in [0, 1]" : " must be >= 0"));
+  };
+  FaultConfig c;
   const auto seed = static_cast<std::uint64_t>(
-      flags.get_int("fault-seed", static_cast<long long>(cfg.seed)));
-  if (flags.has("fault-rate")) {
-    cfg = uniform(flags.get_double("fault-rate", 0.0), seed);
-  }
-  cfg.seed = seed;
-  cfg.util_drop_rate = flags.get_double("fault-util-drop", cfg.util_drop_rate);
-  cfg.util_stale_rate = flags.get_double("fault-util-stale", cfg.util_stale_rate);
-  cfg.util_corrupt_rate = flags.get_double("fault-util-corrupt", cfg.util_corrupt_rate);
-  cfg.clock_reject_rate = flags.get_double("fault-clock-reject", cfg.clock_reject_rate);
-  cfg.clock_delay_rate = flags.get_double("fault-clock-delay", cfg.clock_delay_rate);
-  cfg.clock_delay =
-      Seconds{flags.get_double("fault-clock-delay-s", cfg.clock_delay.get())};
-  cfg.clock_clamp_rate = flags.get_double("fault-clock-clamp", cfg.clock_clamp_rate);
-  cfg.launch_fail_rate = flags.get_double("fault-launch", cfg.launch_fail_rate);
-  cfg.host_fail_rate = flags.get_double("fault-host", cfg.host_fail_rate);
-  cfg.throttle_mtbf =
-      Seconds{flags.get_double("fault-throttle-mtbf", cfg.throttle_mtbf.get())};
-  cfg.throttle_duration =
-      Seconds{flags.get_double("fault-throttle-duration", cfg.throttle_duration.get())};
-  // Throws std::invalid_argument naming the offending field; main() prints it.
-  cfg.validate();
-  return cfg;
+      flags.get_int("fault-seed", static_cast<long long>(c.seed)));
+  if (flags.has("fault-rate")) c = uniform(read("fault-rate", 0.0, true), seed);
+  c.seed = seed;
+  c.util_drop_rate = read("fault-util-drop", c.util_drop_rate, true);
+  c.util_stale_rate = read("fault-util-stale", c.util_stale_rate, true);
+  c.util_corrupt_rate = read("fault-util-corrupt", c.util_corrupt_rate, true);
+  c.clock_reject_rate = read("fault-clock-reject", c.clock_reject_rate, true);
+  c.clock_delay_rate = read("fault-clock-delay", c.clock_delay_rate, true);
+  c.clock_delay = Seconds{read("fault-clock-delay-s", c.clock_delay.get(), false)};
+  c.clock_clamp_rate = read("fault-clock-clamp", c.clock_clamp_rate, true);
+  c.launch_fail_rate = read("fault-launch", c.launch_fail_rate, true);
+  c.host_fail_rate = read("fault-host", c.host_fail_rate, true);
+  c.throttle_mtbf = Seconds{read("fault-throttle-mtbf", c.throttle_mtbf.get(), false)};
+  c.throttle_duration =
+      Seconds{read("fault-throttle-duration", c.throttle_duration.get(), false)};
+  c.validate();
+  return c;
 }
 
 std::string to_string(FaultChannel channel) {

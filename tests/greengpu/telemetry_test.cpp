@@ -52,14 +52,6 @@ TEST(DecisionRecorder, ZeroRingCapacityClampsToOne) {
   EXPECT_EQ(r.snapshot(), (std::vector<int>{3}));
 }
 
-TEST(RecordMode, StringRoundTrip) {
-  EXPECT_EQ(record_mode_from_string("full"), RecordMode::kFull);
-  EXPECT_EQ(record_mode_from_string("ring"), RecordMode::kRing);
-  EXPECT_EQ(record_mode_from_string("counters"), RecordMode::kCounters);
-  EXPECT_EQ(to_string(RecordMode::kRing), "ring");
-  EXPECT_THROW((void)record_mode_from_string("verbose"), std::invalid_argument);
-}
-
 // --- runner threading ------------------------------------------------------
 
 RunOptions with_mode(RecordMode mode) {

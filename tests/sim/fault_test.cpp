@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/sim/platform.h"
@@ -29,6 +30,23 @@ TEST(FaultConfig, ValidateNamesTheBadField) {
   cfg = FaultConfig{};
   cfg.launch_fail_rate = -0.1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+// greengpu_cli and greengpud share from_flags, so both name the flag.
+TEST(FaultConfig, FromFlagsNamesTheBadFlag) {
+  const auto error = [](const std::vector<std::string>& tokens) {
+    try {
+      (void)FaultConfig::from_flags(Flags(tokens));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error({"--fault-rate", "2"}), "--fault-rate must be in [0, 1]");
+  EXPECT_EQ(error({"--fault-host", "nan"}), "--fault-host must be in [0, 1]");
+  EXPECT_EQ(error({"--fault-clock-delay-s", "-1"}), "--fault-clock-delay-s must be >= 0");
+  EXPECT_EQ(error({"--fault-throttle-mtbf", "5", "--fault-throttle-duration", "0"}),
+            "FaultConfig: throttle_duration must be > 0 when throttling is enabled");
 }
 
 TEST(FaultConfig, PartitionedChannelSumsMustStayBelowOne) {
