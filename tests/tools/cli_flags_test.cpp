@@ -25,21 +25,27 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Test data: a non-default value for every table flag, the workload a
-/// single run or a campaign probes it on, and the flags that satisfy its
-/// precondition (kept only in modes that read both).  A read flag does not
-/// move every workload: phi 0.5 moves hotspot but not kmeans, and --sync 0
-/// moves lud but not kmeans under the division tier.
+/// Test data: a non-default value for every table flag, the workloads a
+/// single run and a campaign probe it on, and the flags that satisfy its
+/// precondition (kept only in modes that read both).  The table reads a flag
+/// differently by workload class, so the default probes one of each: a
+/// divisible Table II workload (a CPU share), another Table II workload (GPU
+/// only) and a pipeline workload (host work under every policy).  A read
+/// flag does not move every workload: --phi 0.5 moves hotspot but not
+/// kmeans, --sync 0 moves lud but not kmeans under the division tier, and
+/// --beta (0.1, 0.5 or 0.99) moves neither pipeline workload's short run.
 struct Probe {
   std::string value;
-  std::string workload = "kmeans";
+  std::vector<std::string> workloads = {"kmeans", "lud", "kmeans_pipeline"};
   std::vector<std::string> extras = {};
 };
 
 const std::map<std::string, Probe>& probes() {
+  const std::vector<std::string> classes = {"kmeans", "lud", "kmeans_pipeline"};
   const std::vector<std::string> faults = {"--fault-rate", "0.2", "--hardened", "1"};
+  const std::vector<std::string> ckpt = {"--checkpoint-dir", "ckpt"};
   static const std::map<std::string, Probe> kProbes = {
-      {"workload", {"lud"}},
+      {"workload", {"lud", {"kmeans"}}},
       {"policy", {"scaling"}},
       {"ratio", {"0.5"}},
       {"core-level", {"2"}},
@@ -51,32 +57,32 @@ const std::map<std::string, Probe>& probes() {
       {"safeguard", {"0"}},
       {"alpha-c", {"0.5"}},
       {"alpha-m", {"0.5"}},
-      {"phi", {"0.5", "hotspot"}},
-      {"beta", {"0.5"}},
+      {"phi", {"1"}},
+      {"beta", {"0.99", {"kmeans", "pathfinder"}}},
       {"interval", {"1"}},
       {"iterations", {"3"}},
       {"jobs", {"3"}},
-      {"sync", {"0", "lud"}},
+      {"sync", {"0", {"hotspot", "lud", "kmeans_pipeline"}}},
       {"trace", {"out.csv"}},
       {"csv", {"1"}},
       {"no-verify", {"1"}},
       {"gpus", {"2"}},
       {"replay", {"../trace2.csv"}},
-      {"campaign", {"1", "lud"}},
+      {"campaign", {"1"}},
       {"json", {"out.json"}},
       {"markdown", {"1"}},
       {"list", {"1"}},
       {"checkpoint-dir", {"ckpt"}},
       {"checkpoint-every",
-       {"2", "kmeans", {"--checkpoint-dir", "ckpt", "--checkpoint-every", "5"}}},
-      {"resume", {"1", "kmeans", {"--checkpoint-dir", "ckpt"}}},
+       {"2", classes, {"--checkpoint-dir", "ckpt", "--checkpoint-every", "5"}}},
+      {"resume", {"1", classes, ckpt}},
       {"crash-at",
        {"mid-checkpoint",
-        "kmeans",
+        classes,
         {"--checkpoint-dir", "ckpt", "--checkpoint-every", "2"}}},
-      {"hardened", {"1", "kmeans", {"--fault-rate", "0.2", "--fault-seed", "3"}}},
+      {"hardened", {"1", classes, {"--fault-rate", "0.2", "--fault-seed", "3"}}},
       {"fault-rate", {"0.05"}},
-      {"fault-seed", {"3", "kmeans", faults}},
+      {"fault-seed", {"3", classes, faults}},
       {"fault-util-drop", {"0.1"}},
       {"fault-util-stale", {"0.1"}},
       {"fault-util-corrupt", {"0.1"}},
@@ -84,18 +90,18 @@ const std::map<std::string, Probe>& probes() {
       {"fault-clock-delay", {"0.5"}},
       {"fault-clock-clamp", {"0.5"}},
       {"fault-clock-delay-s",
-       {"10", "kmeans", {"--fault-clock-delay", "0.3", "--hardened", "1"}}},
+       {"10", classes, {"--fault-clock-delay", "0.3", "--hardened", "1"}}},
       {"fault-launch", {"0.1"}},
       {"fault-host", {"0.1"}},
       {"fault-throttle-mtbf", {"20"}},
       {"fault-throttle-duration",
-       {"15", "kmeans", {"--fault-throttle-mtbf", "20", "--hardened", "1"}}},
+       {"15", classes, {"--fault-throttle-mtbf", "20", "--hardened", "1"}}},
       {"engine", {"batch"}},
-      {"fault-replicates", {"2", "kmeans", faults}},
-      {"fault-warmup", {"5", "kmeans", faults}},
-      {"pipeline", {"0", "kmeans_pipeline"}},
-      {"stream-depth", {"1", "kmeans_pipeline"}},
-      {"chunks", {"4", "kmeans_pipeline"}},
+      {"fault-replicates", {"2", classes, faults}},
+      {"fault-warmup", {"5", classes, faults}},
+      {"pipeline", {"0"}},
+      {"stream-depth", {"1"}},
+      {"chunks", {"4"}},
   };
   return kProbes;
 }
@@ -127,7 +133,9 @@ std::string slurp(const fs::path& path) {
 
 class CliProbe {
  public:
-  CliProbe() : dir_(fs::current_path() / "cli_flags_probe") {
+  /// `name` keeps the scratch directories of tests that run at once apart.
+  explicit CliProbe(const std::string& name)
+      : dir_(fs::current_path() / ("cli_flags_probe_" + name)) {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     // Forty phases, so that every WMA knob moves the replay; the second
@@ -188,7 +196,8 @@ std::string join(const std::vector<std::string>& args) {
 
 TEST(CliFlagTable, EveryFlagChangesTheOutputOrIsRefused) {
   for (const auto& [name, probe] : probes()) (void)row_of(name);  // no stale test data
-  CliProbe cli;
+  CliProbe cli("sweep");
+  std::map<std::string, int> read;  // probes that ran a flag the table reads
   static constexpr const char* kPolicies[] = {
       "best-performance", "scaling", "division", "greengpu", "static-division",
       "static-pair"};
@@ -197,33 +206,35 @@ TEST(CliFlagTable, EveryFlagChangesTheOutputOrIsRefused) {
     ASSERT_TRUE(probes().contains(row.name)) << "no probe for --" << row.name;
     EXPECT_STRNE(row.help, "");
     const Probe& probe = probes().at(row.name);
-    // The policy tiers a case runs: the campaign matrix runs all of them.
+    // The tiers a case reads; a campaign's are greengpu's (tiers_of).
     struct Case {
       Mode mode;
       unsigned tiers;
       std::vector<std::string> args;
     };
-    const unsigned greengpu = tiers_of("greengpu");
-    std::vector<Case> cases = {
-        {kAll, greengpu, {"--workload", "all"}},
-        {kReplay, greengpu, {"--replay", "../trace.csv"}},
-        {kCampaign, ~0U, {"--campaign", "--workload", probe.workload}},
-        {kList, 0, {"--list"}}};
-    if (std::string(row.name) == "policy") {
-      cases.push_back({kSingle, greengpu, {"--workload", probe.workload}});
-    } else {
+    const unsigned greengpu = tiers_of("greengpu", "all");
+    std::vector<Case> cases = {{kAll, greengpu, {"--workload", "all"}},
+                               {kReplay, greengpu, {"--replay", "../trace.csv"}},
+                               {kList, 0, {"--list"}}};
+    for (const std::string& workload : probe.workloads) {
+      const unsigned tiers = tiers_of("greengpu", workload);
+      cases.push_back({kCampaign, tiers, {"--campaign", "--workload", workload}});
+      if (std::string(row.name) == "policy") {
+        cases.push_back({kSingle, tiers, {"--workload", workload}});
+        continue;
+      }
       for (const char* policy : kPolicies) {
         cases.push_back({kSingle,
-                         tiers_of(policy),
-                         {"--workload", probe.workload, "--policy", policy}});
+                         tiers_of(policy, workload),
+                         {"--workload", workload, "--policy", policy}});
       }
     }
     for (Case& c : cases) {
-      // A mode flag is not probed in the mode its presence selects.
+      // A mode flag is probed in its own mode against the run without it.
       const std::string name = row.name;
       if ((name == "list" && c.mode == kList) ||
           (name == "campaign" && c.mode == kCampaign)) {
-        continue;
+        std::erase(c.args, "--" + name);
       }
       const auto reads = [&](const FlagRow& r, Mode mode) {
         return (r.modes & mode) != 0 && (r.tiers == 0 || (r.tiers & c.tiers) != 0);
@@ -247,13 +258,21 @@ TEST(CliFlagTable, EveryFlagChangesTheOutputOrIsRefused) {
             probed.status == 2 && probed.err.find("--" + name) != std::string::npos;
         const std::string status = " (exit " + std::to_string(probed.status) +
                                    ", stderr: " + probed.err + ")";
-        // A flag the table says this run does not read must be refused.  (The
+        // A flag the table says this run does not read, or whose precondition
+        // or value it refuses, must be refused; any other must not be.  (The
         // probe's own mode: --campaign turns --workload all into a campaign.)
-        if (!reads(row, mode_of(Flags(args)))) {
+        bool table_refuses = !reads(row, mode_of(Flags(args)));
+        try {
+          (void)check_flags(Flags(args));
+        } catch (const std::invalid_argument&) {
+          table_refuses = true;
+        }
+        if (table_refuses) {
           EXPECT_TRUE(refused) << join(args) << " is not refused" << status;
           continue;
         }
-        if (refused) continue;
+        EXPECT_FALSE(refused) << join(args) << " is refused" << status;
+        ++read[name];
         const bool same = probed.status == base.status && probed.out == base.out &&
                           probed.files == base.files;
         EXPECT_EQ(same, row.identical_output)
@@ -261,7 +280,57 @@ TEST(CliFlagTable, EveryFlagChangesTheOutputOrIsRefused) {
             << status;
       }
     }
+    // Every refusal by mode, tier or precondition is backed by a run that
+    // reads the flag.
+    EXPECT_GT(read[row.name], 0) << "--" << row.name << " is read by no probe";
   }
+}
+
+/// Runs where a flag has an effect, stated apart from the table: the sweep
+/// above holds the binary to the table, these hold the table to the runs.
+/// The flag under test is the last pair of tokens; without it the run must
+/// pass the table too, and adding it must change the output.
+TEST(CliFlagTable, KnownReadersAreReadAndMoveTheOutput) {
+  static const std::vector<std::vector<std::string>> kReaders = {
+      // A pipeline workload's host stage submits host work under any policy.
+      {"--workload", "kmeans_pipeline", "--policy", "best-performance", "--fault-host",
+       "0.1"},
+      {"--workload", "srad_stream", "--policy", "static-pair", "--fault-host", "0.3"},
+      {"--campaign", "--workload", "kmeans_pipeline", "--fault-host", "0.1"},
+      // A CPU share needs a divisible workload; --workload all holds two.
+      {"--workload", "all", "--policy", "static-division", "--ratio", "0.5"},
+      {"--workload", "hotspot", "--policy", "division", "--gpus", "2", "--step", "0.2"},
+      {"--campaign", "--fault-launch", "0.05", "--hardened", "1", "--fault-host", "0.5"},
+      // A replayed trace runs the GPU scaler, and with it the utilization faults.
+      {"--replay", "../trace.csv", "--fault-launch", "0.05", "--hardened", "1",
+       "--fault-util-stale", "0.3"},
+      // Pipeline tuning reaches a campaign over a pipeline workload.
+      {"--campaign", "--workload", "srad_stream", "--stream-depth", "1"},
+  };
+  CliProbe cli("readers");
+  for (const std::vector<std::string>& args : kReaders) {
+    SCOPED_TRACE(join(args));
+    const std::vector<std::string> base_args(args.begin(), args.end() - 2);
+    EXPECT_NO_THROW((void)check_flags(Flags(base_args)));
+    EXPECT_NO_THROW((void)check_flags(Flags(args)));
+    const Outcome base = cli.run(base_args);
+    const Outcome probed = cli.run(args);
+    EXPECT_NE(probed.status, 2) << probed.err;
+    EXPECT_TRUE(probed.status != base.status || probed.out != base.out ||
+                probed.files != base.files);
+  }
+}
+
+TEST(CliFlagTable, ModeFlagSetOffReadsAsAbsent) {
+  const auto mode = [](const std::vector<std::string>& tokens) {
+    return check_flags(Flags(tokens)).mode;
+  };
+  EXPECT_EQ(mode({"--campaign", "0", "--workload", "lud"}), kSingle);
+  EXPECT_EQ(mode({"--list", "0", "--workload", "all"}), kAll);
+  EXPECT_EQ(mode({"--replay", "", "--workload", "lud"}), kSingle);
+  EXPECT_EQ(mode({"--campaign", "0", "--list"}), kList);
+  EXPECT_EQ(mode({"--list", "false", "--replay", "t.csv"}), kReplay);
+  EXPECT_THROW(mode({"--campaign", "1", "--list"}), std::invalid_argument);
 }
 
 TEST(CliFlagTable, FuzzedCommandLinesPassOrThrowInvalidArgument) {

@@ -30,8 +30,10 @@ inline constexpr unsigned kPolicyRuns = kSingle | kAll | kReplay;
 inline constexpr unsigned kMatrixRuns = kSingle | kAll | kCampaign;
 inline constexpr unsigned kEveryRun = kSingle | kAll | kReplay | kCampaign;
 
-/// Policy tiers; a row without tiers is read under every policy.
-enum Tier : unsigned { kDivision = 1, kWma = 2, kStaticDivision = 4, kStaticPair = 8 };
+/// What a run reads beyond its mode: the policy's tiers, and a pipeline
+/// workload's host stage; a row without tiers is read under every policy.
+enum Tier : unsigned { kDivision = 1, kWma = 2, kStaticDivision = 4, kStaticPair = 8,
+                       kHostStage = 16 };
 
 enum Type { kBool, kInt, kDouble, kString };
 
@@ -146,7 +148,7 @@ inline constexpr FlagRow kFlags[] = {
      .needs = kClockDelay, .help = "late clock write delay, s (default 0.5)"},
     {.name = "fault-launch", .type = kDouble, .modes = kEveryRun, .help = "launch fails"},
     {.name = "fault-host", .type = kDouble, .modes = kMatrixRuns,
-     .tiers = kDivision | kStaticDivision, .help = "host chunk fails"},
+     .tiers = kDivision | kStaticDivision | kHostStage, .help = "host chunk fails"},
     {.name = "fault-throttle-mtbf", .type = kDouble, .modes = kEveryRun,
      .help = "mean s between throttle episodes"},
     {.name = "fault-throttle-duration", .type = kDouble, .modes = kEveryRun,
@@ -206,17 +208,33 @@ inline Mode mode_of(const Flags& flags) {
   return flags.get_string("workload") == "all" ? kAll : kSingle;
 }
 
-/// Why a flag is refused in a mode that does not read it, by mode bit.
+/// --campaign 0, --list 0 or --replay "" selects no mode: the flag reads as absent.
+inline bool mode_flag_off(const Flags& flags, const std::string& name) {
+  if (name == "replay") return flags.get_string(name).empty();
+  return (name == "list" || name == "campaign") && !flags.get_bool(name, false);
+}
+
+/// Why a mode does not read a flag, by mode bit; a single run reads every row
+/// but the campaign's and the mode flags.
 inline constexpr const char* kModeRefusal[] = {
-    " is not read by a single --workload run", " needs a single --workload",
+    " requires --campaign", " needs a single --workload",
     " cannot be combined with --replay", " cannot be combined with --campaign",
     " cannot be combined with --list"};
 
-inline unsigned tiers_of(const std::string& policy) {
-  if (policy == "static-division") return kStaticDivision;
-  if (policy == "static-pair") return kStaticPair;
+/// The tiers a run of `workload` reads under `policy` (a campaign: greengpu).
+/// A CPU share needs a divisible workload, as --workload all and a campaign
+/// without one hold; a pipeline workload submits host work under any policy.
+inline unsigned tiers_of(const std::string& policy, const std::string& workload) {
+  const auto has = [&](const std::vector<std::string>& names) {
+    return std::ranges::find(names, workload) != names.end();
+  };
+  const bool divisible =
+      workload.empty() || workload == "all" || has(workloads::divisible_workload_names());
+  const unsigned host = has(workloads::pipeline_workload_names()) ? kHostStage : 0U;
+  if (policy == "static-division") return (divisible ? kStaticDivision : 0U) | host;
+  if (policy == "static-pair") return kStaticPair | host;
   const greengpu::Policy p = greengpu::policy_by_name(policy);
-  return (p.division ? kDivision : 0U) | (p.gpu_scaling ? kWma : 0U);
+  return (p.division && divisible ? kDivision : 0U) | (p.gpu_scaling ? kWma : 0U) | host;
 }
 
 struct Checked {
@@ -244,34 +262,31 @@ inline Checked check_flags(const Flags& flags) {
         !(row.open ? (v > row.lo && v < row.hi) : (v >= row.lo && v <= row.hi))) {
       reject(row, " must be " + range_text(row) + row.range_note);
     }
-    if ((row.modes & mode) != 0) continue;
+    if ((row.modes & mode) != 0 || mode_flag_off(flags, row.name)) continue;
     reject(row, row.modes == kCampaign ? " requires --campaign"
                                        : kModeRefusal[std::countr_zero(unsigned{mode})]);
   }
-  unsigned tiers = 0;
-  if ((mode & kPolicyRuns) != 0) {
-    const std::string policy = flags.get_string("policy", "greengpu");
-    tiers = tiers_of(policy);
-    for (const FlagRow& row : kFlags) {
-      if (row.tiers != 0 && (row.tiers & tiers) == 0 && flags.has(row.name)) {
-        reject(row, " cannot be used with --policy " + policy);
-      }
+  const std::string policy = flags.get_string("policy", "greengpu");
+  const std::string workload = flags.get_string("workload");
+  const unsigned tiers = tiers_of(policy, workload);
+  for (const FlagRow& row : kFlags) {
+    if (flags.has(row.name) && row.tiers != 0 && (row.tiers & tiers) == 0) {
+      reject(row, (row.tiers & tiers_of(policy, "all")) != 0
+                      ? " cannot be used with --workload " + workload
+                      : " cannot be used with --policy " + policy);
     }
   }
   // Ranges of the --fault-* family are checked where they are parsed, for
   // greengpud too.
   const sim::FaultConfig faults = sim::FaultConfig::from_flags(flags);
   const bool checkpoint_dir = !flags.get_string("checkpoint-dir").empty();
-  const auto pipeline = workloads::pipeline_workload_names();
-  const bool pipeline_workload =
-      std::ranges::find(pipeline, flags.get_string("workload")) != pipeline.end();
   const bool met[] = {true,  // indexed by Needs
                       faults.any_faults(),
                       faults.clock_delay_rate > 0.0,
                       faults.throttle_mtbf > Seconds{0.0},
                       checkpoint_dir,
                       mode == kCampaign || flags.has("checkpoint-every"),
-                      pipeline_workload};
+                      (tiers & kHostStage) != 0};
   for (const FlagRow& row : kFlags) {
     if (flags.has(row.name) && !met[row.needs]) reject(row, kNeedsText[row.needs]);
   }
@@ -291,7 +306,7 @@ inline Checked check_flags(const Flags& flags) {
     const KillPoint point = sim::parse_crash_spec(spec).point;
     const bool reached =
         point == KillPoint::kPreScalerStep || point == KillPoint::kPostScalerStep
-            ? mode == kCampaign || (tiers & kWma) != 0
+            ? (tiers & kWma) != 0
         : point == KillPoint::kMidCheckpoint ? checkpoint_dir
         : point == KillPoint::kMidCampaignCell && mode == kCampaign && checkpoint_dir;
     if (!reached) throw std::invalid_argument("--crash-at " + spec + " is never reached");

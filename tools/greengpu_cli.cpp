@@ -91,11 +91,10 @@ void print_human(const greengpu::ExperimentResult& r) {
                                           : (r.verified ? "verified" : "VERIFY FAILED"));
 }
 
-void print_csv_row(CsvWriter& w, const greengpu::ExperimentResult& r) {
-  w.row_values(r.workload, r.policy, r.exec_time.get(), r.gpu_energy.get(),
-               r.cpu_energy.get(), r.total_energy().get(), r.final_ratio,
-               r.gpu_dynamic_energy().get(), r.emulated_cpu_throttle_energy().get(),
-               r.verified ? 1 : 0);
+/// False, after saying so on stderr, when `stream` could not open `file`.
+bool opened(const std::ios& stream, const std::string& file) {
+  if (!stream) std::fprintf(stderr, "cannot open %s\n", file.c_str());
+  return !stream.fail();
 }
 
 int run(const Flags& flags) {
@@ -105,9 +104,9 @@ int run(const Flags& flags) {
   // with exit code 70 exactly where a SIGKILL would leave it (no flushes),
   // which is what the CI crash-recovery matrix supervises from outside.
   std::optional<sim::CrashInjector> crash;
-  const std::string crash_at = flags.get_string("crash-at", "");
-  if (!crash_at.empty()) {
-    crash.emplace(sim::parse_crash_spec(crash_at), sim::CrashMode::kExit);
+  if (flags.has("crash-at")) {
+    crash.emplace(sim::parse_crash_spec(flags.get_string("crash-at")),
+                  sim::CrashMode::kExit);
   }
 
   const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
@@ -126,10 +125,9 @@ int run(const Flags& flags) {
     for (const auto& n : workloads::pipeline_workload_names()) {
       std::printf(" %s", n.c_str());
     }
-    std::printf("\npolicies: best-performance scaling division greengpu "
-                "static-division static-pair\n");
-    std::printf("dividers: step qilin energy\n");
-    std::printf("governors: none performance powersave ondemand conservative wma\n");
+    std::printf("\npolicies: best-performance scaling division greengpu static-division "
+                "static-pair\ndividers: step qilin energy\n"
+                "governors: none performance powersave ondemand conservative wma\n");
     return 0;
   }
 
@@ -146,10 +144,8 @@ int run(const Flags& flags) {
     greengpu::CampaignConfig cfg;
     cfg.jobs = jobs;
     cfg.options = options;
-    // Checked by cli::check_flags; .value() cannot throw here.
-    cfg.engine = greengpu::campaign_engine_from_string(
-                     flags.get_string("engine", "scalar"))
-                     .value();
+    const std::string engine = flags.get_string("engine", "scalar");
+    cfg.engine = greengpu::campaign_engine_from_string(engine).value();  // checked
     cfg.fault_replicates =
         static_cast<std::size_t>(flags.get_int("fault-replicates", 0));
     if (flags.get_bool("hardened", false)) {
@@ -180,10 +176,7 @@ int run(const Flags& flags) {
     }
     if (!json_file.empty()) {
       std::ofstream out(json_file);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", json_file.c_str());
-        return 2;
-      }
+      if (!opened(out, json_file)) return 2;
       greengpu::write_campaign_json(out, result);
     }
     return result.all_verified() ? 0 : 1;
@@ -195,10 +188,7 @@ int run(const Flags& flags) {
   if (checked.mode == cli::kReplay) {
     const std::string replay_file = flags.get_string("replay", "");
     std::ifstream in(replay_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", replay_file.c_str());
-      return 2;
-    }
+    if (!opened(in, replay_file)) return 2;
     workloads::TraceWorkload wl = workloads::TraceWorkload::from_csv(in);
     std::printf("replaying %zu trace phases (%.1f s at peak clocks)\n",
                 wl.phases().size(), wl.trace_duration().get());
@@ -223,12 +213,9 @@ int run(const Flags& flags) {
   options.record_trace = !trace_file.empty();
   const bool csv = flags.get_bool("csv", false);
 
-  std::vector<std::string> names;
-  if (checked.mode == cli::kAll) {
-    names = workloads::all_workload_names();
-  } else {
-    names.push_back(workload);
-  }
+  const std::vector<std::string> names = checked.mode == cli::kAll
+                                             ? workloads::all_workload_names()
+                                             : std::vector<std::string>{workload};
 
   CsvWriter csv_writer(std::cout);
   if (csv) {
@@ -248,20 +235,20 @@ int run(const Flags& flags) {
   });
 
   int failures = 0;
-  for (const auto& result : results) {
+  for (const auto& r : results) {
     if (csv) {
-      print_csv_row(csv_writer, result);
+      csv_writer.row_values(r.workload, r.policy, r.exec_time.get(), r.gpu_energy.get(),
+                            r.cpu_energy.get(), r.total_energy().get(), r.final_ratio,
+                            r.gpu_dynamic_energy().get(),
+                            r.emulated_cpu_throttle_energy().get(), r.verified ? 1 : 0);
     } else {
-      print_human(result);
+      print_human(r);
     }
-    if (!result.verified) ++failures;
+    if (!r.verified) ++failures;
   }
   if (!trace_file.empty()) {  // a single workload: cli::check_flags
     std::ofstream out(trace_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", trace_file.c_str());
-      return 2;
-    }
+    if (!opened(out, trace_file)) return 2;
     sim::write_trace_csv(out, results.front().trace);
   }
   return failures == 0 ? 0 : 1;
