@@ -1,6 +1,7 @@
 #include "src/common/killpoint.h"
 
 #include <cstdlib>
+#include <limits>
 
 namespace gg::common {
 
@@ -9,8 +10,6 @@ std::atomic<std::int64_t> g_kill_remaining{0};
 std::atomic<std::uint8_t> g_kill_point{0};
 std::atomic<std::uint8_t> g_kill_mode{0};
 std::atomic<bool> g_kill_fired{false};
-std::atomic<std::uint64_t> g_kill_nth{1};
-std::atomic<std::uint64_t> g_kill_shots{1};
 
 void trigger(KillPoint point) {
   g_kill_fired.store(true, std::memory_order_release);
@@ -19,14 +18,6 @@ void trigger(KillPoint point) {
     // Real process death: no destructors, no atexit, no stream flushes —
     // buffered journal bytes are lost exactly as with SIGKILL.
     std::_Exit(kCrashExitCode);
-  }
-  // Multi-shot arms model a persistent fault: re-arm for another `nth`
-  // hits before unwinding, so the supervised retry crashes here again
-  // until the shots are spent.
-  if (g_kill_shots.fetch_sub(1, std::memory_order_acq_rel) > 1) {
-    g_kill_remaining.store(
-        static_cast<std::int64_t>(g_kill_nth.load(std::memory_order_relaxed)),
-        std::memory_order_release);
   }
   throw CrashInjected(point);
 }
@@ -57,15 +48,15 @@ KillPoint kill_point_from_string(std::string_view name) {
       "mid-campaign-cell service-post-admit service-pre-result)");
 }
 
-void arm_kill_point(KillPoint point, std::uint64_t nth, CrashMode mode,
-                    std::uint64_t shots) {
-  if (nth == 0) throw std::invalid_argument("arm_kill_point: nth must be >= 1");
-  if (shots == 0) throw std::invalid_argument("arm_kill_point: shots must be >= 1");
+void arm_kill_point(KillPoint point, std::uint64_t nth, CrashMode mode) {
+  constexpr auto kMaxNth =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (nth == 0 || nth > kMaxNth) {
+    throw std::invalid_argument("arm_kill_point: nth must be in [1, INT64_MAX]");
+  }
   detail::g_kill_point.store(static_cast<std::uint8_t>(point), std::memory_order_relaxed);
   detail::g_kill_mode.store(static_cast<std::uint8_t>(mode), std::memory_order_relaxed);
   detail::g_kill_fired.store(false, std::memory_order_relaxed);
-  detail::g_kill_nth.store(nth, std::memory_order_relaxed);
-  detail::g_kill_shots.store(shots, std::memory_order_relaxed);
   detail::g_kill_remaining.store(static_cast<std::int64_t>(nth),
                                  std::memory_order_release);
 }

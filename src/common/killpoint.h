@@ -1,13 +1,14 @@
 // Named kill-points for crash-consistency testing.
 //
-// A kill-point is a deterministic place in the code where a test or the CLI
-// can make the process "die": either by throwing CrashInjected (in-process
-// supervision, used by ctest) or by calling std::_Exit (real process death,
-// used by the CI crash-recovery matrix — no destructors, no stream flushes,
-// exactly what a SIGKILL leaves behind).  Instrumented code calls
-// `killpoint(KillPoint::k...)` at the named spots; the check is one relaxed
-// atomic load when nothing is armed, so shipping the probes in the scaler
-// step and the checkpoint writer costs nothing in normal runs.
+// A kill-point is a deterministic place in the code where a test or a binary
+// can make the process "die": either by calling std::_Exit (real process
+// death, armed by --crash-at in greengpu_cli and greengpud — no destructors,
+// no stream flushes, exactly what a SIGKILL leaves behind) or, in ctest, by
+// throwing CrashInjected, which unwinds the run so the test can start a
+// fresh one with resume on, as a restarted process would.  Instrumented
+// code calls `killpoint(KillPoint::k...)` at the named spots; the check is
+// one relaxed atomic load when nothing is armed, so shipping the probes in
+// the scaler step and the checkpoint writer costs nothing in normal runs.
 //
 // This lives in common/ (not sim/) because the snapshot writer itself hosts
 // the mid-checkpoint kill-point and common cannot depend on sim;
@@ -43,7 +44,7 @@ inline constexpr int kKillPointCount = 6;
 
 /// What happens when an armed kill-point triggers.
 enum class CrashMode : std::uint8_t {
-  kThrow,  ///< throw CrashInjected (in-process supervisor / ctest)
+  kThrow,  ///< throw CrashInjected (ctest's in-process stand-in for death)
   kExit,   ///< std::_Exit(kCrashExitCode): real process death (CLI / CI)
 };
 
@@ -52,8 +53,8 @@ enum class CrashMode : std::uint8_t {
 inline constexpr int kCrashExitCode = 70;
 
 /// The exception a kThrow kill-point raises.  Propagates through
-/// common::JobPool (which rethrows after draining in-flight cells), so a
-/// RecoverySupervisor catches it at the campaign boundary.
+/// common::JobPool (which rethrows after draining in-flight cells) out of
+/// the campaign, leaving on disk what a process death there would leave.
 class CrashInjected : public std::runtime_error {
  public:
   explicit CrashInjected(KillPoint point)
@@ -68,25 +69,19 @@ class CrashInjected : public std::runtime_error {
 
 namespace detail {
 /// Hits remaining until the armed point fires; <= 0 means disarmed or
-/// out of shots (a kill-point is single-shot by default, so a resumed
-/// in-process run sails past it).
+/// already fired (a kill-point fires once, so a resumed in-process run
+/// sails past it).
 extern std::atomic<std::int64_t> g_kill_remaining;
 extern std::atomic<std::uint8_t> g_kill_point;
 extern std::atomic<std::uint8_t> g_kill_mode;
 [[noreturn]] void trigger(KillPoint point);
 }  // namespace detail
 
-/// Arm `point` to fire on its `nth` hit (1 = the next one) process-wide.
-/// `shots` is how many times the point fires in total: after each firing it
-/// re-arms for another `nth` hits until the shots are spent.  shots > 1 is
-/// how tests model a *persistent* fault — a supervisor that restarts the
-/// work crashes again at the same place until its budget runs out (only
-/// meaningful in kThrow mode; a kExit firing ends the process).  Only one
-/// point can be armed at a time; re-arming replaces the previous arm.
-/// Thread-safe: concurrent hits from campaign workers elect exactly one
-/// trigger.
-void arm_kill_point(KillPoint point, std::uint64_t nth, CrashMode mode,
-                    std::uint64_t shots = 1);
+/// Arm `point` to fire once, on its `nth` hit (1 = the next one),
+/// process-wide.  `nth` must lie in [1, INT64_MAX].  Only one point can be
+/// armed at a time; re-arming replaces the previous arm.  Thread-safe:
+/// concurrent hits from campaign workers elect exactly one trigger.
+void arm_kill_point(KillPoint point, std::uint64_t nth, CrashMode mode);
 
 /// Disarm whatever is armed (idempotent).
 void disarm_kill_points();

@@ -245,29 +245,4 @@ CampaignResult run_campaign_checkpointed(const CampaignConfig& config,
   return out;
 }
 
-CampaignResult RecoverySupervisor::run(const CampaignProgress& progress) {
-  restarts_ = 0;
-  restart_delays_.clear();
-  common::ExponentialBackoff backoff(backoff_);
-  CheckpointOptions ckpt = ckpt_;
-  for (;;) {
-    try {
-      return run_campaign_checkpointed(config_, ckpt, progress);
-    } catch (const common::CrashInjected&) {
-      if (restarts_ >= max_restarts_) throw;
-      ++restarts_;
-      // The planned delay before this retry.  The supervisor never sleeps
-      // itself (campaign time is simulated and tests must stay instant);
-      // daemon-style callers read restart_delays() and sleep for real.
-      restart_delays_.push_back(backoff.next());
-      // The journal holds every cell finished before the crash; pick up
-      // from there.  (A single-shot kill-point stays quiet on the retry —
-      // the "crash was transient" model; a multi-shot arm keeps crashing
-      // until its shots or this budget run out — the persistent-fault
-      // model.)
-      ckpt.resume = true;
-    }
-  }
-}
-
 }  // namespace gg::greengpu

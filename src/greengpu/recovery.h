@@ -1,4 +1,4 @@
-// Crash recovery: the campaign journal and the RecoverySupervisor.
+// Crash recovery: the campaign journal and run_campaign_checkpointed.
 //
 // A campaign is a (workload x policy) matrix of independent, deterministic
 // cells (campaign.h).  Crash consistency therefore works at cell
@@ -17,19 +17,17 @@
 // campaign plan and options refuses to resume against a journal written by a
 // different configuration.
 //
-// The RecoverySupervisor is the in-process form of "systemd restarts the
-// daemon": it runs the checkpointed campaign, catches CrashInjected (the
-// throw-mode kill-point), flips resume on and tries again, up to a restart
-// budget.  Real process death (exit-mode kill-points, exit code 70) is
-// supervised the same way from the outside by the CI crash-recovery matrix
-// re-invoking `greengpu_cli --campaign --resume`.
+// There is one crash model: the process dies (an exit-mode kill-point exits
+// 70, as SIGKILL would leave it) and a new one runs `greengpu_cli --campaign
+// --resume` on the same directory.  Tests take the same path in process: a
+// throw-mode kill-point unwinds the run, and the test calls
+// run_campaign_checkpointed again with resume on.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/common/backoff.h"
 #include "src/common/journal.h"
 #include "src/greengpu/campaign.h"
 
@@ -98,40 +96,5 @@ class CampaignJournal {
 [[nodiscard]] CampaignResult run_campaign_checkpointed(
     const CampaignConfig& config, const CheckpointOptions& ckpt,
     const CampaignProgress& progress = {});
-
-/// In-process supervisor: reruns the checkpointed campaign after every
-/// injected crash (CrashInjected from a throw-mode kill-point), resuming
-/// from the journal, until it completes or the restart budget is exhausted
-/// (then the last CrashInjected propagates).
-class RecoverySupervisor {
- public:
-  RecoverySupervisor(CampaignConfig config, CheckpointOptions ckpt,
-                     int max_restarts = 16,
-                     common::BackoffConfig backoff = {})
-      : config_(std::move(config)), ckpt_(std::move(ckpt)),
-        max_restarts_(max_restarts), backoff_(backoff) {}
-
-  [[nodiscard]] CampaignResult run(const CampaignProgress& progress = {});
-
-  /// Crashes survived during the last run().
-  [[nodiscard]] int restarts() const { return restarts_; }
-
-  /// The backoff delay planned before each restart of the last run(), in
-  /// order (size == restarts()).  The supervisor itself never sleeps —
-  /// campaigns run in simulated time and tests must stay instant — but the
-  /// schedule is the exact deterministic sequence a daemon-style caller
-  /// sleeps through, so tests assert on it directly.
-  [[nodiscard]] const std::vector<Seconds>& restart_delays() const {
-    return restart_delays_;
-  }
-
- private:
-  CampaignConfig config_;
-  CheckpointOptions ckpt_;
-  int max_restarts_;
-  common::BackoffConfig backoff_;
-  int restarts_{0};
-  std::vector<Seconds> restart_delays_;
-};
 
 }  // namespace gg::greengpu

@@ -413,16 +413,8 @@ ExperimentResult ExperimentEngine::finish() {
 }
 
 ExperimentResult ExperimentEngine::run() {
-  const std::size_t every = options_.checkpoint_dir.empty() ? 0 : options_.checkpoint_every;
   start();
-  while (iter_ < n_iters_) {
-    step_iteration();
-    if (every != 0 && iter_ % every == 0) {
-      common::SnapshotWriter ckpt;
-      save_checkpoint(ckpt);
-      ckpt.write_atomic(options_.checkpoint_dir + "/" + options_.checkpoint_tag + ".ggsn");
-    }
-  }
+  while (iter_ < n_iters_) step_iteration();
   return finish();
 }
 

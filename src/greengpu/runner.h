@@ -162,19 +162,6 @@ struct RunOptions {
   /// feeds control, so joules/decisions are bit-identical across modes.
   /// Campaigns override this to counters-only (see campaign.h).
   RecordOptions record{};
-  /// Standalone runs (run_experiment / ExperimentEngine::run) atomically
-  /// rewrite `<checkpoint_dir>/<checkpoint_tag>.ggsn` with the
-  /// ExperimentEngine::save_checkpoint payload (scaler weights, divider
-  /// state, virtual time) every N iterations; 0 disables.  Campaign cells
-  /// ignore these three fields: the batch engine writes one file per row at
-  /// the CheckpointOptions cadence instead (recovery.h).  Checkpoints are
-  /// pure observation — they never feed back into the run, so results are
-  /// bit-identical at any cadence.
-  std::size_t checkpoint_every{0};
-  /// Directory for periodic checkpoints (must exist; empty disables).
-  std::string checkpoint_dir;
-  /// File stem of this run's checkpoint: `<dir>/<tag>.ggsn`.
-  std::string checkpoint_tag{"run"};
 };
 
 /// Throwing failure mode of a run on a faulty platform: an un-hardened
@@ -233,8 +220,7 @@ class ExperimentEngine {
   /// Teardown + final accounting + verification; call once, after the last
   /// iteration.
   [[nodiscard]] ExperimentResult finish();
-  /// start() + every iteration + finish(), i.e. exactly run_experiment(),
-  /// including its `<checkpoint_tag>.ggsn` writes at the RunOptions cadence.
+  /// start() + every iteration + finish(), i.e. exactly run_experiment().
   [[nodiscard]] ExperimentResult run();
 
   /// Snapshot the entire run at the current iteration boundary: virtual
@@ -252,7 +238,8 @@ class ExperimentEngine {
 
   /// Append the controller checkpoint at the current iteration boundary:
   /// iterations completed, virtual time, card count, has-scaler/has-divider
-  /// flags, then each card's scaler state and the divider state.
+  /// flags, then each card's scaler state and the divider state.  A
+  /// checkpointed campaign's row files hold these records (batch_engine.h).
   /// Observation only; requires start().
   void save_checkpoint(common::SnapshotWriter& w) const;
 

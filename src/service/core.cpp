@@ -232,7 +232,7 @@ std::string ServiceCore::handle_line(const std::string& line) {
     out << "200 stats submitted=" << stats.submitted
         << " admitted=" << stats.admitted << " shed=" << stats.shed
         << " evicted=" << stats.evicted << " completed=" << stats.completed
-        << " failed=" << stats.failed << " restarts=" << stats.restarts
+        << " failed=" << stats.failed
         << " queued=" << queue_depth()
         << " inflight=" << (state_.inflight() ? 1 : 0) << " vtime=" << vtime().get()
         << " paused=" << (paused_ ? 1 : 0)
@@ -395,9 +395,9 @@ Seconds ServiceCore::inflight_cost() const {
 
 std::optional<ServiceCore::Job> ServiceCore::take_next() {
   // Claiming is idempotent: an already-claimed job is handed out again, not
-  // skipped.  The executor retries it after a supervised crash, and a
-  // resumed daemon re-runs the claim it rebuilt from the journal's start
-  // record instead of letting the re-queued backlog reorder history.
+  // skipped.  A resumed daemon re-runs the claim it rebuilt from the
+  // journal's start record instead of letting the re-queued backlog reorder
+  // history.
   if (state_.inflight()) return state_.inflight();
   if (paused_) return std::nullopt;
   const Request* next = state_.admission().next();
@@ -478,9 +478,8 @@ void ServiceCore::complete(const Job& /*job*/, const OutcomeRecord& outcome) {
 }
 
 bool ServiceCore::step() {
-  // A crash in run_job()/complete() unwinds with the job still in flight, so
-  // take_next() hands the same job out again — the in-process restart model
-  // the kill-point tests drive.
+  // A crash in run_job()/complete() unwinds with the job still in flight;
+  // take_next() hands the same job out again.
   const std::optional<Job> job = take_next();
   if (!job) return false;
   const OutcomeRecord outcome =

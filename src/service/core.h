@@ -95,12 +95,9 @@ class ServiceCore {
 
   /// take_next + run_job + complete, one request, for tests and drain
   /// loops.  False when nothing is runnable.  Retries nothing: a crash
-  /// (CrashInjected) unwinds to the caller with the job still in flight, so
-  /// calling step() again re-executes it — the in-process restart model.
+  /// (CrashInjected) unwinds to the caller with the job still in flight and
+  /// its claim journaled, which a resumed core re-runs first.
   bool step();
-
-  /// Crashes survived by the caller's supervision (reported by STATS).
-  void note_restart() { state_.note_restart(); }
 
   // -- Streaming telemetry (WATCH) -------------------------------------------
 
@@ -187,9 +184,6 @@ class ServiceCore {
     /// fresh state.
     [[nodiscard]] static std::vector<std::string> events(
         const ServiceConfig& config, const std::string& journal_path);
-
-    /// Host-side, never journaled: a resumed daemon starts again from 0.
-    void note_restart() { ++stats_.restarts; }
 
     [[nodiscard]] const AdmissionController& admission() const { return admission_; }
     [[nodiscard]] const CircuitBreaker& breaker() const { return breaker_; }

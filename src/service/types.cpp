@@ -46,9 +46,6 @@ void ServiceConfig::validate() const {
         "ServiceConfig: default_cost_estimate must be > 0, got " +
         std::to_string(default_cost_estimate));
   }
-  if (max_restarts < 0) {
-    throw std::invalid_argument("ServiceConfig: max_restarts must be >= 0");
-  }
   for (std::size_t d : faulty_devices) {
     if (d >= devices) {
       throw std::invalid_argument("ServiceConfig: faulty device " +
@@ -58,7 +55,6 @@ void ServiceConfig::validate() const {
   }
   breaker.validate();
   faults.validate();
-  backoff.validate();
   telemetry.validate();
 }
 

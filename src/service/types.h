@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/backoff.h"
 #include "src/common/units.h"
 #include "src/sim/fault.h"
 
@@ -111,9 +110,6 @@ struct ServiceConfig {
   /// Devices the fault config applies to (the breaker's prey).
   std::vector<std::size_t> faulty_devices;
   BreakerConfig breaker{};
-  /// Executor crash supervision: restart budget and backoff schedule.
-  int max_restarts{8};
-  common::BackoffConfig backoff{};
   /// WATCH streaming knobs (host-side; not fingerprinted).
   TelemetryConfig telemetry{};
 
@@ -121,8 +117,8 @@ struct ServiceConfig {
   void validate() const;
 
   /// Journal-header fingerprint over every field that affects admission
-  /// decisions or results.  Host-side knobs (backoff, restart budget) are
-  /// excluded so a resumed daemon may supervise differently.
+  /// decisions or results.  Host-side knobs (telemetry) are excluded so a
+  /// resumed daemon may stream differently.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
@@ -134,7 +130,6 @@ struct ServiceStats {
   std::uint64_t evicted{0};  ///< admitted, then displaced by higher priority
   std::uint64_t completed{0};
   std::uint64_t failed{0};
-  std::uint64_t restarts{0};  ///< executor crashes survived (not journaled)
 };
 
 }  // namespace gg::service

@@ -3,10 +3,10 @@
 // PR 1's FaultInjector models a flaky *platform*; CrashInjector models a
 // flaky *process*: the run dies outright at a named point — before/after a
 // scaler step, inside a checkpoint write, or between finishing a campaign
-// cell and journaling it — after a deterministic number of hits.  Tests arm
-// it in throw mode (CrashInjected unwinds to the RecoverySupervisor); the
-// CLI's --crash-at arms exit mode, which is real process death for the CI
-// crash-recovery matrix.
+// cell and journaling it — after a deterministic number of hits.  The
+// --crash-at flag of greengpu_cli and greengpud arms exit mode, real process
+// death that a restart with --resume recovers from; tests arm throw mode
+// (CrashInjected unwinds the run), then start the resumed run themselves.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +22,16 @@ using common::CrashMode;
 using common::KillPoint;
 using common::kCrashExitCode;
 
-/// A parsed --crash-at specification: which point, on which hit, and how
-/// many times it fires in total (shots > 1 models a persistent fault that
-/// keeps crashing a supervised retry; throw mode only).
+/// A parsed --crash-at specification: which point, on which hit.
 struct CrashSpec {
   KillPoint point{KillPoint::kPreScalerStep};
   std::uint64_t nth{1};
-  std::uint64_t shots{1};
 };
 
-/// Parse "point" or "point:N" (e.g. "mid-checkpoint", "pre-scaler-step:3").
-/// Throws std::invalid_argument naming the bad token.
+/// Parse "point" or "point:N" (e.g. "mid-checkpoint", "pre-scaler-step:3"),
+/// N in [1, INT64_MAX] written in digits alone.  Throws
+/// std::invalid_argument naming the bad token.  The one --crash-at parser of
+/// greengpu_cli and greengpud.
 [[nodiscard]] CrashSpec parse_crash_spec(std::string_view spec);
 
 /// Arms one kill-point for its scope and disarms on destruction, so a test
@@ -40,14 +39,12 @@ struct CrashSpec {
 /// behind for the next test.
 class CrashInjector {
  public:
-  CrashInjector(KillPoint point, std::uint64_t nth, CrashMode mode,
-                std::uint64_t shots = 1)
-      : point_(point) {
-    common::arm_kill_point(point, nth, mode, shots);
+  CrashInjector(KillPoint point, std::uint64_t nth, CrashMode mode) : point_(point) {
+    common::arm_kill_point(point, nth, mode);
   }
 
   explicit CrashInjector(const CrashSpec& spec, CrashMode mode = CrashMode::kThrow)
-      : CrashInjector(spec.point, spec.nth, mode, spec.shots) {}
+      : CrashInjector(spec.point, spec.nth, mode) {}
 
   CrashInjector(const CrashInjector&) = delete;
   CrashInjector& operator=(const CrashInjector&) = delete;

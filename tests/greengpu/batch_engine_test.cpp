@@ -15,6 +15,7 @@
 #include "src/sim/crash.h"
 #include "src/workloads/registry.h"
 #include "tests/greengpu/checkpoint_files.h"
+#include "tests/greengpu/crash_and_resume.h"
 
 namespace gg::greengpu {
 namespace {
@@ -250,7 +251,7 @@ TEST(BatchEngine, SizeMismatchesThrow) {
                std::invalid_argument);
 }
 
-// --- crash/resume: the batch engine under the recovery machinery ----------
+// --- crash/resume: the batch engine killed and resumed --------------------
 
 TEST(BatchRecovery, KillAndResumeMatchesScalarGolden) {
   const std::filesystem::path dir = test_dir();
@@ -265,14 +266,10 @@ TEST(BatchRecovery, KillAndResumeMatchesScalarGolden) {
       cfg.jobs = jobs;
       CheckpointOptions ckpt;
       ckpt.dir = (dir / ("case-" + std::to_string(case_index++))).string();
-      // Kill after the second finished-but-unjournaled cell; the supervisor
-      // resumes from the journal and the batch engine re-runs the rest.
-      sim::CrashInjector crash(KillPoint::kMidCampaignCell, 2,
-                               common::CrashMode::kThrow);
-      RecoverySupervisor supervisor(cfg, ckpt);
-      const CampaignResult resumed = supervisor.run();
-      EXPECT_TRUE(crash.fired());
-      EXPECT_GE(supervisor.restarts(), 1);
+      // Kill after the second finished-but-unjournaled cell; the resumed run
+      // reads the journal and the batch engine re-runs the rest.
+      const CampaignResult resumed =
+          test::crash_then_resume(cfg, ckpt, KillPoint::kMidCampaignCell, 2);
       std::ostringstream csv;
       std::ostringstream json;
       write_campaign_csv(csv, resumed);

@@ -1,18 +1,13 @@
-// Test-side decoders for the controller checkpoint files.
+// Test-side decoder for the controller checkpoint files.
 //
-// Reports never read these files back; tests do, to prove what they
-// hold.  Two layouts carry the same per-cell record (the
-// ExperimentEngine::save_checkpoint payload):
-//   * a standalone run's `<dir>/<tag>.ggsn` — the frame's payload is one
-//     record;
-//   * a campaign row's `<dir>/row-<first flat index>.ggsn` — the payload is
-//     [u64 n] then n x ([u64 cell index][u64 length][record bytes]).
+// Reports never read these files back; tests do, to prove what they hold.
+// A campaign row's `<dir>/row-<first flat index>.ggsn` holds, per cell, the
+// ExperimentEngine::save_checkpoint record: the payload is [u64 n] then
+// n x ([u64 cell index][u64 length][record bytes]).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -49,8 +44,8 @@ inline CheckpointRecord decode_checkpoint_record(std::vector<std::uint8_t> paylo
   return rec;
 }
 
-/// The record a standalone ExperimentEngine run of `workload` under
-/// `policy` with `options` holds at iteration `boundary`.
+/// The record an ExperimentEngine run of `workload` under `policy` with
+/// `options` holds at iteration `boundary`.
 inline std::vector<std::uint8_t> expected_checkpoint(const std::string& workload,
                                                      const Policy& policy,
                                                      const RunOptions& options,
@@ -62,24 +57,6 @@ inline std::vector<std::uint8_t> expected_checkpoint(const std::string& workload
   common::SnapshotWriter record;
   engine.save_checkpoint(record);
   return record.payload();
-}
-
-/// A standalone run's `<tag>.ggsn`.  nullopt for a missing, truncated or
-/// corrupt file.
-inline std::optional<CheckpointRecord> read_run_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                        std::istreambuf_iterator<char>()};
-  try {
-    // from_frame validates the header and CRC; the payload is the tail.
-    const common::SnapshotReader r =
-        common::SnapshotReader::from_frame(bytes.data(), bytes.size(), path);
-    return decode_checkpoint_record(
-        {bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()), bytes.end()});
-  } catch (const common::SnapshotError&) {
-    return std::nullopt;
-  }
 }
 
 /// A campaign row's `row-<first>.ggsn`: records by flat cell index.  nullopt

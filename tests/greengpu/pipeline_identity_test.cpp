@@ -12,6 +12,7 @@
 #include "src/greengpu/recovery.h"
 #include "src/sim/crash.h"
 #include "src/workloads/registry.h"
+#include "tests/greengpu/crash_and_resume.h"
 
 namespace gg::greengpu {
 namespace {
@@ -86,10 +87,7 @@ TEST(PipelineIdentity, KillAndResumeIsByteIdentical) {
                    " faults=" + (faults ? "on" : "off"));
       CheckpointOptions ckpt;
       ckpt.dir = (dir / ("case-" + std::to_string(case_index++))).string();
-      sim::CrashInjector crash(point, 1, common::CrashMode::kThrow);
-      RecoverySupervisor supervisor(cfg, ckpt);
-      const CampaignResult resumed = supervisor.run();
-      EXPECT_TRUE(crash.fired());
+      const CampaignResult resumed = test::crash_then_resume(cfg, ckpt, point, 1);
       std::ostringstream csv;
       std::ostringstream json;
       write_campaign_csv(csv, resumed);

@@ -19,14 +19,15 @@
 #include "src/sim/crash.h"
 #include "src/workloads/registry.h"
 #include "tests/greengpu/checkpoint_files.h"
+#include "tests/greengpu/crash_and_resume.h"
 
 namespace gg::greengpu {
 namespace {
 
 using common::KillPoint;
 using common::SnapshotError;
+using test::crash_then_resume;
 using test::read_row_checkpoint;
-using test::read_run_checkpoint;
 
 /// Fresh per-test scratch directory (named after the running test, so
 /// parallel ctest jobs never collide; wiped on entry).
@@ -142,12 +143,7 @@ TEST(Recovery, KillAndResumeIsByteIdenticalAtEveryKillPoint) {
                      " jobs=" + std::to_string(jobs));
         CheckpointOptions ckpt;
         ckpt.dir = (dir / ("case-" + std::to_string(case_index++))).string();
-        sim::CrashInjector crash(kill.point, kill.nth, common::CrashMode::kThrow);
-        RecoverySupervisor supervisor(cfg, ckpt);
-        const CampaignResult resumed = supervisor.run();
-        EXPECT_TRUE(crash.fired());
-        EXPECT_GE(supervisor.restarts(), 1);
-        EXPECT_EQ(report(resumed), golden);
+        EXPECT_EQ(report(crash_then_resume(cfg, ckpt, kill.point, kill.nth)), golden);
       }
     }
   }
@@ -231,60 +227,6 @@ TEST(Recovery, ResumedRowKeepsItsJournaledCellsRecords) {
   EXPECT_EQ(snapshot_files(ckpt.dir), want);
 }
 
-TEST(Recovery, SupervisorGivesUpPastRestartBudget) {
-  const std::filesystem::path dir = test_dir();
-  const CampaignConfig cfg = small_config(false);
-  CheckpointOptions ckpt;
-  ckpt.dir = dir.string();
-  // A zero-budget supervisor must rethrow the very first crash instead of
-  // resuming.
-  sim::CrashInjector crash(KillPoint::kMidCampaignCell, 1, common::CrashMode::kThrow);
-  RecoverySupervisor supervisor(cfg, ckpt, /*max_restarts=*/0);
-  EXPECT_THROW((void)supervisor.run(), common::CrashInjected);
-  EXPECT_EQ(supervisor.restarts(), 0);
-}
-
-TEST(Recovery, SupervisorExhaustsItsBudgetAgainstAPersistentCrash) {
-  const std::filesystem::path dir = test_dir();
-  const CampaignConfig cfg = small_config(false);
-  CheckpointOptions ckpt;
-  ckpt.dir = dir.string();
-  // The crash fires on every attempt (shots far beyond the budget): a
-  // persistent fault.  The supervisor spends its whole budget, then rethrows
-  // rather than looping forever.
-  sim::CrashInjector crash(KillPoint::kMidCampaignCell, 1, common::CrashMode::kThrow,
-                           /*shots=*/100);
-  common::BackoffConfig backoff;
-  RecoverySupervisor supervisor(cfg, ckpt, /*max_restarts=*/3, backoff);
-  EXPECT_THROW((void)supervisor.run(), common::CrashInjected);
-  EXPECT_EQ(supervisor.restarts(), 3);
-
-  // The planned delays are exactly the backoff schedule: exponential with
-  // deterministic jitter, replayable from the same config.
-  const std::vector<Seconds>& delays = supervisor.restart_delays();
-  ASSERT_EQ(delays.size(), 3u);
-  common::ExponentialBackoff replay(backoff);
-  for (std::size_t i = 0; i < delays.size(); ++i) {
-    EXPECT_DOUBLE_EQ(delays[i].get(), replay.next().get()) << "delay " << i;
-  }
-}
-
-TEST(Recovery, SupervisorSurvivesExactlyAsManyCrashesAsItsBudget) {
-  const std::filesystem::path dir = test_dir();
-  const CampaignConfig cfg = small_config(false);
-  const std::string golden = report(run_campaign(cfg));
-  CheckpointOptions ckpt;
-  ckpt.dir = dir.string();
-  // Two shots, budget two: the fault dies before the supervisor does, and
-  // the survivor's report is still byte-identical.
-  sim::CrashInjector crash(KillPoint::kMidCampaignCell, 1, common::CrashMode::kThrow,
-                           /*shots=*/2);
-  RecoverySupervisor supervisor(cfg, ckpt, /*max_restarts=*/2);
-  EXPECT_EQ(report(supervisor.run()), golden);
-  EXPECT_EQ(supervisor.restarts(), 2);
-  EXPECT_EQ(supervisor.restart_delays().size(), 2u);
-}
-
 TEST(Recovery, HeaderOnlyJournalResumesFromScratch) {
   // Degenerate journal #1: a run killed before its first cell was journaled
   // leaves a header and nothing else.  Resume must treat it as "no progress"
@@ -318,10 +260,7 @@ TEST(Recovery, SingleCellCampaignKillsAndResumes) {
   const std::string golden = report(run_campaign(cfg));
   CheckpointOptions ckpt;
   ckpt.dir = dir.string();
-  sim::CrashInjector crash(KillPoint::kPostScalerStep, 3, common::CrashMode::kThrow);
-  RecoverySupervisor supervisor(cfg, ckpt);
-  EXPECT_EQ(report(supervisor.run()), golden);
-  EXPECT_TRUE(crash.fired());
+  EXPECT_EQ(report(crash_then_resume(cfg, ckpt, KillPoint::kPostScalerStep, 3)), golden);
 }
 
 TEST(Recovery, AllCellsCompleteResumeExecutesNothing) {
@@ -451,33 +390,6 @@ TEST(Recovery, TornJournalTailIsTruncatedAndResumable) {
 
   ckpt.resume = true;
   EXPECT_EQ(report(run_campaign_checkpointed(cfg, ckpt)), golden);
-}
-
-TEST(Recovery, RunCheckpointMetaRoundTripsAndRejectsCorruption) {
-  const std::filesystem::path dir = test_dir();
-  RunOptions options = campaign_default_options();
-  options.max_iterations = 20;
-  options.checkpoint_every = 10;
-  options.checkpoint_dir = dir.string();
-  options.checkpoint_tag = "probe";
-  (void)run_experiment("pathfinder", Policy::scaling_only(), options);
-
-  const std::string path = (dir / "probe.ggsn").string();
-  const auto meta = read_run_checkpoint(path);
-  ASSERT_TRUE(meta.has_value());
-  EXPECT_EQ(meta->iteration, 20u);
-  EXPECT_GT(meta->sim_time, 0.0);
-  EXPECT_EQ(meta->cards, 1u);
-  EXPECT_TRUE(meta->has_scaler);
-  EXPECT_FALSE(meta->has_divider);
-  // The file frames exactly the engine's save_checkpoint record.
-  EXPECT_EQ(meta->payload,
-            test::expected_checkpoint("pathfinder", Policy::scaling_only(), options, 20));
-
-  // Corrupt and missing files are a clean "no checkpoint", never a throw.
-  std::filesystem::resize_file(path, 10);
-  EXPECT_FALSE(read_run_checkpoint(path).has_value());
-  EXPECT_FALSE(read_run_checkpoint((dir / "absent.ggsn").string()).has_value());
 }
 
 TEST(Recovery, DividerSaveLoadContinuesExactDecisionStream) {

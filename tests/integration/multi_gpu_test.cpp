@@ -2,13 +2,13 @@
 // and the expected scaling behaviour, all through ExperimentEngine.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "src/common/snapshot.h"
 #include "src/greengpu/runner.h"
 #include "src/workloads/hotspot.h"
 #include "src/workloads/kmeans.h"
+#include "tests/greengpu/checkpoint_files.h"
 
 namespace gg {
 namespace {
@@ -285,26 +285,36 @@ TEST(MultiGpu, SnapshotRestoresOnlyIntoAsManyCards) {
 }
 
 TEST(MultiGpu, CheckpointCadenceChangesNoResult) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "gg_multi_gpu_checkpoint_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  // An N-card run's save_checkpoint record (what a checkpointed campaign's
+  // row files hold) names its card count and carries the scaler and divider
+  // state; taking one every 3 iterations is observation only.
   for (const std::size_t gpus : {2u, 4u}) {
     SCOPED_TRACE(std::to_string(gpus) + " cards");
     const greengpu::Policy policy = greengpu::Policy::green_gpu();
     workloads::Kmeans plain_wl(small_kmeans());
     const auto plain = greengpu::run_experiment(plain_wl, policy, fast(), gpus);
-    greengpu::RunOptions checkpointed = fast();
-    checkpointed.checkpoint_every = 3;
-    checkpointed.checkpoint_dir = dir.string();
-    checkpointed.checkpoint_tag = "cards" + std::to_string(gpus);
     workloads::Kmeans wl(small_kmeans());
-    const auto result = greengpu::run_experiment(wl, policy, checkpointed, gpus);
+    greengpu::ExperimentEngine engine(wl, policy, fast(), gpus);
+    engine.start();
+    std::size_t records = 0;
+    while (engine.iteration() < engine.total_iterations()) {
+      engine.step_iteration();
+      if (engine.iteration() % 3 != 0) continue;
+      common::SnapshotWriter w;
+      engine.save_checkpoint(w);
+      const auto record = greengpu::test::decode_checkpoint_record(w.payload());
+      EXPECT_EQ(record.iteration, engine.iteration());
+      EXPECT_GT(record.sim_time, 0.0);
+      EXPECT_EQ(record.cards, gpus);
+      EXPECT_TRUE(record.has_scaler);
+      EXPECT_TRUE(record.has_divider);
+      ++records;
+    }
+    EXPECT_EQ(records, 3u);
+    const auto result = engine.finish();
     expect_same_result(result, plain);
     EXPECT_TRUE(result.verified);
-    EXPECT_TRUE(std::filesystem::exists(dir / (checkpointed.checkpoint_tag + ".ggsn")));
   }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -240,7 +240,7 @@ TEST_F(ServiceCoreTest, JournaledClaimOutranksTheRebuiltQueue) {
   // request arrived, then the daemon died.  The resumed daemon must finish
   // seq=1 first — like the live run does — not let the rebuilt priority
   // queue run seq=2 ahead of it.
-  {  // Control: the live run survives its in-process crash and retries.
+  {  // Control: the same core carries on, and step() re-runs the claim.
     ServiceCore core(small_config(), control_journal_, /*resume=*/false);
     ASSERT_EQ(core.handle_line("SUBMIT bfs best-performance"), "202 accepted seq=1");
     common::arm_kill_point(common::KillPoint::kServicePreResult, 1,
@@ -278,12 +278,10 @@ TEST_F(ServiceCoreTest, SupervisedRetryAfterInProcessCrash) {
   common::arm_kill_point(common::KillPoint::kServicePreResult, 1,
                          common::CrashMode::kThrow);
   EXPECT_THROW((void)core.step(), common::CrashInjected);
-  core.note_restart();
-  // The kill-point was single-shot; the retry re-executes the same claim and
-  // lands exactly one outcome.
+  // The claim outlives the crash: the next step() re-executes it (as a
+  // resumed core re-runs the journaled claim) and lands exactly one outcome.
   EXPECT_TRUE(core.step());
   EXPECT_EQ(core.stats().completed, 1u);
-  EXPECT_EQ(core.stats().restarts, 1u);
   core.write_report(report_);
   const std::string report = read_file(report_);
   EXPECT_EQ(report.find("outcome seq=1"), report.rfind("outcome seq=1"))

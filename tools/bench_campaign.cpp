@@ -745,12 +745,21 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(resume_dir);
     greengpu::CheckpointOptions ckpt;
     ckpt.dir = resume_dir.string();
-    sim::CrashInjector crash(common::KillPoint::kMidCampaignCell, 1,
-                             common::CrashMode::kThrow);
-    greengpu::RecoverySupervisor supervisor(pipeline_cfg, ckpt);
-    const CampaignRun resumed = to_run(supervisor.run(), 0.0);
-    pipeline_resume_identical = crash.fired() && resumed.csv == p_serial.csv &&
-                                resumed.json == p_serial.json;
+    bool crashed = false;
+    {
+      sim::CrashInjector crash(common::KillPoint::kMidCampaignCell, 1,
+                               common::CrashMode::kThrow);
+      try {
+        (void)greengpu::run_campaign_checkpointed(pipeline_cfg, ckpt);
+      } catch (const common::CrashInjected&) {
+        crashed = true;
+      }
+    }
+    ckpt.resume = true;
+    const CampaignRun resumed =
+        to_run(greengpu::run_campaign_checkpointed(pipeline_cfg, ckpt), 0.0);
+    pipeline_resume_identical =
+        crashed && resumed.csv == p_serial.csv && resumed.json == p_serial.json;
     std::filesystem::remove_all(resume_dir);
   }
   std::printf("[%s] pipeline campaign after kill/resume: %s\n",

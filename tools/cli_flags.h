@@ -39,7 +39,7 @@ enum Type { kBool, kInt, kDouble, kString };
 
 /// What a present flag needs before it can change the run, and the refusal
 /// when that is missing.
-enum Needs { kNothing, kFaultChannel, kClockDelay, kThrottle, kCheckpointDir, kCadence,
+enum Needs { kNothing, kFaultChannel, kClockDelay, kThrottle, kCheckpointDir,
              kPipelineWorkload };
 inline constexpr const char* kNeedsText[] = {
     "",
@@ -47,7 +47,6 @@ inline constexpr const char* kNeedsText[] = {
     " requires a clock-delay rate (--fault-clock-delay or --fault-rate)",
     " requires --fault-throttle-mtbf > 0",
     " requires --checkpoint-dir",
-    " requires --checkpoint-every (or --campaign)",
     " requires a pipeline --workload",
 };
 
@@ -117,9 +116,9 @@ inline constexpr FlagRow kFlags[] = {
     {.name = "json", .type = kString, .modes = kCampaign, .help = "write a JSON report"},
     {.name = "markdown", .type = kBool, .modes = kCampaign, .help = "Markdown, not CSV"},
     {.name = "list", .type = kBool, .modes = kList, .help = "print the names"},
-    {.name = "checkpoint-dir", .type = kString, .modes = kMatrixRuns, .needs = kCadence,
+    {.name = "checkpoint-dir", .type = kString, .modes = kCampaign,
      .help = "journal and snapshot directory"},
-    {.name = "checkpoint-every", .type = kInt, .modes = kMatrixRuns,
+    {.name = "checkpoint-every", .type = kInt, .modes = kCampaign,
      .needs = kCheckpointDir, .identical_output = true, .lo = 1,
      .range_note = " (omit the flag to disable periodic snapshots)",
      .help = "also snapshot every N iterations"},
@@ -285,7 +284,6 @@ inline Checked check_flags(const Flags& flags) {
                       faults.clock_delay_rate > 0.0,
                       faults.throttle_mtbf > Seconds{0.0},
                       checkpoint_dir,
-                      mode == kCampaign || flags.has("checkpoint-every"),
                       (tiers & kHostStage) != 0};
   for (const FlagRow& row : kFlags) {
     if (flags.has(row.name) && !met[row.needs]) reject(row, kNeedsText[row.needs]);
@@ -307,8 +305,8 @@ inline Checked check_flags(const Flags& flags) {
     const bool reached =
         point == KillPoint::kPreScalerStep || point == KillPoint::kPostScalerStep
             ? (tiers & kWma) != 0
-        : point == KillPoint::kMidCheckpoint ? checkpoint_dir
-        : point == KillPoint::kMidCampaignCell && mode == kCampaign && checkpoint_dir;
+        : (point == KillPoint::kMidCheckpoint || point == KillPoint::kMidCampaignCell) &&
+              checkpoint_dir;
     if (!reached) throw std::invalid_argument("--crash-at " + spec + " is never reached");
   }
   return {mode, faults};

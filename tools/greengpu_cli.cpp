@@ -11,7 +11,6 @@
 // one table, tools/cli_flags.h; a run without --workload prints it.
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -204,11 +203,6 @@ int run(const Flags& flags) {
     return 2;
   }
   const auto gpus = static_cast<std::size_t>(flags.get_int("gpus", 1));
-  options.checkpoint_every = static_cast<std::size_t>(flags.get_int("checkpoint-every", 0));
-  options.checkpoint_dir = flags.get_string("checkpoint-dir", "");
-  if (!options.checkpoint_dir.empty()) {
-    std::filesystem::create_directories(options.checkpoint_dir);
-  }
   const std::string trace_file = flags.get_string("trace", "");
   options.record_trace = !trace_file.empty();
   const bool csv = flags.get_bool("csv", false);
@@ -229,9 +223,7 @@ int run(const Flags& flags) {
   std::vector<greengpu::ExperimentResult> results(names.size());
   common::JobPool pool(jobs);
   pool.run(names.size(), [&](std::size_t i) {
-    greengpu::RunOptions cell = options;
-    if (cell.checkpoint_every != 0) cell.checkpoint_tag = names[i];
-    results[i] = greengpu::run_experiment(names[i], policy, cell, gpus);
+    results[i] = greengpu::run_experiment(names[i], policy, options, gpus);
   });
 
   int failures = 0;

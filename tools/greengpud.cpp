@@ -8,10 +8,9 @@
 //     runs admitted requests through the greengpu:: controllers on one
 //     executor thread, journals every decision, and on SIGTERM/SIGINT stops
 //     admitting, finishes in-flight work, writes the report and exits 0.
-//     The executor is supervised: an injected crash (--crash-at, throw mode)
-//     is caught, backed off (the same exponential-backoff schedule as
-//     RecoverySupervisor, computed in-core and slept here in the shell where
-//     wall clocks are sanctioned) and retried within --max-restarts.
+//     --crash-at POINT[:N] kills the process (exit 70) at the Nth hit of a
+//     service kill-point; recovery is a new process with --resume, which
+//     rebuilds the state from the journal and re-runs the journaled claim.
 //
 //   client
 //     greengpud --client --socket /tmp/gg.sock   (request lines on stdin)
@@ -31,12 +30,17 @@
 //     of `--watch`: the EVENT lines are byte-identical to what a live
 //     subscriber (or a WATCH FROM resume) received for the same records.
 //
+// Each mode refuses (exit 2) a flag that only another mode reads: the
+// service configuration flags are read by the server, --replay and
+// --events; --socket-fault-* and --crash-at by the server alone.
+//
 // Chaos: --socket-fault-rate R (and the --socket-fault-* per-channel
 // family) arms a deterministic sim::SocketFaultInjector on the server's
 // transport — short reads/writes, EINTR, EPIPE, mid-frame disconnects and
 // stalled peers are then drawn from a seeded stream, never from luck.
 // SIGPIPE is ignored daemon-wide: a vanished peer surfaces as EPIPE on its
 // own connection (slow-consumer eviction), never as process death.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -45,15 +49,16 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "src/common/backoff.h"
 #include "src/common/flags.h"
-#include "src/common/killpoint.h"
 #include "src/service/core.h"
 #include "src/service/socket_server.h"
 #include "src/service/types.h"
+#include "src/sim/crash.h"
 
 namespace {
 
@@ -61,6 +66,7 @@ std::atomic<bool> g_shutdown{false};
 
 void on_signal(int) { g_shutdown.store(true, std::memory_order_release); }
 
+/// Reads the service configuration flags; the caller validates.
 gg::service::ServiceConfig config_from_flags(const gg::Flags& flags) {
   gg::service::ServiceConfig config;
   config.devices = static_cast<std::size_t>(flags.get_int("devices", 2));
@@ -87,10 +93,6 @@ gg::service::ServiceConfig config_from_flags(const gg::Flags& flags) {
       static_cast<int>(flags.get_int("breaker-threshold", 3));
   config.breaker.probe_after =
       static_cast<int>(flags.get_int("breaker-probe-after", 4));
-  config.max_restarts = static_cast<int>(flags.get_int("max-restarts", 8));
-  config.backoff.initial =
-      gg::Seconds{flags.get_double("backoff-initial-s", 0.01)};
-  config.backoff.max = gg::Seconds{flags.get_double("backoff-max-s", 0.1)};
   config.telemetry.ring_capacity =
       static_cast<std::size_t>(flags.get_int("telemetry-ring", 256));
   config.telemetry.max_subscribers =
@@ -99,8 +101,43 @@ gg::service::ServiceConfig config_from_flags(const gg::Flags& flags) {
       static_cast<std::uint64_t>(flags.get_int("heartbeat-ticks", 40));
   config.telemetry.stall_budget_ticks =
       static_cast<std::uint64_t>(flags.get_int("stall-ticks", 400));
-  config.validate();
   return config;
+}
+
+/// What one invocation runs, chosen by --client, --replay or --events; the
+/// server otherwise.
+enum class Mode { kServer, kClient, kReplay, kEvents };
+
+Mode mode_of(gg::Flags flags) {  // a copy: choosing the mode reads no flag
+  if (flags.get_bool("client", false)) return Mode::kClient;
+  if (!flags.get_string("replay").empty()) return Mode::kReplay;
+  if (!flags.get_string("events").empty()) return Mode::kEvents;
+  return Mode::kServer;
+}
+
+/// Marks read every flag that some mode reads.
+void read_every_flag(const gg::Flags& flags) {
+  for (const char* name : {"client", "watch", "from", "idle-timeout-ms", "replay",
+                           "window", "events", "socket", "journal", "report", "resume",
+                           "crash-at"}) {
+    (void)flags.has(name);
+  }
+  (void)config_from_flags(flags);
+  (void)gg::sim::SocketFaultConfig::from_flags(flags);
+}
+
+/// Call after `flags` read what `mode` reads: refuses the first flag left
+/// that another mode reads, then any unknown flag.
+void reject_unread(const gg::Flags& flags, const char* mode) {
+  const gg::Flags every = flags;
+  read_every_flag(every);
+  const std::vector<std::string> unknown = every.unconsumed();
+  for (const std::string& name : flags.unconsumed()) {
+    if (std::find(unknown.begin(), unknown.end(), name) == unknown.end()) {
+      throw std::invalid_argument("--" + name + " is not read by " + mode);
+    }
+  }
+  flags.reject_unknown();
 }
 
 int run_client(const std::string& socket_path) {
@@ -167,51 +204,28 @@ int run_replay(const gg::service::ServiceConfig& config,
   return 0;
 }
 
-/// The supervised executor loop: claim under the lock, run outside it, land
-/// under the lock.  A CrashInjected from either kill-point is survived with
-/// exponential backoff until the restart budget runs out, mirroring
-/// RecoverySupervisor's semantics for a process that must not die.
-void executor_loop(gg::service::ServiceCore& core, std::mutex& mu,
-                   const gg::service::ServiceConfig& config) {
-  gg::common::ExponentialBackoff backoff(config.backoff);
-  int restarts = 0;
+/// The executor loop: claim under the lock, run outside it, land under the
+/// lock.  An armed --crash-at kill-point ends the process here (exit 70).
+void executor_loop(gg::service::ServiceCore& core, std::mutex& mu) {
   while (!g_shutdown.load(std::memory_order_acquire) ||
          [&] { std::lock_guard<std::mutex> lock(mu); return !core.drained(); }()) {
-    try {
-      std::optional<gg::service::ServiceCore::Job> job;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        job = core.take_next();
-      }
-      if (!job) {
-        if (g_shutdown.load(std::memory_order_acquire)) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (core.drained()) return;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      const auto outcome = gg::service::ServiceCore::run_job(
-          core.config(), job->request, job->device, job->vtime_before);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        core.complete(*job, outcome);
-      }
-      backoff.reset();
-    } catch (const gg::common::CrashInjected& e) {
-      if (++restarts > config.max_restarts) {
-        std::fprintf(stderr, "greengpud: restart budget (%d) exhausted: %s\n",
-                     config.max_restarts, e.what());
-        std::exit(70);
-      }
-      const gg::Seconds delay = backoff.next();
-      std::fprintf(stderr, "greengpud: executor crash (%s), restart %d/%d after %.3fs\n",
-                   e.what(), restarts, config.max_restarts, delay.get());
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay.get()));
+    std::optional<gg::service::ServiceCore::Job> job;
+    {
       std::lock_guard<std::mutex> lock(mu);
-      core.note_restart();
-      // The in-flight job stays claimed; the next take_next()/step retries it.
+      job = core.take_next();
     }
+    if (!job) {
+      if (g_shutdown.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (core.drained()) return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    const auto outcome = gg::service::ServiceCore::run_job(
+        core.config(), job->request, job->device, job->vtime_before);
+    std::lock_guard<std::mutex> lock(mu);
+    core.complete(*job, outcome);
   }
 }
 
@@ -256,7 +270,7 @@ int run_server(const gg::service::ServiceConfig& config,
     return core.telemetry_tick();
   };
 
-  std::thread executor([&] { executor_loop(core, mu, config); });
+  std::thread executor([&] { executor_loop(core, mu); });
 
   server.serve(
       [&](const std::string& line) {
@@ -288,44 +302,51 @@ int main(int argc, char** argv) {
     // process-killing signal.
     std::signal(SIGPIPE, SIG_IGN);
 
-    gg::Flags flags(argc, argv);
-    const bool client = flags.get_bool("client", false);
-    const bool watch = flags.get_bool("watch", false);
-    const std::string replay = flags.get_string("replay", "");
-    const std::string events = flags.get_string("events", "");
+    const gg::Flags flags(argc, argv);
+    switch (mode_of(flags)) {
+      case Mode::kClient: {
+        (void)flags.get_bool("client", false);
+        const std::string socket_path = flags.get_string("socket", "");
+        const bool watch = flags.get_bool("watch", false);
+        std::uint64_t from = 0;
+        int idle_timeout_ms = 0;
+        if (watch) {
+          from = static_cast<std::uint64_t>(flags.get_int("from", 0));
+          idle_timeout_ms = static_cast<int>(flags.get_int("idle-timeout-ms", 10000));
+        }
+        reject_unread(flags, watch ? "greengpud --client --watch" : "greengpud --client");
+        if (socket_path.empty()) throw std::invalid_argument("--client needs --socket");
+        return watch ? run_watch(socket_path, from, idle_timeout_ms)
+                     : run_client(socket_path);
+      }
+      case Mode::kReplay: {
+        const std::string journal_path = flags.get_string("replay", "");
+        const std::string window = flags.get_string("window", "");
+        const gg::service::ServiceConfig config = config_from_flags(flags);
+        reject_unread(flags, "greengpud --replay");
+        config.validate();
+        return run_replay(config, journal_path, window);
+      }
+      case Mode::kEvents: {
+        const std::string journal_path = flags.get_string("events", "");
+        const auto from = static_cast<std::uint64_t>(flags.get_int("from", 0));
+        const gg::service::ServiceConfig config = config_from_flags(flags);
+        reject_unread(flags, "greengpud --events");
+        config.validate();
+        return run_events(config, journal_path, from);
+      }
+      case Mode::kServer: break;
+    }
     const std::string socket_path = flags.get_string("socket", "");
     const std::string journal_path = flags.get_string("journal", "");
     const std::string report_path = flags.get_string("report", "");
-    const std::string window = flags.get_string("window", "");
-    const std::uint64_t from =
-        static_cast<std::uint64_t>(flags.get_int("from", 0));
-    const int idle_timeout_ms =
-        static_cast<int>(flags.get_int("idle-timeout-ms", 10000));
     const bool resume = flags.get_bool("resume", false);
-
-    // --crash-at <point>:<nth>[:shots] arms a kill-point in exit mode: the
-    // process dies with _Exit(70) exactly where a real fault would strike,
-    // which is what the CI kill-and-restart matrix drives.
     const std::string crash_at = flags.get_string("crash-at", "");
-
-    if (client) {
-      flags.reject_unknown();
-      if (socket_path.empty()) {
-        std::fprintf(stderr, "--client needs --socket\n");
-        return 2;
-      }
-      if (watch) return run_watch(socket_path, from, idle_timeout_ms);
-      return run_client(socket_path);
-    }
-
     const gg::service::ServiceConfig config = config_from_flags(flags);
     const gg::sim::SocketFaultConfig socket_faults =
         gg::sim::SocketFaultConfig::from_flags(flags);
-    flags.reject_unknown();
-
-    if (!replay.empty()) return run_replay(config, replay, window);
-    if (!events.empty()) return run_events(config, events, from);
-
+    reject_unread(flags, "the greengpud server");
+    config.validate();
     if (socket_path.empty() || journal_path.empty()) {
       std::fprintf(stderr, "usage: greengpud --socket <path> --journal <path> "
                            "[--report <path>] [--resume] | --client --socket "
@@ -333,22 +354,12 @@ int main(int argc, char** argv) {
                            "--window <lo>:<hi> | --events <journal> [--from N]\n");
       return 2;
     }
+    // --crash-at arms a service kill-point in exit mode: the process dies
+    // with _Exit(70) exactly where a real fault would strike, which is what
+    // tools/service_smoke.sh's kill-and-resume matrix drives.
+    std::optional<gg::sim::CrashInjector> crash;
     if (!crash_at.empty()) {
-      const std::size_t c1 = crash_at.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : crash_at.find(':', c1 + 1);
-      const std::string point_name =
-          crash_at.substr(0, c1 == std::string::npos ? crash_at.size() : c1);
-      const std::uint64_t nth =
-          c1 == std::string::npos
-              ? 1
-              : std::stoull(crash_at.substr(c1 + 1, c2 == std::string::npos
-                                                        ? std::string::npos
-                                                        : c2 - c1 - 1));
-      const std::uint64_t shots =
-          c2 == std::string::npos ? 1 : std::stoull(crash_at.substr(c2 + 1));
-      gg::common::arm_kill_point(gg::common::kill_point_from_string(point_name),
-                                 nth, gg::common::CrashMode::kExit, shots);
+      crash.emplace(gg::sim::parse_crash_spec(crash_at), gg::sim::CrashMode::kExit);
     }
     return run_server(config, socket_path, journal_path, report_path, resume,
                       socket_faults);
