@@ -56,13 +56,13 @@ class MonteCarloPi final : public workloads::ProfiledWorkload {
     done_ = true;
   }
 
-  // The estimate is checked against pi itself, so there is no reference to
-  // recompute and the run's pool goes unused.
-  [[nodiscard]] bool verify(common::JobPool& /*pool*/) const override {
-    if (!done_) return false;
-    const double pi = 4.0 * static_cast<double>(total_hits_) /
-                      static_cast<double>(kDarts * kIterations);
-    return std::fabs(pi - M_PI) < 0.01;
+  // The estimate is checked against pi itself, so the reference is pi and
+  // the run's pool goes unused.
+  [[nodiscard]] workloads::Reference reference(common::JobPool& /*pool*/) const override {
+    return {M_PI};
+  }
+  [[nodiscard]] bool matches(const workloads::Reference& ref) const override {
+    return done_ && ref.size() == 1 && std::fabs(estimate() - ref[0]) < 0.01;
   }
 
   [[nodiscard]] double estimate() const {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -37,6 +38,14 @@ struct CellState {
   /// the cadence boundary it was taken at; 0 = none yet.
   common::SnapshotWriter checkpoint;
   std::size_t checkpoint_at{0};
+};
+
+/// One workload row's verify reference for one run() call: invalid until a
+/// cell claims it, freed once the row's last pending cell is published.
+struct ReferenceSlot {
+  std::mutex mutex;
+  std::shared_future<workloads::Reference> reference;
+  std::size_t unpublished{0};
 };
 
 /// Refresh `s`'s record at its current iteration boundary.
@@ -168,6 +177,8 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
 
   stats_ = Stats{};
   std::mutex stats_mutex;
+  std::vector<ReferenceSlot> slots(plan_->workloads.size());
+  for (std::size_t i = 0; i < total; ++i) slots[i / policy_count].unpublished += !done_[i];
 
   common::JobPool pool(jobs_);
   pool.run_batches(total, row_width, [&](std::size_t first, std::size_t last) {
@@ -290,11 +301,28 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
 
     // Finish and publish in flat-index order: the verify donor is the
     // lowest pending index, so its memo is set before any model cell needs
-    // the patch.
+    // the patch.  The first of a workload's cells to verify computes the
+    // reference on its own runtime pool; the others wait for it here, on
+    // campaign workers.  The computing cell needs no campaign worker, so the
+    // wait cannot deadlock, and the future hands an exception in the
+    // reference to every waiter.
+    ReferenceSlot& slot = slots[w];
     bool memo_verified = false;
     bool memo_skipped = false;
     for (auto& s : states) {
-      ExperimentResult result = s->engine->finish();
+      ExperimentResult result = s->engine->finish([&](common::JobPool& rt_pool) {
+        std::packaged_task<workloads::Reference()> task(
+            [&] { return s->workload->reference(rt_pool); });
+        const std::shared_future<workloads::Reference> claimed = task.get_future().share();
+        {
+          std::lock_guard<std::mutex> lock(slot.mutex);
+          if (slot.reference.valid()) return slot.reference;
+          slot.reference = claimed;
+        }
+        ++row.references;
+        task();
+        return claimed;
+      });
       if (s->full_compute) {
         memo_verified = result.verified;
         memo_skipped = result.verify_skipped;
@@ -308,6 +336,8 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
       }
       cells[s->index].result = std::move(result);
       if (hooks.on_done) hooks.on_done(s->index, cells[s->index].result);
+      std::lock_guard<std::mutex> lock(slot.mutex);
+      if (--slot.unpublished == 0) slot.reference = {};
     }
 
     std::lock_guard<std::mutex> lock(stats_mutex);
@@ -315,6 +345,7 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
     stats_.model_runs += row.model_runs;
     stats_.forked_cells += row.forked_cells;
     stats_.prefix_iterations_saved += row.prefix_iterations_saved;
+    stats_.references += row.references;
   });
 }
 

@@ -74,6 +74,9 @@ class BatchCampaignEngine {
     std::size_t forked_cells{0};
     /// Warm-up iterations those forks did not have to re-simulate.
     std::size_t prefix_iterations_saved{0};
+    /// Verify references computed, one per workload row that verifies: its
+    /// cells share it (a scalar row's policy cells; a batch row's donor).
+    std::size_t references{0};
   };
 
   /// `plan` and `options` must outlive the engine.  `jobs` as in

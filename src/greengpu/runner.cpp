@@ -336,7 +336,7 @@ DivisionAction ExperimentEngine::divide(const IterationRecord& rec) {
   return action;
 }
 
-ExperimentResult ExperimentEngine::finish() {
+ExperimentResult ExperimentEngine::finish(const ReferenceSource& reference) {
   if (!started_ || finished_) {
     throw std::logic_error("ExperimentEngine: finish() outside a run");
   }
@@ -407,7 +407,9 @@ ExperimentResult ExperimentEngine::finish() {
     // A truncated run cannot be checked against the full-length reference.
     const bool can_verify = options_.verify && n_iters_ == workload_->iterations();
     result_.verify_skipped = !can_verify;
-    result_.verified = can_verify ? workload_->verify(rt_->pool()) : true;
+    result_.verified = !can_verify || (reference
+                                           ? workload_->matches(reference(rt_->pool()).get())
+                                           : workload_->verify(rt_->pool()));
   }
   return std::move(result_);
 }

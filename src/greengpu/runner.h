@@ -5,6 +5,8 @@
 // card, a share vector (the CPU first) and one WMA daemon per card.
 #pragma once
 
+#include <functional>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -217,9 +219,14 @@ class ExperimentEngine {
   [[nodiscard]] std::size_t iteration() const { return iter_; }
   /// Iterations this run will execute (valid after start()).
   [[nodiscard]] std::size_t total_iterations() const { return n_iters_; }
-  /// Teardown + final accounting + verification; call once, after the last
+  /// Where finish() gets the verify reference, handed the run's pool.
+  using ReferenceSource =
+      std::function<std::shared_future<workloads::Reference>(common::JobPool&)>;
+  /// Teardown + final accounting + verification against `reference`'s (a
+  /// campaign shares one per workload), or by default against a reference
+  /// the workload recomputes on the run's pool; call once, after the last
   /// iteration.
-  [[nodiscard]] ExperimentResult finish();
+  [[nodiscard]] ExperimentResult finish(const ReferenceSource& reference = {});
   /// start() + every iteration + finish(), i.e. exactly run_experiment().
   [[nodiscard]] ExperimentResult run();
 

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "src/common/annotations.h"
 #include "src/common/killpoint.h"
+#include "src/common/parse.h"
 #include "src/common/snapshot.h"
 #include "src/greengpu/campaign.h"
 #include "src/workloads/registry.h"
@@ -26,13 +29,12 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-/// Parse "key=value" with a u64 value; throws invalid_argument on garbage.
+/// Parse "key=value" with a digits-only u64 value; throws invalid_argument
+/// "bad <key>" on anything else.
 std::uint64_t parse_u64(const std::string& token, const std::string& key) {
-  std::size_t pos = 0;
-  const std::string value = token.substr(key.size() + 1);
-  const std::uint64_t parsed = std::stoull(value, &pos);
-  if (pos != value.size()) throw std::invalid_argument("bad " + key);
-  return parsed;
+  const auto parsed = common::parse_u64(std::string_view(token).substr(key.size() + 1));
+  if (!parsed) throw std::invalid_argument("bad " + key);
+  return *parsed;
 }
 
 double parse_f64(const std::string& token, const std::string& key) {
@@ -216,13 +218,9 @@ std::string ServiceCore::handle_line(const std::string& line) {
   if (verb == "SUBMIT") return handle_submit(tokens);
   if (verb == "STATUS") {
     if (tokens.size() != 2) return "400 usage: STATUS <seq>";
-    std::uint64_t seq = 0;
-    try {
-      seq = std::stoull(tokens[1]);
-    } catch (const std::exception&) {
-      return "400 bad seq";
-    }
-    const auto it = state_.states().find(seq);
+    const std::optional<std::uint64_t> seq = common::parse_u64(tokens[1]);
+    if (!seq) return "400 bad seq";
+    const auto it = state_.states().find(*seq);
     if (it == state_.states().end()) return "404 unknown-seq " + tokens[1];
     return "200 status seq=" + tokens[1] + " state=" + it->second;
   }
@@ -342,12 +340,12 @@ std::uint64_t ServiceCore::watch(const std::string& line, std::string& reply) {
   std::uint64_t from = hub_.published() + 1;  // live tail by default
   bool resume_cursor = false;
   if (tokens.size() == 3 && tokens[1] == "FROM") {
-    try {
-      from = std::stoull(tokens[2]);
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> cursor = common::parse_u64(tokens[2]);
+    if (!cursor) {
       reply = "400 bad cursor " + tokens[2];
       return 0;
     }
+    from = *cursor;
     if (from == 0) {
       reply = "400 bad cursor 0 (event seqs start at 1)";
       return 0;

@@ -157,23 +157,18 @@ void Kmeans::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Kmeans::verify(common::JobPool& pool) const {
-  if (!ran_) return false;
-  // Reference: rerun the full algorithm from the stored initial state (the
-  // assignment pass on the pool); the divided execution must match
-  // bit-for-bit up to summation order (same order here), so compare with a
-  // tight tolerance.
+Reference Kmeans::reference(common::JobPool& pool) const {
+  if (host_points_.empty()) return {};
+  // Rerun the full algorithm from the stored initial state (the assignment
+  // pass on the pool); the divided execution must match bit-for-bit up to
+  // summation order (same order here), so matches() uses a tight tolerance.
   std::vector<double> ref_centroids = initial_centroids_;
   std::vector<int> ref_assignments(config_.points, 0);
   for (std::size_t it = 0; it < config_.iterations; ++it) {
     reference_step(pool, host_points_, ref_centroids, ref_assignments, config_.points,
                    config_.dims, config_.clusters);
   }
-  if (result_centroids_.size() != ref_centroids.size()) return false;
-  for (std::size_t i = 0; i < ref_centroids.size(); ++i) {
-    if (std::fabs(result_centroids_[i] - ref_centroids[i]) > 1e-9) return false;
-  }
-  return true;
+  return ref_centroids;
 }
 
 }  // namespace gg::workloads

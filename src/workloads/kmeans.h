@@ -46,7 +46,10 @@ class Kmeans final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(result_centroids_, ref, [](double) { return 1e-9; });
+  }
 
   /// Points per block of the reference's assignment pass, whatever the
   /// pool's size.  Not a power of two: the launch cuts [0, N) into
@@ -74,7 +77,7 @@ class Kmeans final : public ProfiledWorkload {
 
   KmeansConfig config_;
   std::vector<double> host_points_;       // N x D row-major
-  std::vector<double> initial_centroids_; // K x D, for the verify reference
+  std::vector<double> initial_centroids_; // K x D, for reference()
   std::vector<double> centroids_;         // K x D, current
   std::vector<int> assignments_;          // N
   cudalite::DeviceBuffer<double> dev_points_;

@@ -258,8 +258,8 @@ void KmeansPipeline::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool KmeansPipeline::verify(common::JobPool& /*pool*/) const {
-  if (!ran_) return false;
+Reference KmeansPipeline::reference(common::JobPool& /*pool*/) const {
+  if (host_points_.empty()) return {};
   // Scalar reference mirroring the chunked execution exactly: per-chunk
   // partial sums merged in chunk order (floating-point summation grouping
   // matters, so the reference groups identically).
@@ -301,11 +301,7 @@ bool KmeansPipeline::verify(common::JobPool& /*pool*/) const {
       }
     }
   }
-  if (result_centroids_.size() != ref.size()) return false;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (std::fabs(result_centroids_[i] - ref[i]) > 1e-9) return false;
-  }
-  return true;
+  return ref;
 }
 
 }  // namespace gg::workloads

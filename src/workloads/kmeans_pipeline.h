@@ -71,7 +71,10 @@ class KmeansPipeline final : public Workload {
                      std::function<void(std::size_t)> on_done) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(result_centroids_, ref, [](double) { return 1e-9; });
+  }
 
   [[nodiscard]] const KmeansPipelineConfig& config() const { return config_; }
   /// Current centroids; empty until a full-compute setup built the inputs.
@@ -91,11 +94,11 @@ class KmeansPipeline final : public Workload {
 
   KmeansPipelineConfig config_;
   std::vector<double> host_points_;        // N x D row-major
-  std::vector<double> initial_centroids_;  // K x D, for the verify reference
+  std::vector<double> initial_centroids_;  // K x D, for reference()
   std::vector<double> centroids_;          // K x D, current
   std::vector<int> chunk_assign_;          // N, per-chunk D2H destinations
   /// Per-chunk partial reductions, merged in chunk order at the reduction
-  /// point (verify mirrors the exact same summation grouping).
+  /// point (reference() mirrors the exact same summation grouping).
   std::vector<std::vector<double>> partial_sums_;        // chunks x (K x D)
   std::vector<std::vector<std::size_t>> partial_counts_; // chunks x K
   std::vector<cudalite::DeviceBuffer<double>> dev_points_;  // per slot

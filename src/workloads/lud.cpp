@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/rng.h"
 
@@ -28,22 +29,20 @@ void Lud::setup(cudalite::Runtime& rt) {
   // Sized here, not by the compute chunks, so the teardown writeback has a
   // source even when no iteration ran.
   if (rt.compute_enabled()) lu_.assign(config_.dim * config_.dim, 0.0);
-  original_.clear();
   ran_ = false;
 }
 
 void Lud::gpu_chunk(std::size_t /*begin*/, std::size_t /*end*/, std::size_t iter) {
   // One launch factors the whole matrix (sequential pivot steps).
-  original_ = make_matrix(iter);
-  lu_ = original_;
+  factors_ = make_matrix(iter);
   const std::size_t n = config_.dim;
   for (std::size_t k = 0; k < n; ++k) {
-    const double pivot = lu_[k * n + k];
+    const double pivot = factors_[k * n + k];
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double factor = lu_[i * n + k] / pivot;
-      lu_[i * n + k] = factor;
+      const double factor = factors_[i * n + k] / pivot;
+      factors_[i * n + k] = factor;
       for (std::size_t j = k + 1; j < n; ++j) {
-        lu_[i * n + j] -= factor * lu_[k * n + j];
+        factors_[i * n + j] -= factor * factors_[k * n + j];
       }
     }
   }
@@ -51,6 +50,10 @@ void Lud::gpu_chunk(std::size_t /*begin*/, std::size_t /*end*/, std::size_t iter
 
 void Lud::cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) {
   gpu_chunk(begin, end, iter);
+}
+
+void Lud::finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*/) {
+  std::swap(lu_, factors_);
 }
 
 void Lud::teardown(cudalite::Runtime& rt) {
@@ -61,10 +64,14 @@ void Lud::teardown(cudalite::Runtime& rt) {
   ran_ = !back.empty();
 }
 
-bool Lud::verify(common::JobPool& /*pool*/) const {
-  if (!ran_ || lu_.empty() || original_.empty()) return false;
+Reference Lud::reference(common::JobPool& /*pool*/) const {
+  return make_matrix(config_.iterations - 1);
+}
+
+bool Lud::matches(const Reference& ref) const {
   // Check L * U == A for the last factored matrix.
   const std::size_t n = config_.dim;
+  if (!ran_ || lu_.size() != n * n || ref.size() != n * n) return false;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       double sum = 0.0;
@@ -74,9 +81,7 @@ bool Lud::verify(common::JobPool& /*pool*/) const {
         const double u = lu_[k * n + j];
         sum += l * u;
       }
-      if (std::fabs(sum - original_[i * n + j]) > 1e-8 * static_cast<double>(n)) {
-        return false;
-      }
+      if (std::fabs(sum - ref[i * n + j]) > 1e-8 * static_cast<double>(n)) return false;
     }
   }
   return true;

@@ -3,7 +3,9 @@
 // Each iteration factors a fresh diagonally dominant matrix (the paper runs
 // 10 iterations of an 8192x8192 factorization).  The elimination is
 // inherently sequential across pivot steps, so the real kernel runs as a
-// single-range launch; the simulated intensity carries the Table II class.
+// single-range launch that `finish_iteration` publishes; the reference is the
+// last matrix A, which L * U must reproduce.  The simulated intensity carries
+// the Table II class.
 //
 // Table II: 10 iterations, 8192x8192; medium core utilization, low memory
 // utilization.
@@ -37,8 +39,10 @@ class Lud final : public ProfiledWorkload {
   [[nodiscard]] IntensityProfile profile(std::size_t iter) const override;
 
   void setup(cudalite::Runtime& rt) override;
+  void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override;
 
  protected:
   [[nodiscard]] std::size_t real_items() const override { return 1; }
@@ -49,8 +53,8 @@ class Lud final : public ProfiledWorkload {
   [[nodiscard]] std::vector<double> make_matrix(std::size_t iter) const;
 
   LudConfig config_;
-  std::vector<double> lu_;       // in-place L\U of the last factored matrix
-  std::vector<double> original_; // its source matrix, for verification
+  std::vector<double> lu_;       // L\U of the last published matrix
+  std::vector<double> factors_;  // L\U the iteration in flight factors
   cudalite::DeviceBuffer<double> dev_matrix_;
   bool ran_{false};
 };

@@ -9,8 +9,8 @@
 // moderate memory utilization — throttling memory is nearly free, throttling
 // cores is not (Fig. 1).
 //
-// Every advance of the bodies, the parallel chunks and `verify()`'s
-// reference alike, goes through `advance_bodies`: the reference runs the
+// Every advance of the bodies, the parallel chunks and `reference()`
+// alike, goes through `advance_bodies`: the reference runs the
 // same per-body kernel over [0, N) from the initial state, in fixed blocks of
 // 100 bodies on the pool it is handed (the launch splits by worker count).
 #pragma once
@@ -65,9 +65,12 @@ class Nbody final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(result_pos_, ref, [](double) { return 1e-9; });
+  }
 
-  /// Bodies per block of verify()'s reference, whatever the pool's size.
+  /// Bodies per block of reference(), whatever the pool's size.
   /// The launch cuts [0, N) into worker-count chunks instead, and no chunk
   /// of the reference covers the same bodies as a launch chunk, so a pool
   /// that lost or repeated a chunk would not corrupt both alike.

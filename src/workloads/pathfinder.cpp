@@ -56,8 +56,7 @@ void Pathfinder::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Pathfinder::verify(common::JobPool& /*pool*/) const {
-  if (!ran_) return false;
+Reference Pathfinder::reference(common::JobPool& /*pool*/) const {
   const std::size_t c = config_.cols;
   std::vector<long long> in(c), out(c);
   for (std::size_t j = 0; j < c; ++j) in[j] = weight(0, j);
@@ -71,7 +70,7 @@ bool Pathfinder::verify(common::JobPool& /*pool*/) const {
     }
     std::swap(in, out);
   }
-  return result_ == in;
+  return {in.begin(), in.end()};
 }
 
 }  // namespace gg::workloads

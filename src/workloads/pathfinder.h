@@ -40,7 +40,10 @@ class Pathfinder final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(result_, ref, [](double) { return 0.0; });
+  }
 
   /// Deterministic grid weight at (row, col).
   [[nodiscard]] int weight(std::size_t row, std::size_t col) const;

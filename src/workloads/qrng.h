@@ -44,7 +44,10 @@ class Qrng final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(sums_, ref, [](double s) { return 1e-9 * (1.0 + std::fabs(s)); });
+  }
 
   /// Number of Sobol dimensions cycled across iterations.
   static constexpr std::size_t kDimensions = 4;

@@ -10,7 +10,7 @@
 // set bit of i.  The generator stores prefix XORs of the direction integers
 // instead, which turns that into a Gray-code walk: `sample` XORs one prefix
 // per set bit of i ^ (i >> 1), and `fill` steps from point i to i + 1 with a
-// single XOR.  QG's kernel and its serial reference in `Qrng::verify` both
+// single XOR.  QG's kernel and its serial reference in `Qrng::reference` both
 // generate through `fill`.
 #pragma once
 

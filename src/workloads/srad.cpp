@@ -78,19 +78,15 @@ void Srad::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool Srad::verify(common::JobPool& /*pool*/) const {
-  if (!ran_) return false;
+Reference Srad::reference(common::JobPool& /*pool*/) const {
+  if (initial_img_.empty()) return {};
   std::vector<double> in = initial_img_;
   std::vector<double> out(in.size(), 0.0);
   for (std::size_t it = 0; it < config_.iterations; ++it) {
     step_rows(in, out, 0, config_.rows);
     std::swap(in, out);
   }
-  if (result_.size() != in.size()) return false;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if (std::fabs(result_[i] - in[i]) > 1e-9 * (1.0 + std::fabs(in[i]))) return false;
-  }
-  return true;
+  return in;
 }
 
 }  // namespace gg::workloads

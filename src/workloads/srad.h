@@ -42,7 +42,10 @@ class Srad final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(result_, ref, [](double v) { return 1e-9 * (1.0 + std::fabs(v)); });
+  }
 
  protected:
   [[nodiscard]] std::size_t real_items() const override { return config_.rows; }

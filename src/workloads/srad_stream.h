@@ -61,7 +61,11 @@ class SradStream final : public Workload {
                      std::function<void(std::size_t)> on_done) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(std::vector<double>{checksum_}, ref,
+                          [](double r) { return 1e-9 * std::max(1.0, std::fabs(r)); });
+  }
 
   [[nodiscard]] const SradStreamConfig& config() const { return config_; }
   [[nodiscard]] double checksum() const { return checksum_; }

@@ -51,7 +51,10 @@ class Streamcluster final : public ProfiledWorkload {
   void setup(cudalite::Runtime& rt) override;
   void finish_iteration(cudalite::Runtime& rt, std::size_t iter) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && within(final_costs_, ref, [](double) { return 1e-12; });
+  }
 
   /// Total assignment cost after a full run (the clustering objective).
   [[nodiscard]] double total_cost() const;

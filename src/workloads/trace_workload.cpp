@@ -119,8 +119,7 @@ void TraceWorkload::teardown(cudalite::Runtime& rt) {
   ran_ = rt.compute_enabled();
 }
 
-bool TraceWorkload::verify(common::JobPool& /*pool*/) const {
-  if (!ran_) return false;
+Reference TraceWorkload::reference(common::JobPool& /*pool*/) const {
   std::uint64_t expected = 0;
   for (std::size_t iter = 0; iter < phases_.size(); ++iter) {
     for (std::size_t i = 0; i < kItems; ++i) {
@@ -128,7 +127,7 @@ bool TraceWorkload::verify(common::JobPool& /*pool*/) const {
       expected ^= splitmix64(s);
     }
   }
-  return expected == final_checksum_;
+  return halves(expected);
 }
 
 }  // namespace gg::workloads

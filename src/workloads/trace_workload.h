@@ -43,7 +43,10 @@ class TraceWorkload final : public ProfiledWorkload {
 
   void setup(cudalite::Runtime& rt) override;
   void teardown(cudalite::Runtime& rt) override;
-  [[nodiscard]] bool verify(common::JobPool& pool) const override;
+  [[nodiscard]] Reference reference(common::JobPool& pool) const override;
+  [[nodiscard]] bool matches(const Reference& ref) const override {
+    return ran_ && ref == halves(final_checksum_);
+  }
 
   [[nodiscard]] const std::vector<TracePhase>& phases() const { return phases_; }
   /// Total trace duration at peak clocks.
@@ -56,6 +59,10 @@ class TraceWorkload final : public ProfiledWorkload {
 
  private:
   static constexpr std::size_t kItems = 4096;
+  /// A checksum as its two 32-bit halves, each exact in a double.
+  static Reference halves(std::uint64_t x) {
+    return {static_cast<double>(x >> 32), static_cast<double>(x & 0xFFFFFFFFULL)};
+  }
 
   std::vector<TracePhase> phases_;
   std::uint64_t seed_;

@@ -9,15 +9,16 @@
 // completion times.
 //
 // Workloads REALLY compute: the per-iteration chunk functions run actual
-// kernels on the cudalite pool, and `verify` checks the final output against
-// a reference recomputed from the initial inputs, every iteration of it
-// (nbody and QG run the very per-item kernel their chunks use over every
-// item).  nbody and kmeans recompute on the pool `verify` is handed — the
-// run's own, so a 1-worker pool is the serial case — in fixed blocks whose
-// size does not depend on the worker count and differs from the launch
-// partition, so a pool that lost or repeated a launch chunk cannot corrupt
-// the kernel and the reference alike; the other, cheap references ignore
-// the pool.  In parallel, each workload carries an
+// kernels on the cudalite pool.  `reference` recomputes the final output from
+// the config's inputs, every iteration of it (nbody and QG run the very
+// per-item kernel their chunks use over every item); it depends on the config
+// alone, so a campaign computes it once per workload, and `matches` checks
+// each run's own output against it.  nbody and kmeans recompute on the pool
+// `reference` is handed — a run's own, so a 1-worker pool is the serial
+// case — in fixed blocks whose size does not depend on the worker count and
+// differs from the launch partition, so a pool that lost or repeated a
+// launch chunk cannot corrupt the kernel and the reference alike; the other,
+// cheap references ignore the pool.  In parallel, each workload carries an
 // `IntensityProfile` per iteration that drives the simulated timing/energy
 // (calibrated to the Table II utilization classes with the paper's enlarged
 // problem sizes).
@@ -27,9 +28,11 @@
 // runtime computes (`rt.compute_enabled()`): a model-only run touches no
 // real data, so every simulated quantity — allocation sizes, transfer
 // counts, item counts — comes from the config, never from a host buffer.
-// `verify` holds only after a full run.
+// `matches` holds only after a full run.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -46,6 +49,10 @@ namespace gg::workloads {
 /// are the GPUs.  Shares are fractions of the iteration's work and must sum
 /// to 1 (within floating-point tolerance).
 using ShareVector = std::vector<double>;
+
+/// The final output of a full run, flattened to doubles (bfs' and
+/// pathfinder's integer outputs are exact in a double).
+using Reference = std::vector<double>;
 
 class Workload {
  public:
@@ -85,10 +92,14 @@ class Workload {
   /// Copy results back (charges simulated D2H time).
   virtual void teardown(cudalite::Runtime& rt) = 0;
 
-  /// Check final results against the reference recomputed on `pool` (the
-  /// run's pool, fixed blocks; the tolerance does not depend on the pool);
-  /// call after a full run + teardown.  False after a model-only run.
-  [[nodiscard]] virtual bool verify(common::JobPool& pool) const = 0;
+  /// The final output a correct full run of this config must produce,
+  /// recomputed on `pool` (the result does not depend on the pool).  Empty
+  /// when this object never built its inputs, which no run matches.
+  [[nodiscard]] virtual Reference reference(common::JobPool& pool) const = 0;
+  /// This object's own final output against `ref`, with the workload's
+  /// tolerance; false after a model-only run or before any run.
+  [[nodiscard]] virtual bool matches(const Reference& ref) const = 0;
+  [[nodiscard]] bool verify(common::JobPool& pool) const { return matches(reference(pool)); }
 };
 
 /// Base class implementing the generic split-launch plumbing.  Subclasses
@@ -121,5 +132,14 @@ class ProfiledWorkload : public Workload {
 };
 
 using WorkloadPtr = std::unique_ptr<Workload>;
+
+/// `matches` helper: `out` has `ref`'s size and every element lies within
+/// `tol(r)` of its reference value r (a NaN never does).
+template <class T, class Tol>
+[[nodiscard]] bool within(const std::vector<T>& out, const Reference& ref, Tol tol) {
+  return std::equal(out.begin(), out.end(), ref.begin(), ref.end(), [&](T o, double r) {
+    return std::fabs(static_cast<double>(o) - r) <= tol(r);
+  });
+}
 
 }  // namespace gg::workloads

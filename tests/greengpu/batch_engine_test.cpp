@@ -171,6 +171,7 @@ TEST(BatchEngine, StatsReportMemoizationAndForks) {
   // Each 3-replicate group forks 2 cells from its warm-up snapshot.
   EXPECT_EQ(stats.forked_cells, 4u);
   EXPECT_EQ(stats.prefix_iterations_saved, 4u * cfg.options.faults_active_from);
+  EXPECT_EQ(stats.references, 1u);
   // Publication within the row is flat-index order.
   const std::vector<std::size_t> expected{0, 1, 2, 3, 4, 5};
   EXPECT_EQ(done_order, expected);
@@ -195,10 +196,45 @@ TEST(BatchEngine, ScalarRowsRunEveryCellWithFullComputeAndNoForks) {
     EXPECT_EQ(engine.stats().model_runs, 0u);
     EXPECT_EQ(engine.stats().forked_cells, 0u);
     EXPECT_EQ(engine.stats().prefix_iterations_saved, 0u);
+    // The row's six verifying cells share one reference.
+    EXPECT_EQ(engine.stats().references, verify ? 1u : 0u);
     for (const auto& cell : cells) {
       EXPECT_TRUE(cell.result.verified);
       EXPECT_EQ(cell.result.verify_skipped, !verify);
     }
+  }
+}
+
+TEST(BatchEngine, TableIICampaignComputesOneReferencePerWorkload) {
+  // The paper's 9 x 4 matrix: a scalar campaign's four policy cells of a
+  // workload share one reference at any --jobs, a batch row computes one
+  // for its donor, and every cell still verifies its own output.
+  CampaignConfig cfg;
+  cfg.options.pool_workers = 2;
+  const CampaignPlan plan = plan_campaign(cfg);
+  ASSERT_EQ(plan.total(), 36u);
+  std::string first_report;
+  for (const auto& [engine_kind, jobs] :
+       {std::pair{CampaignEngine::kScalar, 1}, std::pair{CampaignEngine::kScalar, 4},
+        std::pair{CampaignEngine::kBatch, 4}}) {
+    SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+    BatchCampaignEngine engine(plan, cfg.options, jobs, engine_kind);
+    std::vector<CampaignCell> cells(plan.total());
+    engine.run(cells);
+    EXPECT_EQ(engine.stats().references, 9u);
+    CampaignResult result;
+    result.workloads = plan.workloads;
+    for (const Policy& p : plan.policies) result.policy_names.push_back(p.name);
+    result.cells = std::move(cells);
+    finalize_campaign_savings(result);
+    for (const CampaignCell& cell : result.cells) {
+      EXPECT_TRUE(cell.result.verified) << cell.result.workload << " " << cell.result.policy;
+      EXPECT_FALSE(cell.result.verify_skipped);
+    }
+    std::ostringstream csv;
+    write_campaign_csv(csv, result);
+    if (first_report.empty()) first_report = csv.str();
+    EXPECT_EQ(csv.str(), first_report);
   }
 }
 
@@ -219,6 +255,7 @@ TEST(BatchEngine, SkipCompletedLeavesDoneCellsUntouched) {
   EXPECT_FALSE(cells[1].result.verify_skipped);
   EXPECT_EQ(engine.stats().full_runs, 1u);
   EXPECT_EQ(engine.stats().model_runs, 0u);
+  EXPECT_EQ(engine.stats().references, 1u);
 }
 
 TEST(BatchEngine, VerifyOffRunsEverythingModelOnly) {

@@ -110,6 +110,35 @@ TEST_F(ServiceCoreTest, ProtocolRejectsGarbageWithoutSideEffects) {
             "202 accepted seq=1");
 }
 
+TEST_F(ServiceCoreTest, NumbersAreDigitsAlone) {
+  // A seq, a cursor and a SUBMIT count are decimal digits that fit in 64
+  // bits: a sign, a trailing byte or an overflow once wrapped or was cut
+  // off ("STATUS 1x" answered for seq 1).
+  ServiceCore core(small_config(), journal_, /*resume=*/false);
+  ASSERT_EQ(core.handle_line("SUBMIT lud best-performance iters=2"), "202 accepted seq=1");
+  for (const char* seq : {"1x", "-18446744073709551615", "+1", "18446744073709551617"}) {
+    EXPECT_EQ(core.handle_line(std::string("STATUS ") + seq), "400 bad seq") << seq;
+  }
+  EXPECT_EQ(core.handle_line("STATUS 1"), "200 status seq=1 state=queued");
+  for (const char* option : {"iters=-1", "iters=1x", "iters=+2", "iters=18446744073709551616",
+                             "priority=-3", "priority=2.5"}) {
+    const std::string key = std::string(option).substr(0, std::string(option).find('='));
+    EXPECT_EQ(core.handle_line(std::string("SUBMIT lud best-performance ") + option),
+              "400 bad " + key)
+        << option;
+  }
+  EXPECT_EQ(core.stats().submitted, 1u) << "refused submissions cost no seq";
+  std::string reply;
+  for (const char* cursor : {"1x", "-1", "+1"}) {
+    EXPECT_EQ(core.watch(std::string("WATCH FROM ") + cursor, reply), 0u) << cursor;
+    EXPECT_EQ(reply, std::string("400 bad cursor ") + cursor);
+  }
+  const std::uint64_t id = core.watch("WATCH FROM 1", reply);
+  EXPECT_NE(id, 0u);
+  EXPECT_EQ(reply.rfind("200 watching from=1 ", 0), 0u) << reply;
+  core.unwatch(id);
+}
+
 TEST_F(ServiceCoreTest, SubmitAdmitsEveryRegistryNameAndRejectsUnknownOnes) {
   ServiceConfig config = small_config();
   config.queue_capacity = 64;

@@ -3,10 +3,13 @@
 // cover the same items as a launch chunk.  A full run verifies on pools of
 // every size, not only the one its kernels used; a run whose merge step was
 // skipped once fails at every pool size; and the kmeans run's centroids
-// equal the serial reference loop bit for bit.
+// equal the serial reference loop bit for bit.  For every workload, one
+// object's `reference` verifies another object's correct run and refuses a
+// run with a skipped merge, as a campaign shares it across a row's cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -17,8 +20,10 @@
 #include "src/common/job_pool.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/runner.h"
+#include "src/workloads/bfs.h"
 #include "src/workloads/kmeans.h"
 #include "src/workloads/nbody.h"
+#include "src/workloads/registry.h"
 #include "tests/workloads/hand_driven_run.h"
 #include "tests/workloads/kernel_oracles.h"
 
@@ -90,6 +95,55 @@ TEST(VerifyReference, SkippedMergeFailsAtEveryPoolSize) {
           << c.label << " with merge " << c.skip << " skipped, " << workers << " workers";
     }
   }
+}
+
+/// `name`'s workload at its defaults, but bfs with 4 relaxation rounds: its
+/// default 96 converge within the first few, after which a lost round heals.
+WorkloadPtr make_unhealed(const std::string& name) {
+  if (name != "bfs") return make_workload(name);
+  BfsConfig cfg;
+  cfg.iterations = 4;
+  return std::make_unique<Bfs>(cfg);
+}
+
+TEST(VerifyReference, OneObjectsReferenceJudgesAnotherObjectsRun) {
+  std::vector<std::string> names = all_workload_names();
+  for (const std::string& name : pipeline_workload_names()) names.push_back(name);
+  ASSERT_EQ(names.size(), 11u);
+  common::JobPool pool(3);
+  for (const std::string& name : names) {
+    greengpu::RunOptions options;
+    options.pool_workers = 2;
+    auto owner = make_unhealed(name);
+    ASSERT_TRUE(
+        greengpu::run_experiment(*owner, greengpu::Policy::best_performance(), options).verified)
+        << name;
+    const Reference ref = owner->reference(pool);
+    ASSERT_FALSE(ref.empty()) << name;
+
+    auto other = make_unhealed(name);
+    ASSERT_TRUE(greengpu::run_experiment(*other, greengpu::Policy::green_gpu(), options).verified)
+        << name;
+    EXPECT_TRUE(other->matches(ref)) << name << ": another object's correct run";
+
+    auto skipped = make_unhealed(name);
+    run_by_hand(*skipped, kKernelWorkers, skipped->iterations() - 1);
+    EXPECT_FALSE(skipped->matches(ref)) << name << ": a run with its last merge skipped";
+
+    auto unrun = make_unhealed(name);
+    EXPECT_FALSE(unrun->matches(ref)) << name << ": an object that never ran";
+  }
+}
+
+TEST(VerifyReference, WithinNeedsEveryElementInTolerance) {
+  const Reference ref{1.0, 2.0};
+  const auto tight = [](double) { return 1e-9; };
+  EXPECT_TRUE(within(std::vector<double>{1.0, 2.0 + 1e-10}, ref, tight));
+  EXPECT_FALSE(within(std::vector<double>{1.0, 2.0 + 1e-8}, ref, tight));
+  EXPECT_FALSE(within(std::vector<double>{1.0, std::nan("")}, ref, tight));
+  EXPECT_FALSE(within(std::vector<double>{1.0}, ref, tight));
+  EXPECT_TRUE(within(std::vector<int>{1, 2}, ref, [](double) { return 0.0; }));
+  EXPECT_FALSE(within(std::vector<int>{1, 3}, ref, [](double) { return 0.0; }));
 }
 
 using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;

@@ -8,7 +8,9 @@
 //     contract) at every sweep point, with and without fault injection,
 //   * records wall-clock, runs/sec and the parallel speedup, plus a
 //     single_core_host marker so the perf gate never compares parallel
-//     speedups across host classes,
+//     speedups across host classes, the host's CPU model, and the number
+//     of verify references the campaign computed (one per workload row,
+//     shared by its cells),
 //   * times the batch campaign engine against the scalar engine on a
 //     fault-replicate sweep (the batch engine's target shape: many cells
 //     per workload sharing a warm-up prefix), asserts the two engines'
@@ -110,6 +112,29 @@ CampaignRun run_campaign_timed(const greengpu::CampaignConfig& cfg) {
   const auto start = Clock::now();
   const greengpu::CampaignResult result = greengpu::run_campaign(cfg);
   return to_run(result, seconds_since(start));
+}
+
+/// The CPU model line of /proc/cpuinfo, so a record names the host it was
+/// measured on ("unknown" where there is none).
+std::string host_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) continue;
+    std::string model = line.substr(colon + 1);
+    model.erase(0, model.find_first_not_of(" \t"));
+    return model;
+  }
+  return "unknown";
+}
+
+/// Verify references `cfg`'s campaign computes (BatchCampaignEngine::Stats).
+std::size_t campaign_references(const greengpu::CampaignConfig& cfg) {
+  const greengpu::CampaignPlan plan = greengpu::plan_campaign(cfg);
+  greengpu::BatchCampaignEngine engine(plan, cfg.options, cfg.jobs, cfg.engine);
+  std::vector<greengpu::CampaignCell> cells(plan.total());
+  engine.run(cells);
+  return engine.stats().references;
 }
 
 CampaignRun run_campaign_checkpointed_timed(const greengpu::CampaignConfig& cfg,
@@ -577,8 +602,9 @@ int main(int argc, char** argv) {
                                           : static_cast<std::size_t>(jobs_flag);
   const bool single_core_host = host_cpus <= 1;
 
-  std::printf("bench_campaign: host_cpus=%u jobs=%zu%s\n", host_cpus, jobs,
-              single_core_host ? " (single-core host)" : "");
+  const std::string model = host_model();
+  std::printf("bench_campaign: host_cpus=%u jobs=%zu%s, %s\n", host_cpus, jobs,
+              single_core_host ? " (single-core host)" : "", model.c_str());
 
   // Worker sweep: 1, N/2, N (deduplicated; collapses to {1} on a
   // single-core host).  Every point must produce identical bytes.
@@ -611,6 +637,8 @@ int main(int argc, char** argv) {
   const CampaignRun& parallel = sweep_runs.back();
   const double speedup = serial.seconds / parallel.seconds;
   std::printf("  speedup vs --jobs 1: %.2fx\n", speedup);
+  const std::size_t references = campaign_references(parallel_cfg);
+  std::printf("  verify references computed: %zu (one per workload row)\n", references);
 
   bool ok = report_identity("fault-free", serial, parallel) && sweep_identical;
   if (!sweep_identical) std::printf("[FAIL] jobs sweep reports differ\n");
@@ -857,6 +885,7 @@ int main(int argc, char** argv) {
   JsonWriter w(out);
   w.begin_object();
   w.kv("host_cpus", static_cast<double>(host_cpus));
+  w.kv("host_model", model);
   w.kv("jobs", static_cast<double>(jobs));
   w.kv("single_core_host", single_core_host);
   w.key("campaign");
@@ -867,6 +896,7 @@ int main(int argc, char** argv) {
   w.kv("serial_runs_per_sec", serial.runs / serial.seconds);
   w.kv("parallel_runs_per_sec", parallel.runs / parallel.seconds);
   w.kv("speedup_vs_jobs1", speedup);
+  w.kv("references", static_cast<double>(references));
   w.key("jobs_sweep");
   w.begin_array();
   for (std::size_t i = 0; i < sweep_runs.size(); ++i) {

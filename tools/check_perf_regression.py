@@ -9,8 +9,9 @@ Compares a freshly measured record against the committed one:
 Checks, in order:
   * hard invariants that must hold on any host: the determinism identity
     flags (including batch-vs-scalar engine identity), the scaler
-    fast-vs-reference decision identity and the attached-vs-heap-driven
-    CPU governor identity;
+    fast-vs-reference decision identity, the attached-vs-heap-driven
+    CPU governor identity, and exact counts (the 36-cell campaign computes
+    one verify reference per workload, 9);
   * the scaler fast path must actually be faster than the reference
     (speedup floor, host-independent — both sides ran on the same machine);
   * the batch campaign engine must beat the scalar engine on the replicate
@@ -85,6 +86,13 @@ INVARIANT_FLAGS = [
     # Streaming telemetry: every event a slow consumer loses must be
     # accounted by DROPPED framing — delivered + dropped == published.
     ("service", "drop_accounting_exact"),
+]
+
+# Counts the current record must hit exactly, on any host.  The default
+# campaign is Table II x the paper's four policies; its cells share one
+# verify reference per workload, so 9 for 36 cells.
+EXACT_COUNTS = [
+    ("campaign", "references", 9),
 ]
 
 # Scaler fast path vs reference, same host by construction.  Wall-clock
@@ -175,6 +183,15 @@ def main():
             failures.append(f"{section}.{key}: expected true, got {value!r}")
         else:
             print(f"[OK]   {section}.{key} = true")
+
+    for section, key, expected in EXACT_COUNTS:
+        value = get(current, section, key)
+        if value is None:
+            failures.append(f"{section}.{key}: missing from current record")
+        elif value != expected:
+            failures.append(f"{section}.{key}: expected {expected}, got {value!r}")
+        else:
+            print(f"[OK]   {section}.{key} = {expected}")
 
     speedup = get(current, "scaler", "speedup_fast_vs_reference")
     if not isinstance(speedup, (int, float)) or isinstance(speedup, bool):

@@ -51,10 +51,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/parse.h"
 #include "src/service/core.h"
 #include "src/service/socket_server.h"
 #include "src/service/types.h"
@@ -84,9 +86,13 @@ gg::service::ServiceConfig config_from_flags(const gg::Flags& flags) {
   for (std::size_t begin = 0; begin < faulty.size();) {
     std::size_t end = faulty.find(',', begin);
     if (end == std::string::npos) end = faulty.size();
+    const std::string index = faulty.substr(begin, end - begin);
+    const std::optional<std::uint64_t> device = gg::common::parse_u64(index);
+    if (!device) {
+      throw std::invalid_argument("--faulty-device: '" + index + "' is not a device index");
+    }
     // GG_BOUNDED(one entry per comma-separated token of one flag value)
-    config.faulty_devices.push_back(
-        static_cast<std::size_t>(std::stoull(faulty.substr(begin, end - begin))));
+    config.faulty_devices.push_back(static_cast<std::size_t>(*device));
     begin = end + 1;
   }
   config.breaker.failure_threshold =
@@ -187,15 +193,20 @@ int run_events(const gg::service::ServiceConfig& config,
 int run_replay(const gg::service::ServiceConfig& config,
                const std::string& journal_path, const std::string& window) {
   const std::size_t colon = window.find(':');
-  if (window.empty() || colon == std::string::npos) {
-    std::fprintf(stderr, "--replay needs --window <lo>:<hi>\n");
+  const std::optional<std::uint64_t> lo =
+      gg::common::parse_u64(std::string_view(window).substr(0, colon));
+  const std::optional<std::uint64_t> hi =
+      colon == std::string::npos
+          ? std::nullopt
+          : gg::common::parse_u64(std::string_view(window).substr(colon + 1));
+  if (!lo || !hi) {
+    std::fprintf(stderr, "--replay needs --window <lo>:<hi> in digits, got '%s'\n",
+                 window.c_str());
     return 2;
   }
-  const std::size_t lo = std::stoull(window.substr(0, colon));
-  const std::size_t hi = std::stoull(window.substr(colon + 1));
   std::string out;
   std::string error;
-  if (!gg::service::ServiceCore::replay_window(config, journal_path, lo, hi,
+  if (!gg::service::ServiceCore::replay_window(config, journal_path, *lo, *hi,
                                                out, error)) {
     std::fprintf(stderr, "replay failed: %s\n", error.c_str());
     return 1;
