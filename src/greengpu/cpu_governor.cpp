@@ -1,5 +1,6 @@
 #include "src/greengpu/cpu_governor.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "src/common/annotations.h"
@@ -76,15 +77,64 @@ void CpuGovernor::arm() {
 
 GG_HOT void CpuGovernor::tick() {
   // Back-to-back samples with nothing else due in between run here, off the
-  // heap; fire_inline() keeps the clock and queue counters bit-exact.
+  // heap, and leap() takes those that keep the level; fire_inline() keeps
+  // the clock and queue counters bit-exact.
   sim::EventQueue& queue = platform_->queue();
   do {
-    step(queue.now());
+    const std::size_t level = current_level();
+    if (step(queue.now()).level == level) leap(level);
   } while (queue.fire_inline(queue.now() + interval()));
   arm();
 }
 
+GG_HOT void CpuGovernor::leap(std::size_t level) {
+  const HoldBand band = hold_band(level);
+  if (!(band.lo <= band.hi)) return;
+  Seconds last{0.0};
+  const std::uint64_t count = sampler_.sample_held(interval(), [&](Seconds t, double u) {
+    if (!(band.lo <= u && u <= band.hi)) return false;  // step() would move
+    decisions_.push(GovernorDecision{t, u, level});
+    last = t;
+    return true;
+  });
+  if (count == 0) return;
+  steps_ += count;
+  leaped_ += count;
+  // Every instant was admitted one by one above, so the run fires whole.
+  if (!platform_->queue().fire_inline(last, count)) {
+    throw std::logic_error("CpuGovernor: leaped samples not admitted");
+  }
+}
+
 void CpuGovernor::detach() { next_.cancel(); }
+
+namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Ondemand's and conservative's hold band: above kOndemandUpThreshold both
+/// move up unless at the peak, below kOndemandDownThreshold both move down
+/// unless at the lowest level, and in between both stay.
+CpuGovernor::HoldBand threshold_hold(std::size_t level, std::size_t lowest) {
+  return {level == lowest ? -kInf : kOndemandDownThreshold,
+          level == 0 ? kInf : kOndemandUpThreshold};
+}
+}  // namespace
+
+CpuGovernor::HoldBand PerformanceGovernor::hold_band(std::size_t level) const {
+  return level == 0 ? HoldBand{-kInf, kInf} : HoldBand{};
+}
+
+CpuGovernor::HoldBand PowersaveGovernor::hold_band(std::size_t level) const {
+  return level == table().lowest_level() ? HoldBand{-kInf, kInf} : HoldBand{};
+}
+
+CpuGovernor::HoldBand OndemandGovernor::hold_band(std::size_t level) const {
+  return threshold_hold(level, table().lowest_level());
+}
+
+CpuGovernor::HoldBand ConservativeGovernor::hold_band(std::size_t level) const {
+  return threshold_hold(level, table().lowest_level());
+}
 
 std::size_t OndemandGovernor::decide(double util) {
   std::size_t level = current_level();

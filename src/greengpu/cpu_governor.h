@@ -7,9 +7,21 @@
 // linux-classic governors (performance, powersave, ondemand, conservative)
 // plus a WMA-based learner that applies the paper's own Section V-A
 // machinery to the CPU's P-states.
+//
+// Between two queue events the CPU's state is constant, so a governor whose
+// decide() is a pure function of (utilization, level) keeps the level it
+// settles on.  After a step() that keeps the level, tick() leaps over the
+// following samples the queue would fire inline (up to the next heap entry
+// or the run_until() horizon) in one loop that skips decide(), set_level()
+// and the per-sample calls, yet still accounts the CPU and records each
+// sample with the same floating-point operations at the same instants, so
+// every result stays bit-identical to stepping each sample.  The leap ends
+// at the first sample whose utilization leaves the level's hold_band();
+// WmaCpuGovernor, which learns on every sample, has none and never leaps.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -40,6 +52,12 @@ class CpuGovernor {
   CpuGovernor& operator=(const CpuGovernor&) = delete;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
+
+  /// Closed utilization interval; default-constructed it is empty.
+  struct HoldBand {
+    double lo{std::numeric_limits<double>::infinity()};
+    double hi{-std::numeric_limits<double>::infinity()};
+  };
 
   /// One sampling step: read utilization, decide, enforce, record.
   GovernorDecision step(Seconds now);
@@ -77,12 +95,21 @@ class CpuGovernor {
     decisions_ = DecisionRecorder<GovernorDecision>(opts);
   }
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
+  /// Of those steps, the ones taken by a leap instead of step(), since
+  /// construction (telemetry: not checkpointed).
+  [[nodiscard]] std::uint64_t leaped() const { return leaped_; }
 
  protected:
   explicit CpuGovernor(sim::Platform& platform);
 
   /// Map the windowed utilization (package, [0,1]) to the next P-state.
   [[nodiscard]] virtual std::size_t decide(double util) = 0;
+
+  /// Windowed utilizations [lo, hi] at which decide() keeps the CPU at
+  /// `level`, for a governor whose decide() is a pure function of the
+  /// utilization and the current level.  The default, an empty band, fits
+  /// a governor that learns on every sample: it never leaps.
+  [[nodiscard]] virtual HoldBand hold_band(std::size_t /*level*/) const { return {}; }
 
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
   [[nodiscard]] const sim::DvfsTable& table() const { return platform_->cpu().table(); }
@@ -92,13 +119,18 @@ class CpuGovernor {
   /// Schedule the next tick() one interval from now.
   void arm();
   /// One periodic invocation: step(now), then every following sample that
-  /// is due before any other event (EventQueue::fire_inline), then arm().
+  /// is due before any other event (EventQueue::fire_inline), leaping after
+  /// each step() that kept the level, then arm().
   void tick();
+  /// Take, without stepping, the samples after now that keep `level` and
+  /// are due before any other event; fire them on the queue.
+  void leap(std::size_t level);
 
   sim::Platform* platform_;
   sim::CpuUtilSampler sampler_;
   DecisionRecorder<GovernorDecision> decisions_;
   std::uint64_t steps_{0};
+  std::uint64_t leaped_{0};
   sim::EventHandle next_;
 };
 
@@ -110,6 +142,7 @@ class PerformanceGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double /*util*/) override { return 0; }
+  HoldBand hold_band(std::size_t level) const override;
 };
 
 /// linux `powersave`: pin the lowest frequency.
@@ -120,6 +153,7 @@ class PowersaveGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double /*util*/) override { return table().lowest_level(); }
+  HoldBand hold_band(std::size_t level) const override;
 };
 
 /// The paper's CPU policy (Section IV, linux-2.6.9 semantics): above
@@ -132,6 +166,7 @@ class OndemandGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double util) override;
+  HoldBand hold_band(std::size_t level) const override;
 };
 
 /// linux `conservative`: graceful one-step moves in both directions, at the
@@ -143,6 +178,7 @@ class ConservativeGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double util) override;
+  HoldBand hold_band(std::size_t level) const override;
 };
 
 /// The paper's own WMA learner (Section V-A) applied to the CPU P-states:

@@ -26,8 +26,8 @@ void validate(const CpuWork& w, int cores) {
 CpuDevice::CpuDevice(EventQueue& queue, CpuSpec spec, DvfsTable table,
                      std::size_t initial_level)
     : queue_(queue), spec_(spec), domain_("cpu", std::move(table), initial_level),
-      last_account_(queue.now()) {
-  energy_.reset(queue.now());
+      ledger_{.last = queue.now()} {
+  ledger_.energy.reset(queue.now());
 }
 
 CpuDevice CpuDevice::testbed_default(EventQueue& queue) {
@@ -82,45 +82,40 @@ Watts CpuDevice::power_at(std::size_t at_level, double utilization) const {
   return spec_.power(f_norm, v_norm, clamp_unit(utilization) * spec_.cores);
 }
 
+CpuDevice::Draw CpuDevice::draw() const {
+  return Draw{power_now(), utilization_now(), !active_ && spinning_, active_.has_value(),
+              active_ ? unit_time(active_->work) : Seconds{0.0}};
+}
+
 void CpuDevice::account() {
   const Seconds now = queue_.now();
-  const Seconds dt = now - last_account_;
-  if (dt <= Seconds{0.0}) {
-    last_account_ = now;
+  if (now - ledger_.last <= Seconds{0.0}) {
+    ledger_.last = now;
     return;
   }
-  const Watts p = power_now();
-  energy_.advance(now, p);
-  const double u = utilization_now();
-  counters_.util_integral += u * dt.get();
-  if (u > 0.0) counters_.busy_integral += dt.get();
-  if (!active_ && spinning_) {
-    counters_.spin_integral += dt.get();
-    spin_energy_ += p * dt;
-  }
-  if (active_) active_->units_done += dt / unit_time(active_->work);
-  last_account_ = now;
+  const Draw d = draw();
+  accrue(ledger_, now, d, counted(ledger_.counters, (now - ledger_.last).get(), d));
 }
 
 CpuActivityCounters CpuDevice::counters() {
   account();
-  return counters_;
+  return ledger_.counters;
 }
 
 Joules CpuDevice::energy() {
   account();
-  return energy_.energy();
+  return ledger_.energy.energy();
 }
 
 Joules CpuDevice::spin_energy() {
   account();
-  return spin_energy_;
+  return ledger_.spin_energy;
 }
 
 void CpuDevice::submit(const CpuWork& work, CompletionCallback on_complete) {
   validate(work, spec_.cores);
   account();
-  fifo_.push_back(Active{work, 0.0, std::move(on_complete)});
+  fifo_.push_back(Active{work, std::move(on_complete)});
   start_next_if_idle();
 }
 
@@ -135,12 +130,13 @@ void CpuDevice::start_next_if_idle() {
   account();
   active_ = std::move(fifo_.front());
   fifo_.pop_front();
+  ledger_.units_done = 0.0;
   schedule_completion();
 }
 
 void CpuDevice::schedule_completion() {
   completion_.cancel();
-  const double remaining = std::max(0.0, active_->work.units - active_->units_done);
+  const double remaining = std::max(0.0, active_->work.units - ledger_.units_done);
   const Seconds eta = unit_time(active_->work) * remaining;
   completion_ = queue_.schedule_in(eta, [this] { on_completion_event(); });
 }
@@ -150,8 +146,8 @@ void CpuDevice::on_completion_event() {
   // Drift guard, but only while the residual eta can still advance the
   // clock; a sub-ulp remainder would reschedule at the same instant forever
   // (see GpuDevice::on_completion_event).
-  if (active_->units_done < active_->work.units - kUnitEpsilon * active_->work.units) {
-    const double remaining = active_->work.units - active_->units_done;
+  if (ledger_.units_done < active_->work.units - kUnitEpsilon * active_->work.units) {
+    const double remaining = active_->work.units - ledger_.units_done;
     const Seconds eta = unit_time(active_->work) * remaining;
     if ((queue_.now() + eta).get() > queue_.now().get()) {
       schedule_completion();
@@ -176,12 +172,12 @@ void CpuDevice::save(common::SnapshotWriter& w) {
   }
   account();  // bring every integral up to queue.now() first
   domain_.save(w);
-  w.f64(last_account_.get());
-  w.f64(counters_.util_integral);
-  w.f64(counters_.busy_integral);
-  w.f64(counters_.spin_integral);
-  energy_.save(w);
-  w.f64(spin_energy_.get());
+  w.f64(ledger_.last.get());
+  w.f64(ledger_.counters.util_integral);
+  w.f64(ledger_.counters.busy_integral);
+  w.f64(ledger_.counters.spin_integral);
+  ledger_.energy.save(w);
+  w.f64(ledger_.spin_energy.get());
   w.u64(tasks_completed_);
 }
 
@@ -190,12 +186,12 @@ void CpuDevice::load(common::SnapshotReader& r) {
     throw common::SnapshotError("CpuDevice::load: device not quiescent");
   }
   domain_.load(r);
-  last_account_ = Seconds{r.f64()};
-  counters_.util_integral = r.f64();
-  counters_.busy_integral = r.f64();
-  counters_.spin_integral = r.f64();
-  energy_.load(r);
-  spin_energy_ = Joules{r.f64()};
+  ledger_.last = Seconds{r.f64()};
+  ledger_.counters.util_integral = r.f64();
+  ledger_.counters.busy_integral = r.f64();
+  ledger_.counters.spin_integral = r.f64();
+  ledger_.energy.load(r);
+  ledger_.spin_energy = Joules{r.f64()};
   tasks_completed_ = r.u64();
 }
 

@@ -87,6 +87,35 @@ class CpuDevice {
   /// P-state).
   [[nodiscard]] Watts power_at(std::size_t at_level, double utilization) const;
 
+  /// Account at now + period, now + 2 period, ... as account() would there,
+  /// for a caller that knows the device's state holds still meanwhile (no
+  /// event runs between the instants): the power, utilization and progress
+  /// rate are read once, and each instant makes account()'s floating-point
+  /// operations in account()'s order.  `visit(t, counters)` sees the
+  /// counters each instant would leave and accepts or refuses them; the
+  /// first refusal ends the run with that instant unaccounted.  Returns the
+  /// number of instants accepted.  The accounting then stands at the last
+  /// one, ahead of the queue's clock, so the caller moves the clock there
+  /// before anything else runs (EventQueue::fire_inline).
+  template <typename Visit>
+  std::uint64_t account_held(Seconds period, Visit visit) {
+    account();
+    const Draw d = draw();
+    Ledger held = ledger_;
+    std::uint64_t count = 0;
+    for (;;) {
+      const Seconds t = held.last + period;
+      const Seconds dt = t - held.last;
+      if (dt <= Seconds{0.0}) break;  // account() would accrue nothing
+      const CpuActivityCounters counters = counted(held.counters, dt.get(), d);
+      if (!visit(t, counters)) break;
+      accrue(held, t, d, counters);
+      ++count;
+    }
+    ledger_ = held;
+    return count;
+  }
+
   [[nodiscard]] const CpuSpec& spec() const { return spec_; }
   [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
 
@@ -101,11 +130,50 @@ class CpuDevice {
  private:
   struct Active {
     CpuWork work;
-    double units_done{0.0};
     CompletionCallback on_complete;
   };
 
+  /// What account() advances, up to the instant `last`.
+  struct Ledger {
+    Seconds last{0.0};
+    CpuActivityCounters counters{};
+    EnergyIntegrator energy{};
+    Joules spin_energy{0.0};
+    /// Work units the active task has done.
+    double units_done{0.0};
+  };
+
+  /// What the device's current state accrues per second.
+  struct Draw {
+    Watts power{0.0};
+    double util{0.0};
+    /// Idle and spinning: spin time and spin energy accrue.
+    bool spin{false};
+    bool active{false};
+    /// The active task's time per work unit.
+    Seconds unit_time{0.0};
+  };
+
   void account();
+  [[nodiscard]] Draw draw() const;
+  /// `c` advanced by `dt` seconds at the draw `d`.
+  static CpuActivityCounters counted(CpuActivityCounters c, double dt, const Draw& d) {
+    c.util_integral += d.util * dt;
+    if (d.util > 0.0) c.busy_integral += dt;
+    if (d.spin) c.spin_integral += dt;
+    return c;
+  }
+  /// Advance `l` to `now` (> l.last) at the draw `d`; `counters` are
+  /// counted(l.counters, now - l.last, d).
+  static void accrue(Ledger& l, Seconds now, const Draw& d,
+                     const CpuActivityCounters& counters) {
+    const Seconds dt = now - l.last;
+    l.energy.advance(now, d.power);
+    l.counters = counters;
+    if (d.spin) l.spin_energy += d.power * dt;
+    if (d.active) l.units_done += dt / d.unit_time;
+    l.last = now;
+  }
   [[nodiscard]] Seconds unit_time(const CpuWork& w) const;
   [[nodiscard]] int effective_cores(const CpuWork& w) const;
   void start_next_if_idle();
@@ -121,10 +189,7 @@ class CpuDevice {
   EventHandle completion_;
   bool spinning_{false};
 
-  Seconds last_account_{0.0};
-  CpuActivityCounters counters_{};
-  EnergyIntegrator energy_{};
-  Joules spin_energy_{0.0};
+  Ledger ledger_{};
   std::uint64_t tasks_completed_{0};
 };
 

@@ -74,20 +74,19 @@ GG_HOT bool EventQueue::step() {
   return true;
 }
 
-GG_HOT bool EventQueue::fire_inline(Seconds when) {
+GG_HOT bool EventQueue::fire_inline(Seconds when, std::uint64_t count) {
   owner_.assert_owner("sim::EventQueue");
   if (when < now_) throw std::invalid_argument("EventQueue: schedule in the past");
-  if (when > horizon_) return false;
-  // A cancelled front entry at or before `when` may hide a later live one;
-  // declining is always exact, so do not look behind it.
-  if (heap_.empty() ? horizon_ == kNoHorizon : !(when < heap_.front().when)) return false;
+  if (count == 0) throw std::invalid_argument("EventQueue: fire_inline of no event");
+  if (!inline_window().admits(when)) return false;
   // With the entry (when, next_seq_) pushed, the next drop_cancelled() would
-  // find no cancelled entry ahead of it, so only its compaction can happen.
+  // find no cancelled entry ahead of it, so only its compaction can happen;
+  // after it, no later call of the run finds one due.
   const std::size_t size = heap_.size() + 1;
   if (slab_->cancelled_in_heap * 2 > size && size >= kCompactionMinSize) compact();
-  ++next_seq_;
+  next_seq_ += count;
   now_ = when;
-  ++fired_;
+  fired_ += count;
   return true;
 }
 

@@ -18,7 +18,10 @@
 // skip the heap altogether while nothing else is due: fire_inline() fires
 // "an event at `when` scheduled right now" in place when that event would
 // be the very next one the queue fires, and keeps the clock and counters
-// exactly as the heap round trip would have left them.
+// exactly as the heap round trip would have left them.  Its bulk form
+// fires a run of such actions at once (the governor's leap over samples
+// that cannot change its P-state): inline_window() bounds the run, and one
+// call advances the clock, sequence numbers and fired count by its length.
 #pragma once
 
 #include <cstdint>
@@ -176,19 +179,40 @@ class EventQueue {
     return schedule_at(now_ + delay, std::move(action));
   }
 
+  /// The instants at which an event scheduled right now would be the next
+  /// one fired: strictly earlier than every heap entry, and not past the
+  /// horizon of the innermost run_until() in progress (outside run_until,
+  /// the heap must also hold an entry, so a lone periodic action cannot
+  /// spin forever).  Valid until the queue next changes.  A cancelled front
+  /// entry counts: declining is always exact, so nothing looks behind it.
+  struct InlineWindow {
+    Seconds before;  // exclusive
+    Seconds until;   // inclusive
+    [[nodiscard]] bool admits(Seconds when) const {
+      return when < before && when <= until;
+    }
+  };
+  [[nodiscard]] InlineWindow inline_window() const {
+    if (!heap_.empty()) return {heap_.front().when, horizon_};
+    return {horizon_ == kNoHorizon ? -kNoHorizon : kNoHorizon, horizon_};
+  }
+
   /// Fire an action at `when` in place of `schedule_at(when, action)` when
-  /// that event would be the next one fired: `when` is strictly earlier
-  /// than every heap entry, and not past the horizon of the innermost
-  /// run_until() in progress (outside run_until, the heap must also hold
-  /// an entry, so a lone periodic action cannot spin forever).  On success
-  /// the clock moves to `when`, the sequence number and fired count advance
-  /// and a due compaction runs, exactly as the heap round trip would have
-  /// done; the caller then runs the action itself.  Returns false and
-  /// changes nothing otherwise: the caller schedules the action at `when`.
-  /// Bit-exact only for a caller that fires from inside an event action and
-  /// returns to the queue right after (nothing else runs between the two
-  /// heap operations this replaces).
-  [[nodiscard]] bool fire_inline(Seconds when);
+  /// inline_window() admits it.  On success the clock moves to `when`, the
+  /// sequence number and fired count advance and a due compaction runs,
+  /// exactly as the heap round trip would have done; the caller then runs
+  /// the action itself.  Returns false and changes nothing otherwise: the
+  /// caller schedules the action at `when`.  Bit-exact only for a caller
+  /// that fires from inside an event action and returns to the queue right
+  /// after (nothing else runs between the two heap operations this
+  /// replaces).
+  ///
+  /// `count` > 1 fires a run of such actions, each scheduled by the one
+  /// before at a no-earlier instant, the last at `when`, whose actions the
+  /// caller has already run: the sequence number and fired count advance by
+  /// `count` and at most one compaction runs, as `count` single calls
+  /// would.  The window is an interval, so the last instant decides.
+  [[nodiscard]] bool fire_inline(Seconds when, std::uint64_t count = 1);
 
   /// Run events with timestamp <= `until`, then advance the clock to `until`.
   void run_until(Seconds until);

@@ -6,6 +6,8 @@
 // counters.
 #pragma once
 
+#include <cstdint>
+
 #include "src/sim/cpu_device.h"
 #include "src/sim/gpu_device.h"
 
@@ -69,12 +71,35 @@ class CpuUtilSampler {
   double sample() {
     const CpuActivityCounters now = cpu_->counters();
     const Seconds t = queue_->now();
-    const double dt = (t - last_time_).get();
-    double u = 0.0;
-    if (dt > 0.0) u = (now.util_integral - last_.util_integral) / dt;
+    const double u = average(last_, last_time_, now, t);
     last_ = now;
     last_time_ = t;
     return u;
+  }
+
+  /// Take the samples sample() would take at now + period, now + 2 period,
+  /// ... while the queue would fire each inline (EventQueue::inline_window:
+  /// nothing else is due by then, so the CPU's state holds still, see
+  /// CpuDevice::account_held), as long as `keep(t, u)` accepts each
+  /// windowed utilization.  The first refusal ends the run with that sample
+  /// untaken.  Returns the number taken; the caller fires them on the queue
+  /// (EventQueue::fire_inline) before anything else runs.
+  template <typename Keep>
+  std::uint64_t sample_held(Seconds period, Keep keep) {
+    const EventQueue::InlineWindow window = queue_->inline_window();
+    CpuActivityCounters last = last_;
+    Seconds last_time = last_time_;
+    const std::uint64_t count =
+        cpu_->account_held(period, [&](Seconds t, const CpuActivityCounters& now) {
+          if (!window.admits(t)) return false;
+          if (!keep(t, average(last, last_time, now, t))) return false;
+          last = now;
+          last_time = t;
+          return true;
+        });
+    last_ = last;
+    last_time_ = last_time;
+    return count;
   }
 
   /// Serialize the windowed-differencing state (see GpuUtilSampler::save).
@@ -92,6 +117,14 @@ class CpuUtilSampler {
   }
 
  private:
+  /// Package utilization averaged over [since_time, t]; 0 for an empty
+  /// window.
+  static double average(const CpuActivityCounters& since, Seconds since_time,
+                        const CpuActivityCounters& now, Seconds t) {
+    const double dt = (t - since_time).get();
+    return dt > 0.0 ? (now.util_integral - since.util_integral) / dt : 0.0;
+  }
+
   CpuDevice* cpu_;
   EventQueue* queue_;
   CpuActivityCounters last_;

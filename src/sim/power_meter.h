@@ -6,6 +6,8 @@
 // integrator); Platform::snapshot sums the devices into the two meters.
 #pragma once
 
+#include <stdexcept>
+
 #include "src/common/snapshot.h"
 #include "src/common/units.h"
 
@@ -16,7 +18,11 @@ namespace gg::sim {
 class EnergyIntegrator {
  public:
   /// Integrate `power_since_last` over [last_time, now] and move to `now`.
-  void advance(Seconds now, Watts power_since_last);
+  void advance(Seconds now, Watts power_since_last) {
+    if (now < last_) throw std::invalid_argument("EnergyIntegrator: time went backwards");
+    energy_ += power_since_last * (now - last_);
+    last_ = now;
+  }
 
   [[nodiscard]] Joules energy() const { return energy_; }
   [[nodiscard]] Seconds last_time() const { return last_; }

@@ -32,11 +32,12 @@
 //   * times nbody's and kmeans' verify() references on a 1-worker pool and
 //     on a host_cpus-worker pool, and asserts that both pool sizes verify a
 //     full run and reject a run whose last merge step was skipped,
-//   * times the CPU governor's sampling tick: a model-only frequency-scaling
-//     kmeans cell minus its governor-less twin, per governor decision, and
-//     asserts that the attached ondemand governor (back-to-back samples run
-//     inline, off the event heap) decides and accounts bit for bit like the
-//     same governor stepped from a plain self-re-arming heap event,
+//   * times the CPU governor's sampling tick: the median, over paired runs,
+//     of a model-only frequency-scaling kmeans cell minus its governor-less
+//     twin, per governor decision, and asserts that the attached ondemand
+//     governor (back-to-back samples run inline, off the event heap, and
+//     leaped where they keep the level) decides and accounts bit for bit
+//     like the same governor stepped from a plain self-re-arming heap event,
 //   * measures the crash-checkpoint overhead (journal + periodic controller
 //     snapshots at --checkpoint-every 0/10/100 vs no checkpointing) and
 //     asserts the journaled reports stay byte-identical to the plain run,
@@ -500,10 +501,13 @@ std::vector<std::uint64_t> governor_replay(bool attached) {
 
 /// Median host time of a model-only kmeans cell under the paper's
 /// frequency-scaling policy (ondemand on the CPU) and of the same cell with
-/// no CPU governor, interleaved; their difference per governor decision is
-/// the cost of one sampling tick.
+/// no CPU governor.  The two run as pairs, in alternating order, and the
+/// cost of one sampling tick is the median of the pairs' differences per
+/// governor decision: a host slowdown that spans a pair cancels in its
+/// difference, and a median of differences does not subtract two medians'
+/// separate noise.
 GovernorTimings time_governor() {
-  constexpr int kReps = 21;
+  constexpr int kReps = 101;
   GovernorTimings t;
   greengpu::RunOptions options;
   options.model_only = true;
@@ -512,23 +516,37 @@ GovernorTimings time_governor() {
   const greengpu::Policy with = greengpu::Policy::scaling_only();
   greengpu::Policy without = with;
   without.cpu_governor = greengpu::CpuGovernorKind::kNone;
-  std::vector<double> with_ms, without_ms;
+  const auto cell_ms = [&](const greengpu::Policy& policy) {
+    const auto start = Clock::now();
+    const greengpu::ExperimentResult r =
+        greengpu::run_experiment("kmeans", policy, options);
+    if (policy.cpu_governor != greengpu::CpuGovernorKind::kNone) {
+      t.decisions = r.governor_decision_count;
+    }
+    return seconds_since(start) * 1e3;
+  };
+  std::vector<double> with_ms, without_ms, diff_ms;
   for (int rep = 0; rep < kReps; ++rep) {
-    auto start = Clock::now();
-    const greengpu::ExperimentResult r = greengpu::run_experiment("kmeans", with, options);
-    with_ms.push_back(seconds_since(start) * 1e3);
-    t.decisions = r.governor_decision_count;
-    start = Clock::now();
-    (void)greengpu::run_experiment("kmeans", without, options);
-    without_ms.push_back(seconds_since(start) * 1e3);
+    double a = 0.0, b = 0.0;
+    if (rep % 2 == 0) {
+      a = cell_ms(with);
+      b = cell_ms(without);
+    } else {
+      b = cell_ms(without);
+      a = cell_ms(with);
+    }
+    with_ms.push_back(a);
+    without_ms.push_back(b);
+    diff_ms.push_back(a - b);
   }
-  std::sort(with_ms.begin(), with_ms.end());
-  std::sort(without_ms.begin(), without_ms.end());
-  t.cell_ms = with_ms[kReps / 2];
-  t.no_governor_cell_ms = without_ms[kReps / 2];
-  t.ns_per_tick = t.decisions > 0 ? (t.cell_ms - t.no_governor_cell_ms) * 1e6 /
-                                        static_cast<double>(t.decisions)
-                                  : 0.0;
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  t.cell_ms = median(with_ms);
+  t.no_governor_cell_ms = median(without_ms);
+  t.ns_per_tick =
+      t.decisions > 0 ? median(diff_ms) * 1e6 / static_cast<double>(t.decisions) : 0.0;
   t.identical_to_heap_driven = governor_replay(true) == governor_replay(false);
   return t;
 }

@@ -108,6 +108,11 @@ REQUIRED_HOT = [
     ("src/greengpu/cpu_governor.cpp",
      re.compile(r"void\s+CpuGovernor::tick\s*\("),
      "CpuGovernor::tick"),
+    # Its leap: one loop iteration per sample that keeps the level (~96% of
+    # the samples of a long model-only cell).
+    ("src/greengpu/cpu_governor.cpp",
+     re.compile(r"void\s+CpuGovernor::leap\s*\("),
+     "CpuGovernor::leap"),
     ("src/greengpu/telemetry.h",
      re.compile(r"void\s+push\s*\("),
      "DecisionRecorder::push"),

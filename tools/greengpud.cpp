@@ -68,17 +68,28 @@ std::atomic<bool> g_shutdown{false};
 
 void on_signal(int) { g_shutdown.store(true, std::memory_order_release); }
 
+/// An unsigned flag: digits alone (common::parse_u64), `fallback` when
+/// absent; a sign, a blank or a trailing byte is refused naming the flag.
+std::uint64_t get_u64(const gg::Flags& flags, const std::string& name,
+                      std::uint64_t fallback) {
+  if (!flags.has(name)) return fallback;
+  const std::string value = flags.get_string(name);
+  const std::optional<std::uint64_t> parsed = gg::common::parse_u64(value);
+  if (!parsed) {
+    throw std::invalid_argument("--" + name + ": '" + value +
+                                "' is not an unsigned integer");
+  }
+  return *parsed;
+}
+
 /// Reads the service configuration flags; the caller validates.
 gg::service::ServiceConfig config_from_flags(const gg::Flags& flags) {
   gg::service::ServiceConfig config;
-  config.devices = static_cast<std::size_t>(flags.get_int("devices", 2));
-  config.queue_capacity =
-      static_cast<std::size_t>(flags.get_int("queue-cap", 8));
-  config.seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", static_cast<long long>(config.seed)));
+  config.devices = get_u64(flags, "devices", 2);
+  config.queue_capacity = get_u64(flags, "queue-cap", 8);
+  config.seed = get_u64(flags, "seed", config.seed);
   config.hardened = flags.get_bool("hardened", false);
-  config.max_iterations =
-      static_cast<std::uint64_t>(flags.get_int("max-iterations", 0));
+  config.max_iterations = get_u64(flags, "max-iterations", 0);
   config.default_cost_estimate = flags.get_double("default-cost", 60.0);
   config.faults = gg::sim::FaultConfig::from_flags(flags);
   // --faulty-device accepts one index or a comma list ("1" or "0,2").
@@ -99,14 +110,10 @@ gg::service::ServiceConfig config_from_flags(const gg::Flags& flags) {
       static_cast<int>(flags.get_int("breaker-threshold", 3));
   config.breaker.probe_after =
       static_cast<int>(flags.get_int("breaker-probe-after", 4));
-  config.telemetry.ring_capacity =
-      static_cast<std::size_t>(flags.get_int("telemetry-ring", 256));
-  config.telemetry.max_subscribers =
-      static_cast<std::size_t>(flags.get_int("telemetry-max-subs", 16));
-  config.telemetry.heartbeat_ticks =
-      static_cast<std::uint64_t>(flags.get_int("heartbeat-ticks", 40));
-  config.telemetry.stall_budget_ticks =
-      static_cast<std::uint64_t>(flags.get_int("stall-ticks", 400));
+  config.telemetry.ring_capacity = get_u64(flags, "telemetry-ring", 256);
+  config.telemetry.max_subscribers = get_u64(flags, "telemetry-max-subs", 16);
+  config.telemetry.heartbeat_ticks = get_u64(flags, "heartbeat-ticks", 40);
+  config.telemetry.stall_budget_ticks = get_u64(flags, "stall-ticks", 400);
   return config;
 }
 
@@ -322,7 +329,7 @@ int main(int argc, char** argv) {
         std::uint64_t from = 0;
         int idle_timeout_ms = 0;
         if (watch) {
-          from = static_cast<std::uint64_t>(flags.get_int("from", 0));
+          from = get_u64(flags, "from", 0);
           idle_timeout_ms = static_cast<int>(flags.get_int("idle-timeout-ms", 10000));
         }
         reject_unread(flags, watch ? "greengpud --client --watch" : "greengpud --client");
@@ -340,7 +347,7 @@ int main(int argc, char** argv) {
       }
       case Mode::kEvents: {
         const std::string journal_path = flags.get_string("events", "");
-        const auto from = static_cast<std::uint64_t>(flags.get_int("from", 0));
+        const std::uint64_t from = get_u64(flags, "from", 0);
         const gg::service::ServiceConfig config = config_from_flags(flags);
         reject_unread(flags, "greengpud --events");
         config.validate();
