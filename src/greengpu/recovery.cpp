@@ -1,5 +1,9 @@
 #include "src/greengpu/recovery.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -12,6 +16,20 @@
 namespace gg::greengpu {
 
 namespace {
+
+/// Pin glibc's mmap threshold at its 128 KiB default.  Left dynamic, the
+/// first mapped block freed raises the threshold to that block's size, and
+/// from then on a cell's large buffers (inputs and device copies, 128 KiB
+/// to 1 MiB) are carved from the arena of the pool thread that runs the
+/// cell and stay resident there once freed; the process's resident peak
+/// then depends on which cells ran on which thread.  Pinned, each such
+/// buffer is mapped when allocated and unmapped when freed, so the peak
+/// follows the memory the running cells hold.  Process-wide; set once.
+void map_large_blocks() {
+#if defined(__GLIBC__)
+  [[maybe_unused]] static const int pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
+}
 
 /// Journal magic "GGJL" + its own version, separate from the snapshot frame
 /// version (the journal carries raw CRC-framed records, not GGSN frames).
@@ -187,6 +205,7 @@ void CampaignJournal::append(std::size_t cell_index, const ExperimentResult& res
 CampaignResult run_campaign_checkpointed(const CampaignConfig& config,
                                          const CheckpointOptions& ckpt,
                                          const CampaignProgress& progress) {
+  map_large_blocks();
   const CampaignPlan plan = plan_campaign(config);
   CampaignResult out;
   out.workloads = plan.workloads;

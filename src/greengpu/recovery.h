@@ -93,6 +93,8 @@ class CampaignJournal {
 /// a crash-safe journal: journaled cells are skipped on resume, finished
 /// cells are appended as they complete, and the report is byte-identical to
 /// an uninterrupted run.  With `ckpt` disabled it is plain run_campaign.
+/// Under glibc the first call pins the process's mmap threshold at 128 KiB,
+/// so a freed cell buffer of that size or more goes back to the kernel.
 [[nodiscard]] CampaignResult run_campaign_checkpointed(
     const CampaignConfig& config, const CheckpointOptions& ckpt,
     const CampaignProgress& progress = {});

@@ -18,6 +18,36 @@
 
 namespace gg::workloads {
 
+/// Assign points [begin, end) of `points` (row-major, `dims` doubles each)
+/// to their nearest of the `k` centroids (row-major, `dims` each): out[i] is
+/// the lowest index among the centroids at the least squared euclidean
+/// distance, each distance summed over d in order.  Two centroids share
+/// each SSE2 instruction where available (a point's K distances in one pass
+/// over d, from a lane-interleaved copy of the centroids when k x dims fits
+/// `kPackedCentroidDoubles`); every lane performs the scalar operations in
+/// the scalar order, so the output is bit-identical to the one-centroid
+/// loop however [begin, end) is split.
+void assign_points(const double* points, const double* centroids, std::size_t dims,
+                   std::size_t k, int* out, std::size_t begin, std::size_t end);
+inline constexpr std::size_t kPackedCentroidDoubles = 512;
+
+/// `n` points of `dims` coordinates (row-major), Gaussian blobs around `k`
+/// uniform anchors drawn from `seed`.
+[[nodiscard]] std::vector<double> kmeans_points(std::size_t n, std::size_t dims, std::size_t k,
+                                                std::uint64_t seed);
+
+/// Add points [begin, end) to their clusters' coordinate sums (K x dims) and
+/// counts (K), in point order (two coordinates per SSE2 add where
+/// available, each lane the scalar add).
+void accumulate_clusters(const double* points, const int* assignments, std::size_t dims,
+                         std::size_t begin, std::size_t end, double* sums,
+                         std::size_t* counts);
+
+/// Every cluster with a non-zero count moves to sums / count; the others
+/// keep their centroid.
+void divide_clusters(const double* sums, const std::size_t* counts, std::size_t dims,
+                     std::size_t k, double* centroids);
+
 struct KmeansConfig {
   std::size_t points{16384};   // real (host) problem size
   std::size_t dims{8};
@@ -73,7 +103,6 @@ class Kmeans final : public ProfiledWorkload {
  private:
   /// Generate the points and initial centroids (once; full compute only).
   void build_inputs();
-  void assign_range(const double* points, std::size_t begin, std::size_t end);
 
   KmeansConfig config_;
   std::vector<double> host_points_;       // N x D row-major

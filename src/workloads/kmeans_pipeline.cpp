@@ -1,25 +1,13 @@
 #include "src/workloads/kmeans_pipeline.h"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/annotations.h"
-#include "src/common/rng.h"
 #include "src/sim/fault.h"
+#include "src/workloads/kmeans.h"
 
 namespace gg::workloads {
-
-namespace {
-double dist2(const double* p, const double* c, std::size_t dims) {
-  double s = 0.0;
-  for (std::size_t d = 0; d < dims; ++d) {
-    const double diff = p[d] - c[d];
-    s += diff * diff;
-  }
-  return s;
-}
-}  // namespace
 
 KmeansPipeline::KmeansPipeline(KmeansPipelineConfig config) : config_(config) {
   if (config_.chunks == 0 || config_.chunks > config_.points) {
@@ -32,21 +20,10 @@ KmeansPipeline::KmeansPipeline(KmeansPipelineConfig config) : config_(config) {
 
 void KmeansPipeline::build_inputs() {
   if (!host_points_.empty()) return;
-  Rng rng(config_.seed);
-  const std::size_t n = config_.points;
-  const std::size_t dims = config_.dims;
-  const std::size_t k = config_.clusters;
-  host_points_.resize(n * dims);
-  std::vector<double> anchors(k * dims);
-  for (auto& a : anchors) a = rng.uniform(-10.0, 10.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t blob = rng.uniform_int(k);
-    for (std::size_t d = 0; d < dims; ++d) {
-      host_points_[i * dims + d] = anchors[blob * dims + d] + rng.normal(0.0, 1.0);
-    }
-  }
-  initial_centroids_.assign(host_points_.begin(),
-                            host_points_.begin() + static_cast<std::ptrdiff_t>(k * dims));
+  host_points_ = kmeans_points(config_.points, config_.dims, config_.clusters, config_.seed);
+  initial_centroids_.assign(
+      host_points_.begin(),
+      host_points_.begin() + static_cast<std::ptrdiff_t>(config_.clusters * config_.dims));
 }
 
 IntensityProfile KmeansPipeline::profile(std::size_t /*iter*/) const {
@@ -92,37 +69,17 @@ void KmeansPipeline::setup(cudalite::Runtime& rt) {
 }
 
 void KmeansPipeline::assign_chunk(std::size_t slot, std::size_t b, std::size_t e) {
-  const std::size_t dims = config_.dims;
-  const std::size_t k = config_.clusters;
-  const double* points = dev_points_[slot].data();
-  int* out = dev_assign_[slot].data();
-  for (std::size_t i = b; i < e; ++i) {
-    double best = std::numeric_limits<double>::max();
-    int best_c = 0;
-    for (std::size_t cl = 0; cl < k; ++cl) {
-      const double d = dist2(&points[i * dims], &centroids_[cl * dims], dims);
-      if (d < best) {
-        best = d;
-        best_c = static_cast<int>(cl);
-      }
-    }
-    out[i] = best_c;
-  }
+  assign_points(dev_points_[slot].data(), centroids_.data(), config_.dims, config_.clusters,
+                dev_assign_[slot].data(), b, e);
 }
 
 void KmeansPipeline::reduce_chunk(std::size_t c) {
-  const std::size_t dims = config_.dims;
-  const std::size_t begin = chunk_begin(c);
-  const std::size_t end = chunk_begin(c + 1);
   std::vector<double>& sums = partial_sums_[c];
   std::vector<std::size_t>& counts = partial_counts_[c];
   std::fill(sums.begin(), sums.end(), 0.0);
   std::fill(counts.begin(), counts.end(), std::size_t{0});
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto cl = static_cast<std::size_t>(chunk_assign_[i]);
-    ++counts[cl];
-    for (std::size_t d = 0; d < dims; ++d) sums[cl * dims + d] += host_points_[i * dims + d];
-  }
+  accumulate_clusters(host_points_.data(), chunk_assign_.data(), config_.dims, chunk_begin(c),
+                      chunk_begin(c + 1), sums.data(), counts.data());
 }
 
 void KmeansPipeline::submit_reduce(cudalite::Runtime& rt, std::size_t c,
@@ -237,12 +194,7 @@ void KmeansPipeline::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*
       for (std::size_t i = 0; i < k * dims; ++i) sums[i] += partial_sums_[c][i];
       for (std::size_t i = 0; i < k; ++i) counts[i] += partial_counts_[c][i];
     }
-    for (std::size_t cl = 0; cl < k; ++cl) {
-      if (counts[cl] == 0) continue;
-      for (std::size_t d = 0; d < dims; ++d) {
-        centroids_[cl * dims + d] = sums[cl * dims + d] / static_cast<double>(counts[cl]);
-      }
-    }
+    divide_clusters(sums.data(), counts.data(), dims, k, centroids_.data());
   }
   rt.memcpy_h2d(dev_centroids_, centroids_.data(), config_.clusters * config_.dims);
 }
@@ -260,7 +212,7 @@ void KmeansPipeline::teardown(cudalite::Runtime& rt) {
 
 Reference KmeansPipeline::reference(common::JobPool& /*pool*/) const {
   if (host_points_.empty()) return {};
-  // Scalar reference mirroring the chunked execution exactly: per-chunk
+  // Serial reference mirroring the chunked execution exactly: per-chunk
   // partial sums merged in chunk order (floating-point summation grouping
   // matters, so the reference groups identically).
   const std::size_t n = config_.points;
@@ -269,37 +221,18 @@ Reference KmeansPipeline::reference(common::JobPool& /*pool*/) const {
   std::vector<double> ref = initial_centroids_;
   std::vector<int> assign(n, 0);
   for (std::size_t it = 0; it < config_.iterations; ++it) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::max();
-      int best_c = 0;
-      for (std::size_t cl = 0; cl < k; ++cl) {
-        const double d = dist2(&host_points_[i * dims], &ref[cl * dims], dims);
-        if (d < best) {
-          best = d;
-          best_c = static_cast<int>(cl);
-        }
-      }
-      assign[i] = best_c;
-    }
+    assign_points(host_points_.data(), ref.data(), dims, k, assign.data(), 0, n);
     std::vector<double> sums(k * dims, 0.0);
     std::vector<std::size_t> counts(k, 0);
     for (std::size_t c = 0; c < config_.chunks; ++c) {
       std::vector<double> psums(k * dims, 0.0);
       std::vector<std::size_t> pcounts(k, 0);
-      for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-        const auto cl = static_cast<std::size_t>(assign[i]);
-        ++pcounts[cl];
-        for (std::size_t d = 0; d < dims; ++d) psums[cl * dims + d] += host_points_[i * dims + d];
-      }
+      accumulate_clusters(host_points_.data(), assign.data(), dims, chunk_begin(c),
+                          chunk_begin(c + 1), psums.data(), pcounts.data());
       for (std::size_t i = 0; i < k * dims; ++i) sums[i] += psums[i];
       for (std::size_t i = 0; i < k; ++i) counts[i] += pcounts[i];
     }
-    for (std::size_t cl = 0; cl < k; ++cl) {
-      if (counts[cl] == 0) continue;
-      for (std::size_t d = 0; d < dims; ++d) {
-        ref[cl * dims + d] = sums[cl * dims + d] / static_cast<double>(counts[cl]);
-      }
-    }
+    divide_clusters(sums.data(), counts.data(), dims, k, ref.data());
   }
   return ref;
 }

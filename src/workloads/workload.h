@@ -10,8 +10,9 @@
 //
 // Workloads REALLY compute: the per-iteration chunk functions run actual
 // kernels on the cudalite pool.  `reference` recomputes the final output from
-// the config's inputs, every iteration of it (nbody and QG run the very
-// per-item kernel their chunks use over every item); it depends on the config
+// the config's inputs, every iteration of it (nbody, kmeans, bfs and QG run
+// the very per-item kernel their chunks use over every item; bfs stops at the
+// first round that changes nothing, as its run does); it depends on the config
 // alone, so a campaign computes it once per workload, and `matches` checks
 // each run's own output against it.  nbody and kmeans recompute on the pool
 // `reference` is handed — a run's own, so a 1-worker pool is the serial

@@ -61,6 +61,21 @@ CampaignConfig verify_off_config() {
   return cfg;
 }
 
+/// The asynchronous stack (Section VII-A): the host idles instead of
+/// spinning while the GPU computes, so under greengpu ondemand meets a CPU
+/// that alternates between its hotspot share and idling, and must leave
+/// its level within runs of samples it would otherwise leap.  (The
+/// synchronous stack spins the idle host at full utilization, which holds
+/// ondemand at the peak throughout.)
+CampaignConfig async_config() {
+  CampaignConfig cfg;
+  cfg.workloads = {"hotspot", "lud"};
+  cfg.policies = {Policy::best_performance(), Policy::green_gpu()};
+  cfg.options.pool_workers = 2;
+  cfg.options.sync_spin = false;
+  return cfg;
+}
+
 /// The asynchronous pipeline workloads under benign faults, hardened.
 CampaignConfig pipeline_config() {
   CampaignConfig cfg;
@@ -86,7 +101,7 @@ struct GoldenCase {
 const GoldenCase kCases[] = {
     {"small", small_config},           {"faulty", faulty_config},
     {"replicate", replicate_config},   {"verify_off", verify_off_config},
-    {"pipeline", pipeline_config},
+    {"pipeline", pipeline_config},     {"async", async_config},
 };
 
 // Keeps the discovered test names free of the struct's pointer bytes.

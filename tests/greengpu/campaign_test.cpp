@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -128,6 +133,24 @@ TEST(Campaign, DefaultsCoverFullSuiteAndFourPolicies) {
   EXPECT_EQ(r.policy_names[0], "best-performance");
   EXPECT_EQ(r.policy_names[3], "greengpu");
 }
+
+// The sanitizers replace malloc, so glibc's counters do not see the test's
+// blocks there.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+TEST(Campaign, LargeBlocksStayMappedAfterALargerOneIsFreed) {
+  (void)run_campaign(small_config());
+  // Freeing a mapped 1 MiB block is what would raise a dynamic threshold
+  // past 256 KiB and send the next block to a thread's arena.
+  void* volatile raised = std::malloc(1 << 20);
+  std::free(raised);
+  const std::size_t before = mallinfo2().hblks;
+  void* volatile block = std::malloc(256 * 1024);
+  const std::size_t during = mallinfo2().hblks;
+  std::free(block);
+  EXPECT_EQ(during, before + 1);
+  EXPECT_EQ(mallinfo2().hblks, before);
+}
+#endif
 
 // --- parallel engine determinism -----------------------------------------
 

@@ -1,19 +1,29 @@
-// The nbody and QG fast paths equal the straight-line formulas bit for bit:
-// `advance_bodies` (two bodies per SSE2 instruction plus a scalar tail)
-// against the one-body loop, and `Sobol::sample`/`Sobol::fill` (Gray-code
-// prefix XORs) against the natural-order bit loop.
+// The nbody, kmeans, bfs and QG fast paths equal the straight-line formulas
+// bit for bit: `advance_bodies` (two bodies per SSE2 instruction plus a
+// scalar tail) against the one-body loop, `assign_points` (two centroids per
+// SSE2 instruction plus a scalar tail) against the one-centroid loop, bfs'
+// flat graph construction and its fixed-point exit against the per-node
+// vectors and the every-round relaxation, and `Sobol::sample`/`Sobol::fill`
+// (Gray-code prefix XORs) against the natural-order bit loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
 
+#include "src/common/job_pool.h"
 #include "src/common/rng.h"
+#include "src/cudalite/api.h"
 #include "src/greengpu/policy.h"
 #include "src/greengpu/runner.h"
+#include "src/sim/platform.h"
+#include "src/workloads/bfs.h"
+#include "src/workloads/kmeans.h"
 #include "src/workloads/nbody.h"
 #include "src/workloads/sobol.h"
 #include "tests/workloads/kernel_oracles.h"
@@ -113,6 +123,205 @@ TEST(NbodyFastPath, FullRunVerifiesAtAnyPoolSize) {
     const auto r = greengpu::run_experiment(wl, greengpu::Policy::best_performance(), options);
     EXPECT_TRUE(r.verified) << workers << " pool workers";
   }
+}
+
+/// Random points and centroids in a few blobs, with exact ties planted: the
+/// last centroid repeats the first (a tie the lower index must win) and
+/// every seventh point sits on a centroid.  One point is NaN, whose
+/// distances never compare below anything.
+struct KmeansCase {
+  KmeansCase(std::size_t points, std::size_t dimensions, std::size_t clusters,
+             std::uint64_t seed)
+      : n(points),
+        dims(dimensions),
+        k(clusters),
+        pts(points * dimensions),
+        cents(clusters * dimensions) {
+    Rng rng(seed);
+    for (double& c : cents) c = rng.uniform(-4.0, 4.0);
+    if (k > 1) std::copy(cents.begin(), cents.begin() + dims, cents.end() - dims);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t near = rng.uniform_int(k);
+      for (std::size_t d = 0; d < dims; ++d) {
+        pts[i * dims + d] =
+            cents[near * dims + d] + (i % 7 == 0 ? 0.0 : rng.normal(0.0, 1.5));
+      }
+    }
+    pts[3 * dims] = std::nan("");
+  }
+  std::size_t n, dims, k;
+  std::vector<double> pts, cents;
+};
+
+TEST(KmeansFastPath, AnySplitMatchesScalarOracleBitForBit) {
+  constexpr std::size_t kPoints = 257;
+  const std::vector<std::vector<std::size_t>> splits = {
+      {0, kPoints}, {0, 1, kPoints}, {0, 3, 4, 100, 101, 256, kPoints}, {0, 128, 128, kPoints}};
+  for (const std::size_t k : {1, 3, 8, 13}) {
+    for (const std::size_t dims : {1, 5, 8}) {
+      const KmeansCase c(kPoints, dims, k, 1000 + 10 * k + dims);
+      std::vector<int> want(kPoints, -1);
+      oracle::kmeans_assign(c.pts.data(), c.cents.data(), dims, k, want.data(), 0, kPoints);
+      for (const auto& cuts : splits) {
+        std::vector<int> got(kPoints, -1);
+        for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
+          assign_points(c.pts.data(), c.cents.data(), dims, k, got.data(), cuts[s], cuts[s + 1]);
+        }
+        EXPECT_EQ(got, want) << "K=" << k << " dims=" << dims << " cuts " << cuts.size();
+      }
+    }
+  }
+}
+
+TEST(KmeansFastPath, CentroidsBeyondThePackedBufferMatchTheOracle) {
+  // 13 x 40 = 520 doubles do not fit the lane-interleaved copy.
+  const std::size_t k = 13, dims = 40;
+  ASSERT_GT(k * dims, kPackedCentroidDoubles);
+  const KmeansCase c(301, dims, k, 77);
+  std::vector<int> want(c.n, -1), got(c.n, -1);
+  oracle::kmeans_assign(c.pts.data(), c.cents.data(), dims, k, want.data(), 0, c.n);
+  assign_points(c.pts.data(), c.cents.data(), dims, k, got.data(), 0, 150);
+  assign_points(c.pts.data(), c.cents.data(), dims, k, got.data(), 150, c.n);
+  EXPECT_EQ(got, want);
+}
+
+TEST(KmeansFastPath, FullRunMatchesSerialOracleAtEveryK) {
+  for (const std::size_t k : {1, 3, 8, 13}) {
+    KmeansConfig cfg;
+    cfg.points = 1999;
+    cfg.clusters = k;
+    cfg.dims = 5;
+    cfg.iterations = 5;
+    Kmeans wl(cfg);
+    greengpu::RunOptions options;
+    options.pool_workers = 3;
+    const auto r = greengpu::run_experiment(wl, greengpu::Policy::green_gpu(), options);
+    EXPECT_TRUE(r.verified) << "K=" << k;
+    const std::vector<double> want = oracle::kmeans_run(wl.points(), cfg.dims, k, cfg.iterations);
+    EXPECT_TRUE(same_bits(wl.centroids(), want)) << "K=" << k;
+  }
+}
+
+TEST(BfsFixedPoint, FlatGraphMatchesPerNodeVectorConstruction) {
+  std::vector<BfsConfig> configs(1);  // the default
+  for (const std::size_t nodes : {1, 2, 3, 100}) {
+    for (const std::size_t degree : {1, 2, 8}) {
+      BfsConfig cfg;
+      cfg.nodes = nodes;
+      cfg.avg_degree = degree;
+      cfg.seed = 5 + nodes + degree;
+      configs.push_back(cfg);
+    }
+  }
+  for (const BfsConfig& cfg : configs) {
+    const BfsGraph got = build_bfs_graph(cfg);
+    const BfsGraph want = oracle::bfs_graph(cfg);
+    EXPECT_EQ(got.row_offsets, want.row_offsets) << cfg.nodes << " x " << cfg.avg_degree;
+    EXPECT_EQ(got.in_neighbors, want.in_neighbors) << cfg.nodes << " x " << cfg.avg_degree;
+  }
+}
+
+/// A full best-performance run of `wl` on a 2-worker pool, hardened or not.
+greengpu::ExperimentResult run_bfs(Bfs& wl, const greengpu::RunOptions& base = {},
+                                   bool hardened = false) {
+  greengpu::RunOptions options = base;
+  options.pool_workers = 2;
+  greengpu::GreenGpuParams params;
+  params.hardened = hardened;
+  return greengpu::run_experiment(wl, greengpu::Policy::best_performance(params), options);
+}
+
+TEST(BfsFixedPoint, StoppingAtTheFixedPointGivesTheEveryRoundDistances) {
+  const BfsConfig cfg;
+  Bfs wl(cfg);
+  ASSERT_TRUE(run_bfs(wl).verified);
+  EXPECT_EQ(wl.rounds_relaxed(), 7u);  // rounds 1-6 lower a distance, round 7 none
+  const BfsGraph g = oracle::bfs_graph(cfg);
+  const std::vector<int> want = oracle::bfs_distances(g, cfg.iterations);
+  EXPECT_EQ(wl.distances(), want);
+  EXPECT_EQ(oracle::bfs_distances(g, 6), want);
+  EXPECT_NE(oracle::bfs_distances(g, 5), want);
+  common::JobPool pool(1);
+  const Reference ref = wl.reference(pool);
+  EXPECT_TRUE(std::equal(ref.begin(), ref.end(), want.begin(), want.end()));
+}
+
+TEST(BfsFixedPoint, ChainLongerThanTheRoundsRelaxesEveryRound) {
+  // avg_degree 1 draws no extra edge: the chain 0 -> 1 -> ... -> 199, whose
+  // distances grow by one node per round and never settle within 96 rounds.
+  BfsConfig cfg;
+  cfg.nodes = 200;
+  cfg.avg_degree = 1;
+  Bfs wl(cfg);
+  ASSERT_TRUE(run_bfs(wl).verified);
+  EXPECT_EQ(wl.rounds_relaxed(), cfg.iterations);
+  const std::vector<int> want = oracle::bfs_distances(oracle::bfs_graph(cfg), cfg.iterations);
+  EXPECT_EQ(wl.distances(), want);
+  EXPECT_EQ(wl.distances()[96], 96);
+  EXPECT_EQ(wl.distances()[97], std::numeric_limits<int>::max() / 2);
+}
+
+TEST(BfsFixedPoint, ALostRoundIsNeverTakenForTheFixedPoint) {
+  // The launches of the first two rounds are lost (their merges still run),
+  // so each merge sees an output buffer no round wrote, equal to its input.
+  // Only a relaxed round may be compared: the run must go on to the
+  // every-round distances.
+  const BfsConfig cfg;
+  Bfs wl(cfg);
+  sim::Platform platform;
+  cudalite::Runtime rt(platform, 2);
+  wl.setup(rt);
+  std::vector<cudalite::Stream> streams{rt.create_stream()};
+  for (std::size_t iter = 0; iter < wl.iterations(); ++iter) {
+    if (iter >= 2) {
+      std::size_t pending = 2;
+      wl.run_iteration(rt, streams, iter, {0.0, 1.0}, [&](std::size_t) { --pending; });
+      rt.wait_until([&] { return pending == 0; });
+    }
+    wl.finish_iteration(rt, iter);
+  }
+  wl.teardown(rt);
+  EXPECT_EQ(wl.rounds_relaxed(), 7u);
+  EXPECT_EQ(wl.distances(), oracle::bfs_distances(oracle::bfs_graph(cfg), cfg.iterations));
+  common::JobPool pool(1);
+  EXPECT_TRUE(wl.verify(pool));
+}
+
+TEST(BfsFixedPoint, LaunchFaultsKeepTheEveryRoundDistances) {
+  const BfsConfig cfg;
+  const std::vector<int> want = oracle::bfs_distances(oracle::bfs_graph(cfg), cfg.iterations);
+  // Hardened: rejected launches are retried, rerouted to the CPU or forced
+  // inline, before and after the fixed point.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    greengpu::RunOptions options;
+    options.faults.seed = seed;
+    options.faults.launch_fail_rate = 0.4;
+    Bfs wl(cfg);
+    const auto r = run_bfs(wl, options, true);
+    EXPECT_GT(r.fault_event_count, 0u) << "seed " << seed;
+    EXPECT_TRUE(r.verified) << "seed " << seed;
+    EXPECT_EQ(wl.distances(), want) << "seed " << seed;
+    EXPECT_EQ(wl.rounds_relaxed(), 7u) << "seed " << seed;
+  }
+  // Un-hardened: the first rejected launch aborts the run; a run whose
+  // launches all land relaxes like a fault-free one.
+  std::size_t aborted = 0, completed = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8}) {
+    greengpu::RunOptions options;
+    options.faults.seed = seed;
+    options.faults.launch_fail_rate = 0.01;
+    Bfs wl(cfg);
+    try {
+      const auto r = run_bfs(wl, options, false);
+      ++completed;
+      EXPECT_TRUE(r.verified) << "seed " << seed;
+      EXPECT_EQ(wl.distances(), want) << "seed " << seed;
+    } catch (const greengpu::ExperimentAborted&) {
+      ++aborted;
+    }
+  }
+  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(completed, 0u);
 }
 
 /// Start indices that stress the Gray-code step: the origin, odd values,

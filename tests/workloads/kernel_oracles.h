@@ -1,10 +1,12 @@
-// Test-only oracles for the nbody and QG fast paths and for the kmeans
-// reference, plus the Sobol helpers only tests use.
+// Test-only oracles for the nbody, kmeans, bfs and QG fast paths and for the
+// kmeans reference, plus the Sobol helpers only tests use.
 //
 // The kernel oracles are the straight-line formulas the fast paths replaced:
-// the one-body-at-a-time nbody loop and the natural-order Sobol bit loop over
-// freshly built direction integers.  The fast paths must match them bit for
-// bit (fast_kernels_test.cpp).  The kmeans oracle is the serial loop its
+// the one-body-at-a-time nbody loop, the one-centroid-at-a-time kmeans
+// assignment, bfs' per-node-vector graph construction and its every-round
+// relaxation, and the natural-order Sobol bit loop over freshly built
+// direction integers.  The fast paths must match them bit for bit
+// (fast_kernels_test.cpp).  The kmeans run oracle is the serial loop its
 // `verify()` ran before it took the run's pool: every iteration over every
 // point on one thread, in point order (verify_reference_test.cpp).
 #pragma once
@@ -14,8 +16,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/workloads/bfs.h"
 #include "src/workloads/nbody.h"
 #include "src/workloads/sobol.h"
 
@@ -46,6 +51,28 @@ inline void nbody_step(const NbodyStep& s, std::size_t begin, std::size_t end) {
   }
 }
 
+/// Assign points [begin, end) to their nearest centroid (lowest index on
+/// ties), one centroid and one coordinate at a time.
+inline void kmeans_assign(const double* points, const double* centroids, std::size_t dims,
+                          std::size_t k, int* out, std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    double best = std::numeric_limits<double>::max();
+    int best_c = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      double d2 = 0.0;
+      for (std::size_t d = 0; d < dims; ++d) {
+        const double diff = points[i * dims + d] - centroids[c * dims + d];
+        d2 += diff * diff;
+      }
+      if (d2 < best) {
+        best = d2;
+        best_c = static_cast<int>(c);
+      }
+    }
+    out[i] = best_c;
+  }
+}
+
 /// The kmeans reference as one serial loop: `iterations` passes, each
 /// assigning every point to its nearest centroid (lowest index on ties) and
 /// then recomputing every non-empty cluster's mean in point order, starting
@@ -55,28 +82,13 @@ inline std::vector<double> kmeans_run(const std::vector<double>& points, std::si
   const std::size_t n = points.size() / dims;
   std::vector<double> centroids(points.begin(),
                                 points.begin() + static_cast<std::ptrdiff_t>(k * dims));
-  std::vector<std::size_t> assignments(n, 0);
+  std::vector<int> assignments(n, 0);
   for (std::size_t it = 0; it < iterations; ++it) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::max();
-      std::size_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        double d2 = 0.0;
-        for (std::size_t d = 0; d < dims; ++d) {
-          const double diff = points[i * dims + d] - centroids[c * dims + d];
-          d2 += diff * diff;
-        }
-        if (d2 < best) {
-          best = d2;
-          best_c = c;
-        }
-      }
-      assignments[i] = best_c;
-    }
+    kmeans_assign(points.data(), centroids.data(), dims, k, assignments.data(), 0, n);
     std::vector<double> sums(k * dims, 0.0);
     std::vector<std::size_t> counts(k, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t c = assignments[i];
+      const auto c = static_cast<std::size_t>(assignments[i]);
       ++counts[c];
       for (std::size_t d = 0; d < dims; ++d) sums[c * dims + d] += points[i * dims + d];
     }
@@ -88,6 +100,51 @@ inline std::vector<double> kmeans_run(const std::vector<double>& points, std::si
     }
   }
   return centroids;
+}
+
+/// bfs' graph built through one vector per node: the chain edge v-1 -> v,
+/// then every drawn edge u -> v (u != v) appended to v's list, transposed
+/// into the in-edge CSR.
+inline BfsGraph bfs_graph(const BfsConfig& config) {
+  Rng rng(config.seed);
+  const std::size_t n = config.nodes;
+  std::vector<std::vector<std::size_t>> in_adj(n);
+  for (std::size_t v = 1; v < n; ++v) in_adj[v].push_back(v - 1);
+  const std::size_t extra_edges = n * (config.avg_degree - 1);
+  for (std::size_t e = 0; e < extra_edges; ++e) {
+    const std::size_t u = rng.uniform_int(n);
+    const std::size_t v = rng.uniform_int(n);
+    if (u != v) in_adj[v].push_back(u);
+  }
+  BfsGraph g;
+  g.row_offsets.resize(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) g.row_offsets[v + 1] = g.row_offsets[v] + in_adj[v].size();
+  for (const auto& list : in_adj) {
+    g.in_neighbors.insert(g.in_neighbors.end(), list.begin(), list.end());
+  }
+  return g;
+}
+
+/// Distances from node 0 after exactly `rounds` relaxation rounds, every
+/// round relaxing every vertex; unreached nodes read INT_MAX / 2.
+inline std::vector<int> bfs_distances(const BfsGraph& g, std::size_t rounds) {
+  constexpr int kInf = std::numeric_limits<int>::max() / 2;
+  const std::size_t n = g.row_offsets.size() - 1;
+  std::vector<int> in(n, kInf);
+  std::vector<int> out(n, kInf);
+  in[0] = 0;
+  for (std::size_t it = 0; it < rounds; ++it) {
+    for (std::size_t v = 0; v < n; ++v) {
+      int best = in[v];
+      for (std::size_t e = g.row_offsets[v]; e < g.row_offsets[v + 1]; ++e) {
+        const int cand = in[g.in_neighbors[e]];
+        if (cand < kInf && cand + 1 < best) best = cand + 1;
+      }
+      out[v] = best;
+    }
+    std::swap(in, out);
+  }
+  return in;
 }
 
 /// Sobol points in natural order: XOR the direction integer of every set bit

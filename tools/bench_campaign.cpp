@@ -24,11 +24,13 @@
 //     the same per-step work (NVML read, loss vectors, update, argmax
 //     rescan, clock write) (ns/op + speedup), and asserts their decision
 //     streams match over the timed runs,
-//   * times the campaign's two hottest real kernels on one thread: nbody's
-//     all-pairs step in ns per interaction, and QG's Sobol generation in ns
-//     per sample through Sobol::fill and through per-index Sobol::sample,
-//     and asserts the fast paths' bits do not depend on how the work is cut
-//     (nbody chunk splits, fill vs sample),
+//   * times the campaign's hottest real kernels on one thread: nbody's
+//     all-pairs step in ns per interaction, kmeans' assignment pass in ns
+//     per point-centroid distance, and QG's Sobol generation in ns per
+//     sample through Sobol::fill and through per-index Sobol::sample, and
+//     asserts the fast paths' bits do not depend on how the work is cut
+//     (nbody and kmeans chunk splits, fill vs sample); records the rounds a
+//     default bfs run relaxes before its fixed point (an exact count),
 //   * times nbody's and kmeans' verify() references on a 1-worker pool and
 //     on a host_cpus-worker pool, and asserts that both pool sizes verify a
 //     full run and reject a run whose last merge step was skipped,
@@ -75,6 +77,8 @@
 #include "src/sim/crash.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/platform.h"
+#include "src/workloads/bfs.h"
+#include "src/workloads/kmeans.h"
 #include "src/workloads/nbody.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/sobol.h"
@@ -323,6 +327,8 @@ ScalerTimings time_scaler_step() {
 
 struct KernelTimings {
   double nbody_ns_per_interaction{0.0};
+  double kmeans_ns_per_distance{0.0};
+  std::size_t bfs_rounds_relaxed{0};
   double fill_ns_per_sample{0.0};
   double sample_ns_per_sample{0.0};
   double fill_speedup{0.0};
@@ -342,8 +348,10 @@ double median_seconds(int reps, Fn&& fn) {
 }
 
 /// Median of eleven timed passes per kernel, in the campaign's sizes: four
-/// 1024-body nbody steps, and QG's 45 iterations x 8192 points of Sobol
-/// generation cycling four dimensions.
+/// 1024-body nbody steps, four kmeans assignment passes (16384 points x 8
+/// dims against 8 centroids), and QG's 45 iterations x 8192 points of Sobol
+/// generation cycling four dimensions.  Plus one full-compute default bfs
+/// run's relaxed rounds.
 KernelTimings time_kernels() {
   KernelTimings t;
   constexpr int kReps = 11;
@@ -375,6 +383,32 @@ KernelTimings time_kernels() {
       std::memcmp(whole_pos.data(), split_pos.data(), whole_pos.size() * sizeof(double)) == 0 &&
       std::memcmp(whole_vel.data(), split_vel.data(), whole_vel.size() * sizeof(double)) == 0;
 
+  constexpr int kKmeansPasses = 4;
+  const workloads::KmeansConfig km;
+  const std::vector<double> points =
+      workloads::kmeans_points(km.points, km.dims, km.clusters, km.seed);
+  const double* centroids = points.data();  // the first K points, as a run starts
+  std::vector<int> whole_assign(km.points, -1), split_assign(km.points, -1);
+  const double kmeans_s = median_seconds(kReps, [&] {
+    for (int pass = 0; pass < kKmeansPasses; ++pass) {
+      workloads::assign_points(points.data(), centroids, km.dims, km.clusters,
+                               whole_assign.data(), 0, km.points);
+    }
+  });
+  t.kmeans_ns_per_distance =
+      kmeans_s * 1e9 / (double(kKmeansPasses) * double(km.points) * double(km.clusters));
+  // Chunk boundaries anywhere: no point's assignment may depend on them.
+  const std::size_t cuts[] = {0, 1, 999, km.points};
+  for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+    workloads::assign_points(points.data(), centroids, km.dims, km.clusters,
+                             split_assign.data(), cuts[c], cuts[c + 1]);
+  }
+  const bool kmeans_identical = whole_assign == split_assign;
+
+  workloads::Bfs bfs;
+  workloads::run_by_hand(bfs, 1, bfs.iterations());
+  t.bfs_rounds_relaxed = bfs.rounds_relaxed();
+
   constexpr std::size_t kPoints = 8192, kIterations = 45, kDims = 4;
   const workloads::Sobol sobol(kDims);
   std::vector<double> filled(kPoints * kIterations), sampled(kPoints * kIterations);
@@ -395,7 +429,7 @@ KernelTimings time_kernels() {
   t.fill_ns_per_sample = fill_s * 1e9 / samples;
   t.sample_ns_per_sample = sample_s * 1e9 / samples;
   t.fill_speedup = fill_s > 0.0 ? sample_s / fill_s : 0.0;
-  t.identical = nbody_identical &&
+  t.identical = nbody_identical && kmeans_identical &&
                 std::memcmp(filled.data(), sampled.data(), filled.size() * sizeof(double)) == 0;
   return t;
 }
@@ -858,9 +892,11 @@ int main(int argc, char** argv) {
               s.decisions_match ? "identical" : "DIFFER");
   ok = s.decisions_match && ok;
 
-  std::printf("timing nbody and QG kernels (one thread)...\n");
+  std::printf("timing nbody, kmeans and QG kernels (one thread)...\n");
   const KernelTimings k = time_kernels();
   std::printf("  nbody:       %.2f ns/interaction\n", k.nbody_ns_per_interaction);
+  std::printf("  kmeans:      %.2f ns/distance\n", k.kmeans_ns_per_distance);
+  std::printf("  bfs:         %zu rounds relaxed\n", k.bfs_rounds_relaxed);
   std::printf("  Sobol fill:  %.2f ns/sample\n", k.fill_ns_per_sample);
   std::printf("  Sobol sample: %.2f ns/sample\n", k.sample_ns_per_sample);
   std::printf("[%s] kernel fast paths: fill %.1fx faster than sample, bits %s\n",
@@ -1002,6 +1038,8 @@ int main(int argc, char** argv) {
   w.key("kernels");
   w.begin_object();
   w.kv("nbody_ns_per_interaction", k.nbody_ns_per_interaction);
+  w.kv("kmeans_ns_per_distance", k.kmeans_ns_per_distance);
+  w.kv("bfs_rounds_relaxed", static_cast<double>(k.bfs_rounds_relaxed));
   w.kv("sobol_fill_ns_per_sample", k.fill_ns_per_sample);
   w.kv("sobol_sample_ns_per_sample", k.sample_ns_per_sample);
   w.kv("sobol_fill_speedup_vs_sample", k.fill_speedup);

@@ -11,15 +11,16 @@ Checks, in order:
     flags (including batch-vs-scalar engine identity), the scaler
     fast-vs-reference decision identity, the attached-vs-heap-driven
     CPU governor identity, and exact counts (the 36-cell campaign computes
-    one verify reference per workload, 9);
+    one verify reference per workload, 9; the model-only kmeans cell takes
+    49405 governor decisions; a default bfs run relaxes 7 rounds);
   * the scaler fast path must actually be faster than the reference
     (speedup floor, host-independent — both sides ran on the same machine);
   * the batch campaign engine must beat the scalar engine on the replicate
     sweep (speedup floor, host-independent for the same reason);
   * Sobol::fill must beat per-index Sobol::sample on the same points
     (speedup floor, host-independent — both sides ran on the same machine),
-    and the nbody and QG fast paths must keep their bits whatever the work
-    split (invariant flag);
+    and the nbody, kmeans and QG fast paths must keep their bits whatever
+    the work split (invariant flag);
   * the pipelined schedules must beat their synchronous baselines on
     simulated makespan (speedup floor) and keep a minimum copy/compute
     overlap — fully host-independent: both sides are simulated seconds;
@@ -58,6 +59,7 @@ TIMED_METRICS = [
     ("batch", "batch_seconds"),
     ("pipeline", "campaign_seconds"),
     ("kernels", "nbody_ns_per_interaction"),
+    ("kernels", "kmeans_ns_per_distance"),
     ("governor", "ns_per_tick"),
     ("verify", "nbody_pooled_ms"),
     ("verify", "kmeans_pooled_ms"),
@@ -93,10 +95,13 @@ INVARIANT_FLAGS = [
 # verify reference per workload, so 9 for 36 cells.  The model-only kmeans
 # cell under frequency scaling takes 49405 ondemand decisions whether its
 # samples are stepped or leaped, so a leap that drops or doubles a sample
-# fails here.
+# fails here.  The default bfs run relaxes rounds 1-7 and stops at its fixed
+# point (round 7 is the first that lowers no distance): 6 would return early
+# distances, 96 means the fixed-point exit is gone.
 EXACT_COUNTS = [
     ("campaign", "references", 9),
     ("governor", "decisions", 49405),
+    ("kernels", "bfs_rounds_relaxed", 7),
 ]
 
 # Scaler fast path vs reference, same host by construction.  Wall-clock

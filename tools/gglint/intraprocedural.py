@@ -126,11 +126,15 @@ REQUIRED_HOT = [
     ("src/cudalite/stream_scheduler.cpp",
      re.compile(r"void\s+StreamScheduler::pump\s*\("),
      "StreamScheduler::pump"),
-    # The campaign's two hottest real kernels: nbody's all-pairs step (the
-    # SSE2 lane loop) and QG's incremental Sobol generation.
+    # The campaign's hottest real kernels: nbody's all-pairs step and
+    # kmeans' assignment pass (the SSE2 lane loops) and QG's incremental
+    # Sobol generation.
     ("src/workloads/nbody.cpp",
      re.compile(r"void\s+advance_bodies\s*\("),
      "advance_bodies"),
+    ("src/workloads/kmeans.cpp",
+     re.compile(r"void\s+assign_points\s*\("),
+     "assign_points"),
     ("src/workloads/sobol.cpp",
      re.compile(r"void\s+Sobol::fill\s*\("),
      "Sobol::fill"),
